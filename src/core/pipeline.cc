@@ -3,71 +3,70 @@
 #include <set>
 
 #include "common/logging.hh"
-#include "gtpin/tools.hh"
 
 namespace gt::core
 {
+
+InstrumentedStack::InstrumentedStack(const gpu::DeviceConfig &device,
+                                     const gpu::TrialConfig &trial,
+                                     bool record,
+                                     gpu::SharedPlanCache *plans,
+                                     gpu::SharedCheckpointCache *ckpts)
+    : driver(device, jit, trial), runtime(driver)
+{
+    driver.setSharedCaches(plans, ckpts);
+    pin.addTool(&profileTool);
+    pin.addTool(&bbTool);
+    pin.addTool(&mixTool);
+    pin.addTool(&memTool);
+    pin.attach(driver);
+    runtime.addObserver(&tracer);
+    if (record)
+        runtime.addObserver(&recorder);
+}
+
+TraceDatabase
+InstrumentedStack::takeDatabase(TraceDbBackend backend)
+{
+    return TraceDatabase::build(profileTool.takeProfiles(),
+                                tracer.kernelTimings(),
+                                tracer.callStream(), backend);
+}
 
 ProfiledApp
 profileApp(const workloads::Workload &workload,
            const gpu::DeviceConfig &config,
            const gpu::TrialConfig &trial)
 {
-    workloads::TemplateJit jit;
-    ocl::GpuDriver driver(config, jit, trial);
-
-    gtpin::KernelProfileTool profile_tool;
-    gtpin::BasicBlockCounterTool bb_tool;
-    gtpin::OpcodeMixTool mix_tool;
-    gtpin::MemBytesTool mem_tool;
-
-    gtpin::GtPin pin;
-    pin.addTool(&profile_tool);
-    pin.addTool(&bb_tool);
-    pin.addTool(&mix_tool);
-    pin.addTool(&mem_tool);
-    pin.attach(driver);
-
-    ocl::ClRuntime runtime(driver);
-    cfl::ApiTracer tracer;
-    cfl::Recorder recorder;
-    runtime.addObserver(&tracer);
-    runtime.addObserver(&recorder);
-
-    workload.run(runtime);
+    InstrumentedStack stack(config, trial, /*record=*/true);
+    workload.run(stack.runtime);
 
     ProfiledApp app;
     app.name = workload.info().name;
-    app.db = TraceDatabase::build(profile_tool.takeProfiles(),
-                                  tracer.kernelTimings(),
-                                  tracer.callStream());
-    app.recording = recorder.take();
+    app.db = stack.takeDatabase();
+    app.recording = stack.recorder.take();
 
+    const cfl::ApiTracer &tracer = stack.tracer;
     AppCharacterization &st = app.stats;
     st.totalApiCalls = tracer.totalCalls();
-    st.fracKernel =
-        tracer.categoryFraction(ocl::ApiCategory::Kernel);
-    st.fracSync =
-        tracer.categoryFraction(ocl::ApiCategory::Synchronization);
-    st.fracOther =
-        tracer.categoryFraction(ocl::ApiCategory::Other);
+    st.fracKernel = tracer.categoryFraction(ocl::ApiCategory::Kernel);
+    st.fracSync = tracer.categoryFraction(ocl::ApiCategory::Synchronization);
+    st.fracOther = tracer.categoryFraction(ocl::ApiCategory::Other);
 
     std::set<std::string> names;
-    for (uint32_t k = 0; k < driver.numKernels(); ++k)
-        names.insert(driver.binary(k).name);
+    for (uint32_t k = 0; k < stack.driver.numKernels(); ++k)
+        names.insert(stack.driver.binary(k).name);
     st.uniqueKernels = names.size();
-    st.uniqueBlocks = bb_tool.totalStaticBlocks();
+    st.uniqueBlocks = stack.bbTool.totalStaticBlocks();
 
     st.kernelInvocations = app.db.numDispatches();
-    st.blockExecs = bb_tool.totalBlockExecs();
+    st.blockExecs = stack.bbTool.totalBlockExecs();
     st.dynInstrs = app.db.totalInstrs();
 
-    st.classCounts = mix_tool.classCounts();
-    st.simdCounts = mix_tool.simdCounts();
-    st.bytesRead = mem_tool.totalBytesRead();
-    st.bytesWritten = mem_tool.totalBytesWritten();
-
-    pin.detach();
+    st.classCounts = stack.mixTool.classCounts();
+    st.simdCounts = stack.mixTool.simdCounts();
+    st.bytesRead = stack.memTool.totalBytesRead();
+    st.bytesWritten = stack.memTool.totalBytesWritten();
     return app;
 }
 
@@ -95,35 +94,9 @@ replayTrial(const cfl::Recording &recording,
             const gpu::DeviceConfig &config,
             const gpu::TrialConfig &trial, TraceDbBackend backend)
 {
-    workloads::TemplateJit jit;
-    ocl::GpuDriver driver(config, jit, trial);
-
-    // Attach the same tool set profileApp() uses: instrumentation
-    // load shifts kernels' relative SPI, so validation trials must
-    // carry identical instrumentation or selections made on the
-    // profiling trial are systematically biased on replays.
-    gtpin::KernelProfileTool profile_tool;
-    gtpin::BasicBlockCounterTool bb_tool;
-    gtpin::OpcodeMixTool mix_tool;
-    gtpin::MemBytesTool mem_tool;
-    gtpin::GtPin pin;
-    pin.addTool(&profile_tool);
-    pin.addTool(&bb_tool);
-    pin.addTool(&mix_tool);
-    pin.addTool(&mem_tool);
-    pin.attach(driver);
-
-    ocl::ClRuntime runtime(driver);
-    cfl::ApiTracer tracer;
-    runtime.addObserver(&tracer);
-
-    cfl::replay(recording, runtime);
-
-    TraceDatabase db = TraceDatabase::build(
-        profile_tool.takeProfiles(), tracer.kernelTimings(),
-        tracer.callStream(), backend);
-    pin.detach();
-    return db;
+    InstrumentedStack stack(config, trial);
+    cfl::replay(recording, stack.runtime);
+    return stack.takeDatabase(backend);
 }
 
 } // namespace gt::core

@@ -20,6 +20,8 @@
 
 #include "cfl/recorder.hh"
 #include "core/explorer.hh"
+#include "gpu/plan_cache.hh"
+#include "gtpin/tools.hh"
 #include "sched/thread_pool.hh"
 #include "workloads/workload.hh"
 
@@ -67,8 +69,42 @@ struct ProfiledApp
 };
 
 /**
- * Profile @p workload natively on @p config under @p trial with the
- * full GT-Pin tool set attached.
+ * The one instrumented device stack every profiling run and replay
+ * executes on: private JIT and driver, GT-Pin with the full tool set
+ * (selection profile, BB counts, opcode mix, memory bytes, in that
+ * order), host runtime, API tracer and, if @p record, the recorder.
+ * Instrumentation load shifts kernels' relative SPI, so only replays
+ * carrying exactly the profiling run's tools validate its selections
+ * without bias; a same-trial replay is bitwise equal to the profile.
+ * The shared caches may be null and must outlive the stack. Members
+ * are in construction order, so GtPin detaches before the driver dies.
+ */
+struct InstrumentedStack
+{
+    InstrumentedStack(const gpu::DeviceConfig &device,
+                      const gpu::TrialConfig &trial, bool record = false,
+                      gpu::SharedPlanCache *plans = nullptr,
+                      gpu::SharedCheckpointCache *ckpts = nullptr);
+
+    /** The run's database; consumes the profiles collected so far. */
+    TraceDatabase takeDatabase(
+        TraceDbBackend backend = defaultTraceDbBackend());
+
+    workloads::TemplateJit jit;
+    ocl::GpuDriver driver;
+    gtpin::KernelProfileTool profileTool;
+    gtpin::BasicBlockCounterTool bbTool;
+    gtpin::OpcodeMixTool mixTool;
+    gtpin::MemBytesTool memTool;
+    gtpin::GtPin pin;
+    ocl::ClRuntime runtime;
+    cfl::ApiTracer tracer;
+    cfl::Recorder recorder;
+};
+
+/**
+ * Profile @p workload natively on @p config under @p trial on an
+ * InstrumentedStack that also records the API stream.
  */
 ProfiledApp profileApp(
     const workloads::Workload &workload,
@@ -79,8 +115,8 @@ ProfiledApp profileApp(
  * Profile every workload in @p apps concurrently on @p pool (null =
  * the process-wide pool, whose size honors GT_THREADS).
  *
- * Each task builds a private driver / JIT / GT-Pin / tracer stack —
- * profileApp() shares no mutable state between calls — so
+ * Each task builds a private InstrumentedStack — profileApp()
+ * shares no mutable state between calls — so
  * results[i] is bit-identical to a serial profileApp(*apps[i])
  * regardless of thread count, and results are returned in input
  * order.
@@ -92,10 +128,10 @@ std::vector<ProfiledApp> profileSuite(
     sched::ThreadPool *pool = nullptr);
 
 /**
- * Replay @p recording on @p config under @p trial with the GT-Pin
- * selection tool attached, returning the new trial's database built
- * on @p backend (defaults to the process-wide GT_TRACEDB choice;
- * the differential tests pin it to compare backends on one replay).
+ * Replay @p recording on @p config under @p trial on an
+ * InstrumentedStack, returning the new trial's database built on
+ * @p backend (defaults to the process-wide GT_TRACEDB choice; the
+ * differential tests pin it to compare backends on one replay).
  */
 TraceDatabase replayTrial(const cfl::Recording &recording,
                           const gpu::DeviceConfig &config,

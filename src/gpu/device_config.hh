@@ -43,7 +43,7 @@ struct DeviceConfig
     /** Fixed host-side cost to launch one kernel, in microseconds. */
     double dispatchOverheadUs = 8.0;
 
-    /** Device global memory capacity in bytes. */
+    /** Device memory bytes; committed lazily, unwritten bytes read 0. */
     uint64_t memBytes = 64ull << 20;
 
     /** Total simultaneously resident hardware threads. */

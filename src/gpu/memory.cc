@@ -1,6 +1,7 @@
 #include "gpu/memory.hh"
 
 #include <cstring>
+#include <new>
 
 #include "common/logging.hh"
 
@@ -8,9 +9,11 @@ namespace gt::gpu
 {
 
 DeviceMemory::DeviceMemory(uint64_t size_bytes)
-    : bytes(size_bytes, 0)
+    : bytes((uint8_t *)std::calloc(size_bytes, 1)), capacity(size_bytes)
 {
     GT_ASSERT(size_bytes > 0, "device memory must be non-empty");
+    if (!bytes)
+        throw std::bad_alloc();
 }
 
 uint64_t
@@ -21,39 +24,33 @@ DeviceMemory::allocate(uint64_t size, uint64_t align)
     if (size == 0)
         size = 1;
     uint64_t base = (bumpPtr + align - 1) & ~(align - 1);
-    if (base + size > bytes.size()) {
+    if (base + size > capacity) {
         fatal("device out of memory: need ", size, " bytes, ",
-              bytes.size() - bumpPtr, " free");
+              capacity - bumpPtr, " free");
     }
     bumpPtr = base + size;
     return base;
 }
 
 void
-DeviceMemory::resetAllocator()
-{
-    bumpPtr = 0;
-}
-
-void
 DeviceMemory::copyIn(uint64_t addr, const void *src, uint64_t size)
 {
     checkRange(addr, size);
-    std::memcpy(bytes.data() + addr, src, size);
+    std::memcpy(bytes.get() + addr, src, size);
 }
 
 void
 DeviceMemory::copyOut(uint64_t addr, void *dst, uint64_t size) const
 {
     checkRange(addr, size);
-    std::memcpy(dst, bytes.data() + addr, size);
+    std::memcpy(dst, bytes.get() + addr, size);
 }
 
 void
 DeviceMemory::fill(uint64_t addr, uint8_t value, uint64_t size)
 {
     checkRange(addr, size);
-    std::memset(bytes.data() + addr, value, size);
+    std::memset(bytes.get() + addr, value, size);
 }
 
 void

@@ -3,7 +3,10 @@
  * Device global memory and the trace buffer.
  *
  * DeviceMemory is a flat byte-addressed space with a bump allocator;
- * OpenCL buffers and images are carved out of it by the runtime.
+ * OpenCL buffers and images are carved out of it by the runtime. The
+ * arena is committed lazily and zero-filled on first touch (calloc):
+ * construction costs microseconds whatever the capacity, only pages a
+ * workload touches become resident, and a never-written byte reads 0.
  * TraceBuffer is the CPU/GPU-shared profiling area GT-Pin allocates at
  * initialization (Fig. 1): instrumentation instructions accumulate
  * into its slots during device execution and the CPU post-processor
@@ -14,7 +17,9 @@
 #define GT_GPU_MEMORY_HH
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -28,7 +33,7 @@ class DeviceMemory
   public:
     explicit DeviceMemory(uint64_t size_bytes);
 
-    uint64_t size() const { return bytes.size(); }
+    uint64_t size() const { return capacity; }
 
     /**
      * Allocate @p size bytes aligned to @p align; returns the device
@@ -37,7 +42,7 @@ class DeviceMemory
     uint64_t allocate(uint64_t size, uint64_t align = 64);
 
     /** Release all allocations (contents are preserved). */
-    void resetAllocator();
+    void resetAllocator() { bumpPtr = 0; }
 
     /** Bytes currently allocated. */
     uint64_t allocated() const { return bumpPtr; }
@@ -57,7 +62,7 @@ class DeviceMemory
     {
         checkRange(addr, 4);
         uint32_t v;
-        std::memcpy(&v, bytes.data() + addr, 4);
+        std::memcpy(&v, bytes.get() + addr, 4);
         return v;
     }
 
@@ -72,7 +77,7 @@ class DeviceMemory
     write32(uint64_t addr, uint32_t value)
     {
         checkRange(addr, 4);
-        std::memcpy(bytes.data() + addr, &value, 4);
+        std::memcpy(bytes.get() + addr, &value, 4);
     }
 
     /**
@@ -80,8 +85,8 @@ class DeviceMemory
      * check over a whole batch (the gang executor's send loops);
      * callers are responsible for staying within size().
      */
-    uint8_t *data() { return bytes.data(); }
-    const uint8_t *data() const { return bytes.data(); }
+    uint8_t *data() { return bytes.get(); }
+    const uint8_t *data() const { return bytes.get(); }
 
     /** Bulk host<->device transfer helpers. */
     void copyIn(uint64_t addr, const void *src, uint64_t size);
@@ -92,13 +97,18 @@ class DeviceMemory
     void
     checkRange(uint64_t addr, uint64_t size) const
     {
-        if (addr + size > bytes.size() || addr + size < addr) {
+        if (addr + size > capacity || addr + size < addr) {
             panic("device memory access out of bounds: addr ", addr,
-                  " size ", size, " capacity ", bytes.size());
+                  " size ", size, " capacity ", capacity);
         }
     }
 
-    std::vector<uint8_t> bytes;
+    struct Free
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+    std::unique_ptr<uint8_t[], Free> bytes;
+    uint64_t capacity;
     uint64_t bumpPtr = 0;
 };
 

@@ -49,6 +49,10 @@ TaskGraph::run(ThreadPool &pool)
          * flag concurrently. */
         std::vector<std::atomic<char>> cancelled;
         std::atomic<size_t> settled{0};
+        /** Tasks enqueued whose body, settle() included, is still
+         * running; run() returns only once this is 0, so no worker
+         * touches its frame or the graph after it returns. */
+        std::atomic<size_t> running{0};
         std::mutex mutex;
         std::condition_variable cv;
 
@@ -75,7 +79,7 @@ TaskGraph::run(ThreadPool &pool)
             bool cur_failed = parent_failed.back();
             work.pop_back();
             parent_failed.pop_back();
-            size_t done = state->settled.fetch_add(1) + 1;
+            state->settled.fetch_add(1);
             for (TaskId s : nodes[cur].successors) {
                 if (cur_failed)
                     state->cancelled[s].store(1);
@@ -88,14 +92,11 @@ TaskGraph::run(ThreadPool &pool)
                     }
                 }
             }
-            if (done == nodes.size()) {
-                std::lock_guard<std::mutex> lock(state->mutex);
-                state->cv.notify_all();
-            }
         }
     };
 
     execute = [this, state, &pool, &settle](TaskId id) {
+        state->running.fetch_add(1);
         pool.enqueue([this, state, &settle, id] {
             bool failed = false;
             try {
@@ -105,6 +106,9 @@ TaskGraph::run(ThreadPool &pool)
                 failed = true;
             }
             settle(id, failed);
+            std::lock_guard<std::mutex> lock(state->mutex);
+            if (state->running.fetch_sub(1) == 1)
+                state->cv.notify_all();
         });
     };
 
@@ -117,12 +121,12 @@ TaskGraph::run(ThreadPool &pool)
     // Wait for the graph to drain; on a multi-thread pool the caller
     // helps execute tasks so run() is safe from inside a pool task.
     if (pool.threadCount() > 1) {
-        while (state->settled.load() < n) {
+        while (state->running.load() > 0) {
             if (!pool.tryRunOne(0)) {
                 std::unique_lock<std::mutex> lock(state->mutex);
                 state->cv.wait_for(
                     lock, std::chrono::milliseconds(1), [&] {
-                        return state->settled.load() >= n;
+                        return state->running.load() == 0;
                     });
             }
         }

@@ -7,9 +7,8 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "core/pipeline.hh"
 #include "core/trace_store.hh"
-#include "gtpin/tools.hh"
-#include "workloads/templates.hh"
 
 namespace gt::serve
 {
@@ -664,46 +663,26 @@ ProfilingService::runReplay(Workload &workload)
 std::shared_ptr<ReplayArtifact>
 ProfilingService::replayStreaming(Workload &workload)
 {
-    workloads::TemplateJit jit;
-    ocl::GpuDriver driver(cfg.device, jit, cfg.trial);
-    driver.setSharedCaches(&plans, &ckpts);
-
-    // The replayTrial tool set: instrumentation load shifts relative
-    // SPI, so service replays carry the same instrumentation the
-    // batch pipeline does or selections would be biased against it.
-    gtpin::KernelProfileTool profile_tool;
-    gtpin::BasicBlockCounterTool bb_tool;
-    gtpin::OpcodeMixTool mix_tool;
-    gtpin::MemBytesTool mem_tool;
-    gtpin::GtPin pin;
-    pin.addTool(&profile_tool);
-    pin.addTool(&bb_tool);
-    pin.addTool(&mix_tool);
-    pin.addTool(&mem_tool);
-    pin.attach(driver);
-
-    ocl::ClRuntime runtime(driver);
-    cfl::ApiTracer tracer;
-    runtime.addObserver(&tracer);
-
+    core::InstrumentedStack stack(cfg.device, cfg.trial, /*record=*/false,
+                                  &plans, &ckpts);
     // Stream the replay: calls feed the session's epoch walk as they
     // issue; dispatch rows feed as they drain (kernels execute at
     // host/device alignment points, so rows arrive in sync-epoch
     // bursts — exactly the granularity the incremental interval
     // builder closes intervals at).
-    cfl::StreamingReplay stream(workload.recording, runtime);
+    cfl::StreamingReplay stream(workload.recording, stack.runtime);
     WorkloadSession &session = *workload.session;
     size_t calls_fed = 0;
     size_t rows_fed = 0;
     auto feed = [&] {
         const std::vector<ocl::ApiCallRecord> &calls =
-            tracer.callStream();
+            stack.tracer.callStream();
         for (; calls_fed < calls.size(); ++calls_fed)
             session.observeCall(calls[calls_fed]);
         const std::vector<gtpin::DispatchProfile> &profiles =
-            profile_tool.profiles();
+            stack.profileTool.profiles();
         const std::vector<cfl::KernelTiming> &timings =
-            tracer.kernelTimings();
+            stack.tracer.kernelTimings();
         size_t avail = std::min(profiles.size(), timings.size());
         for (; rows_fed < avail; ++rows_fed)
             session.addDispatch(profiles[rows_fed],
@@ -713,12 +692,11 @@ ProfilingService::replayStreaming(Workload &workload)
         feed();
     stream.drain();
     feed();
-    pin.detach();
 
     auto artifact = std::make_shared<ReplayArtifact>();
-    artifact->calls = tracer.callStream();
-    artifact->profiles = profile_tool.takeProfiles();
-    artifact->timings = tracer.kernelTimings();
+    artifact->calls = stack.tracer.callStream();
+    artifact->profiles = stack.profileTool.takeProfiles();
+    artifact->timings = stack.tracer.kernelTimings();
     // Run the epoch walk once here so every warm submission can
     // bulk-append without it.
     artifact->epochs =

@@ -3,16 +3,21 @@
  * Functional-executor tests: instruction semantics in Full mode,
  * Fast/Full profile equivalence (the core soundness property of the
  * fast profiling path), homogeneous-thread scaling, heterogeneous
- * thread execution, memory behaviour, and guard rails.
+ * thread execution, memory behaviour, guard rails, and the device
+ * memory arena's contract.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <fstream>
+#include <memory>
 
 #include "common/logging.hh"
 #include "gpu/executor.hh"
 #include "isa/builder.hh"
+#include "ocl/driver.hh"
 #include "workloads/templates.hh"
 
 namespace gt::gpu
@@ -609,6 +614,80 @@ TEST_F(ExecutorTest, IssueCyclesPositiveAndScaled)
     ExecProfile p = runFull(b.finish(), {});
     // 16-wide on 4 FPU lanes: fmul 4 cycles, sin 16, halt 1.
     EXPECT_DOUBLE_EQ(p.threadCycles, 4.0 + 16.0 + 1.0);
+}
+
+// --- the device memory arena -------------------------------------------
+
+TEST(DeviceMemoryArena, FreshArenaReadsZeroEverywhere)
+{
+    DeviceMemory mem(DeviceConfig::hd4000().memBytes);
+    const uint64_t page = 4096;
+    EXPECT_EQ(mem.read8(0), 0u);
+    EXPECT_EQ(mem.read8(mem.size() - 1), 0u);
+    EXPECT_EQ(mem.read32(mem.size() - 4), 0u);
+    // Words straddling page boundaries, spread over the whole arena.
+    for (uint64_t p = page; p < mem.size(); p += 251 * page)
+        EXPECT_EQ(mem.read32(p - 2), 0u) << "page boundary " << p;
+    std::vector<uint8_t> span(3 * page, 0xff);
+    mem.copyOut(7 * page - 1, span.data(), span.size());
+    EXPECT_TRUE(std::all_of(span.begin(), span.end(),
+                            [](uint8_t b) { return b == 0; }));
+}
+
+TEST(DeviceMemoryArena, OutOfRangeAccessPanics)
+{
+    setLogQuiet(true);
+    DeviceMemory mem(1 << 16);
+    EXPECT_NO_THROW(mem.read32(mem.size() - 4));
+    EXPECT_THROW(mem.read32(mem.size() - 3), PanicError);
+    EXPECT_THROW(mem.write32(mem.size(), 1), PanicError);
+    EXPECT_THROW(mem.read32(~0ull - 1), PanicError); // wraps around
+    setLogQuiet(false);
+}
+
+TEST(DeviceMemoryArena, OverCapacityAllocateIsFatal)
+{
+    setLogQuiet(true);
+    DeviceMemory mem(1 << 16);
+    EXPECT_THROW(mem.allocate(mem.size() + 1), FatalError);
+    uint64_t base = mem.allocate(mem.size() - 64);
+    EXPECT_THROW(mem.allocate(128), FatalError);
+    setLogQuiet(false);
+
+    // Releasing allocations keeps the contents.
+    mem.write32(base + 4, 0xabcd1234u);
+    mem.resetAllocator();
+    EXPECT_EQ(mem.allocated(), 0u);
+    EXPECT_EQ(mem.read32(base + 4), 0xabcd1234u);
+}
+
+/** VmRSS in KiB from /proc/self/status, or -1 where there is none. */
+long
+residentKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmRSS:", 0) == 0)
+            return std::stol(line.substr(6));
+    }
+    return -1;
+}
+
+TEST(DeviceMemoryArena, DriversCommitOnlyTouchedPages)
+{
+    const long before = residentKib();
+    if (before < 0)
+        GTEST_SKIP() << "no /proc/self/status VmRSS on this platform";
+    const DeviceConfig config = DeviceConfig::hd4000();
+    workloads::TemplateJit jit;
+    std::vector<std::unique_ptr<ocl::GpuDriver>> drivers;
+    for (int i = 0; i < 16; ++i)
+        drivers.push_back(std::make_unique<ocl::GpuDriver>(config, jit));
+    // An eagerly zeroed arena would make all 16 resident in full.
+    const long grown_kib = residentKib() - before;
+    EXPECT_LT(grown_kib, (long)(config.memBytes / 1024 / 4))
+        << "16 idle drivers grew VmRSS by " << grown_kib << " KiB";
 }
 
 } // anonymous namespace

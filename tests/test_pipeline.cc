@@ -53,13 +53,14 @@ TEST(Pipeline, ReplaySameTrialIsIdentical)
     gpu::TrialConfig trial; // profileApp's default
     TraceDatabase db2 = replayTrial(
         app.recording, gpu::DeviceConfig::hd4000(), trial);
-    EXPECT_EQ(db2.numDispatches(), app.db.numDispatches());
+    // Profiling and replay share one InstrumentedStack, so the same
+    // trial reproduces the whole database bit for bit, timing too.
+    ASSERT_EQ(db2.numDispatches(), app.db.numDispatches());
     EXPECT_EQ(db2.totalInstrs(), app.db.totalInstrs());
+    EXPECT_EQ(db2.totalSeconds(), app.db.totalSeconds());
     EXPECT_EQ(db2.numSyncEpochs(), app.db.numSyncEpochs());
-    // Note: profileApp attaches more tools than replayTrial, so the
-    // instrumented timing differs slightly; instruction counts are
-    // the application's own and must match exactly.
     for (uint64_t i = 0; i < db2.numDispatches(); ++i) {
+        EXPECT_EQ(db2.seconds(i), app.db.seconds(i)) << "dispatch " << i;
         EXPECT_EQ(db2.profileAt(i).instrs,
                   app.db.profileAt(i).instrs);
         EXPECT_EQ(db2.profileAt(i).kernelName,

@@ -13,6 +13,7 @@
 #include "common/logging.hh"
 #include "core/pipeline.hh"
 #include "core/selection_io.hh"
+#include "temp_path.hh"
 
 namespace gt::core
 {
@@ -84,7 +85,7 @@ TEST(SelectionIo, LoadedSelectionProjectsIdentically)
 TEST(SelectionIo, FileRoundTrip)
 {
     SubsetSelection original = makeSelection();
-    std::string path = "/tmp/gt_selection_test.simpoints";
+    std::string path = test::uniqueTempPath(".simpoints");
     saveSelectionFile(original, path);
     SubsetSelection loaded = loadSelectionFile(path);
     EXPECT_EQ(loaded.selected, original.selected);

@@ -13,6 +13,7 @@
 #include "cfl/serialize.hh"
 #include "cfl/tracer.hh"
 #include "common/logging.hh"
+#include "temp_path.hh"
 #include "workloads/workload.hh"
 
 namespace gt::cfl
@@ -116,7 +117,7 @@ TEST(Serialize, KernelNamesWithSpacesSurvive)
 TEST(Serialize, FileRoundTrip)
 {
     Recording original = recordApp("cb-gaussian-image");
-    std::string path = "/tmp/gt_recording_test.rec";
+    std::string path = test::uniqueTempPath(".rec");
     saveRecordingFile(original, path);
     Recording loaded = loadRecordingFile(path);
     EXPECT_EQ(loaded.size(), original.size());

@@ -18,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
 #include <thread>
 
 #include <unistd.h>
@@ -197,6 +199,14 @@ struct IntervalCase
     uint64_t target;
 };
 
+// Prints the fields, not the raw bytes with their uninitialised
+// padding, so the listed test names are the same on every build.
+void
+PrintTo(const IntervalCase &c, std::ostream *os)
+{
+    *os << intervalSchemeName(c.scheme) << " target " << c.target;
+}
+
 class IncrementalIntervalTest
     : public ::testing::TestWithParam<IntervalCase>
 {
@@ -251,7 +261,13 @@ INSTANTIATE_TEST_SUITE_P(
         IntervalCase{IntervalScheme::SyncBounded, 0},
         IntervalCase{IntervalScheme::ApproxInstructions, 0},
         IntervalCase{IntervalScheme::ApproxInstructions, 40000},
-        IntervalCase{IntervalScheme::SingleKernel, 0}));
+        IntervalCase{IntervalScheme::SingleKernel, 0}),
+    [](const auto &info) {
+        std::string out;
+        for (char c : std::string(intervalSchemeName(info.param.scheme)))
+            out += std::isalnum((unsigned char)c) ? c : '_';
+        return out + "_target" + std::to_string(info.param.target);
+    });
 
 // ---------------------------------------------------------------
 // Incremental feature columns vs. batch construction.

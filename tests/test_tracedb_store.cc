@@ -23,6 +23,7 @@
 #include "core/trace_db.hh"
 #include "core/trace_store.hh"
 #include "ocl/runtime.hh"
+#include "temp_path.hh"
 #include "workloads/templates.hh"
 #include "workloads/workload.hh"
 
@@ -400,7 +401,7 @@ class StoreFileTest : public ::testing::Test
 {
   protected:
     StoreFileTest()
-        : path(::testing::TempDir() + "tracedb_store_test.gtcol")
+        : path(test::uniqueTempPath(".gtcol"))
     {
     }
 
