@@ -12,13 +12,23 @@
  * projection coefficient by hashing per (key, dim). This engine
  * removes both redundancies:
  *
- *  - DispatchFeatureCache lowers each DispatchProfile exactly once
- *    into per-component sparse contribution columns (CSR over
- *    dispatches). The block-family kinds share their base columns —
- *    BB, BB-R, BB-W, BB-R-W, and BB-(R+W) all read the same lowered
- *    base stream and add only their memory stream on top — so
- *    extracting a vector is an ascending-key merge of a dispatch
- *    range's precomputed columns, not a re-walk of raw profiles.
+ *  - DispatchFeatureCache lowers each DispatchProfile into per-
+ *    component sparse contribution columns. The kernel-identity
+ *    streams are CSR over dispatches; the block streams are CSR over
+ *    *distinct block rows*, because a workload repeats the same
+ *    (kernel, blockCounts) work thousands of times: each dispatch
+ *    carries a row id, and a row identical to an earlier one (same
+ *    lowered keys and value bits, compared in full) is stored once
+ *    and interns nothing. The block-family kinds share their base
+ *    columns — BB, BB-R, BB-W, BB-R-W, and BB-(R+W) all read the
+ *    same lowered base stream and add only their memory stream on
+ *    top — so extracting a vector is an ascending-key merge of a
+ *    dispatch range's precomputed columns, not a re-walk of raw
+ *    profiles.
+ *  - projectAll() projects each distinct interval once: intervals
+ *    whose per-dispatch contributions (block row ids, or the kernel
+ *    streams' entries) are the same sequence get the same point by
+ *    construction, so later ones copy it.
  *  - simpoint::ProjectionTable memoizes each unique key's
  *    coefficient row, built once from the cache's key universe.
  *
@@ -42,6 +52,7 @@
 
 #include <array>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "core/simpoint.hh"
@@ -133,7 +144,7 @@ class DispatchFeatureCache
 
     /**
      * Normalize-and-project @p interval's @p kind vector straight
-     * off the accumulation columns: column ids are ranks into
+     * off the accumulation columns: column ranks index rows of
      * @p table (built over uniqueKeys()), so each dimension's
      * coefficient row is a direct index — no per-key search, no
      * intermediate FeatureVector. Bitwise identical to extract() +
@@ -143,6 +154,24 @@ class DispatchFeatureCache
     projectInto(const Interval &interval, FeatureKind kind,
                 Scratch &scratch,
                 const simpoint::ProjectionTable &table) const;
+
+    /**
+     * projectInto() over every interval, projecting each distinct
+     * interval once: an interval whose contribution sequence (see
+     * sameContributions()) equals an earlier one's copies that
+     * point, which is the bits projectInto() would produce since the
+     * accumulation order, touched set and FP sequence are the same.
+     * Candidates are found by hash and always confirmed in full.
+     */
+    std::vector<simpoint::Point>
+    projectAll(std::span<const Interval> intervals, FeatureKind kind,
+               const simpoint::ProjectionTable &table) const;
+
+    /** Distinct block rows lowered so far (<= dispatches). */
+    size_t numBlockRows() const
+    {
+        return streams[bbBase].offsets.size() - 1;
+    }
 
   private:
     /** The nine lowered contribution streams. The four KN base
@@ -163,16 +192,26 @@ class DispatchFeatureCache
         numStreams,
     };
 
-    /** One contribution stream: CSR over dispatches. Column ids are
-     * interim intern ids (first-encounter order, append-stable);
-     * rankOf maps them to ascending-key ranks at query time, so
-     * ascending rank order equals ascending key order. */
+    /** One contribution stream: CSR over rows. A kernel stream has
+     * one row per dispatch; a block stream has one row per distinct
+     * block row, indexed through blockRowOf. Column ids are interim
+     * intern ids (first-encounter order, append-stable); rankOf maps
+     * them to ascending-key ranks at query time, so ascending rank
+     * order equals ascending key order. */
     struct Stream
     {
-        std::vector<uint64_t> offsets = {0}; //!< numDispatches + 1
+        std::vector<uint64_t> offsets = {0}; //!< numRows + 1
         std::vector<uint32_t> cols;
         std::vector<double> values;
     };
+
+    static bool isBlockStream(StreamId id) { return id >= bbBase; }
+
+    /** Row of @p stream that holds dispatch @p d's contributions. */
+    uint64_t rowOf(StreamId stream, uint64_t d) const
+    {
+        return isBlockStream(stream) ? blockRowOf[d] : d;
+    }
 
     /** The streams @p kind merges, in the oracle's per-dispatch
      * emission order (base first, then memory dims). */
@@ -185,7 +224,36 @@ class DispatchFeatureCache
     void accumulate(const Interval &interval, FeatureKind kind,
                     Scratch &scratch) const;
 
+    /** Interim column id of @p key, assigned on first encounter. */
+    uint32_t intern(uint64_t key);
+
+    /** Lower @p p's block streams into a new distinct row, or find
+     * the identical earlier row; @return its row id. */
+    uint32_t blockRow(const gtpin::DispatchProfile &p);
+
+    /** Whether block row @p row holds exactly @p p's lowered block
+     * contributions: the same keys and value bits, entry for entry,
+     * in every block stream. */
+    bool sameBlockRow(uint32_t row,
+                      const gtpin::DispatchProfile &p) const;
+
+    /** Hash of @p interval's contribution sequence for @p kind:
+     * consistent with sameContributions(). */
+    uint64_t contributionHash(const Interval &interval,
+                              FeatureKind kind) const;
+
+    /** Whether @p a and @p b feed @p kind the same contributions in
+     * the same order: per dispatch, the same block row, or the same
+     * kernel-stream entries (columns and value bits). */
+    bool sameContributions(const Interval &a, const Interval &b,
+                           FeatureKind kind) const;
+
     std::array<Stream, numStreams> streams;
+    std::vector<uint32_t> blockRowOf; //!< dispatch -> block row
+    /** Block-row dedup index: content hash -> newest row with that
+     * hash; rowNextSameHash chains to older rows of the same hash. */
+    std::unordered_map<uint64_t, uint32_t> rowByHash;
+    std::vector<uint32_t> rowNextSameHash;
     std::unordered_map<uint64_t, uint32_t> idOf; //!< key -> interim id
     std::vector<uint64_t> internKeys; //!< key per interim id
     std::vector<uint32_t> rankOf;     //!< interim id -> key rank
@@ -224,8 +292,8 @@ class FeatureEngine
     /**
      * Projected points of all intervals' normalized @p kind vectors
      * — what the clusterer actually consumes. The flat backend
-     * projects straight off its columns (see
-     * DispatchFeatureCache::projectInto); the map backend extracts,
+     * projects each distinct interval once, straight off its columns
+     * (see DispatchFeatureCache::projectAll); the map backend extracts,
      * normalizes, and projects with on-the-fly coefficients. Both
      * produce bitwise-identical points.
      */

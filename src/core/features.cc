@@ -62,12 +62,9 @@ hasMemoryFeature(FeatureKind kind)
 uint64_t
 detail::mixFeatureKey(uint64_t a, uint64_t b, uint64_t c, uint64_t d)
 {
-    uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (uint64_t x : {a, b, c, d}) {
-        h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-        h *= 0xff51afd7ed558ccdULL;
-        h ^= h >> 33;
-    }
+    uint64_t h = mixFeatureSeed;
+    for (uint64_t x : {a, b, c, d})
+        h = mixFeatureRound(h, x);
     return h;
 }
 

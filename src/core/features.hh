@@ -61,7 +61,21 @@ bool hasMemoryFeature(FeatureKind kind);
 namespace detail
 {
 
-/** Stable 64-bit mixing of event-identity components. */
+/** Initial state of mixFeatureKey(). */
+constexpr uint64_t mixFeatureSeed = 0x9e3779b97f4a7c15ULL;
+
+/** One round of mixFeatureKey(): fold @p x into state @p h. */
+inline uint64_t
+mixFeatureRound(uint64_t h, uint64_t x)
+{
+    h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    h *= 0xff51afd7ed558ccdULL;
+    return h ^ (h >> 33);
+}
+
+/** Stable 64-bit mixing of event-identity components: one round
+ * per component from mixFeatureSeed, so a caller keying several
+ * tags onto one (a, b, c) may share the first three rounds. */
 uint64_t mixFeatureKey(uint64_t a, uint64_t b, uint64_t c = 0,
                        uint64_t d = 0);
 

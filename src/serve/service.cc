@@ -271,12 +271,11 @@ WorkloadSession::refreshConfig(ConfigState &cs)
     // Completed intervals are final: their cached points are the
     // bits a fresh projectAll would produce. Only the boundary-fresh
     // intervals and the open tail project anew.
-    cs.points.resize(total);
-    core::DispatchFeatureCache::Scratch scratch;
-    for (size_t i = cs.stable; i < total; ++i) {
-        cs.points[i] = features.projectInto(
-            intervals[i], cs.config.feature, scratch, table);
-    }
+    std::vector<Point> fresh = features.projectAll(
+        std::span<const core::Interval>(intervals).subspan(cs.stable),
+        cs.config.feature, table);
+    cs.points.resize(cs.stable);
+    cs.points.insert(cs.points.end(), fresh.begin(), fresh.end());
     counters.reusedPoints += cs.stable;
     counters.projectedPoints += total - cs.stable;
 

@@ -7,6 +7,7 @@
  * synthetic traces.
  */
 
+#include <cstring>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -54,6 +55,12 @@ expectBitwiseEqual(const FeatureVector &a, const FeatureVector &b)
     ASSERT_EQ(a.values().size(), b.values().size());
     for (size_t i = 0; i < a.values().size(); ++i)
         ASSERT_EQ(a.values()[i], b.values()[i]) << "dim " << i;
+}
+
+bool
+samePointBits(const simpoint::Point &a, const simpoint::Point &b)
+{
+    return std::memcmp(a.data(), b.data(), sizeof(a)) == 0;
 }
 
 // --- Flat vs map oracle on real profiled workloads ----------------
@@ -186,16 +193,47 @@ TEST_P(EngineWorkloadTest, RangeSumsMatchDispatchLoops)
     setLogQuiet(false);
 }
 
+TEST_P(EngineWorkloadTest, ProjectAllMatchesMapBackendBitwise)
+{
+    setLogQuiet(true);
+    ProfiledApp app = profiled(GetParam());
+    FeatureEngine flat(app.db, FeatureBackend::Flat);
+    FeatureEngine map(app.db, FeatureBackend::Map);
+    for (IntervalScheme scheme : allSchemes()) {
+        auto intervals = buildIntervals(app.db, scheme);
+        for (FeatureKind kind : allKinds()) {
+            auto got = flat.projectAll(intervals, kind);
+            auto want = map.projectAll(intervals, kind);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < got.size(); ++i) {
+                ASSERT_TRUE(samePointBits(got[i], want[i]))
+                    << featureKindName(kind) << " interval " << i;
+            }
+        }
+    }
+    setLogQuiet(false);
+}
+
+std::string
+workloadParamName(const ::testing::TestParamInfo<const char *> &info)
+{
+    std::string out;
+    for (char c : std::string(info.param))
+        out += std::isalnum((unsigned char)c) ? c : '_';
+    return out;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     TwoWorkloads, EngineWorkloadTest,
     ::testing::Values("cb-histogram-buffer", "cb-gaussian-image"),
-    [](const auto &info) {
-        std::string out;
-        for (char c : std::string(info.param)) {
-            out += std::isalnum((unsigned char)c) ? c : '_';
-        }
-        return out;
-    });
+    workloadParamName);
+
+// Many dispatches over few distinct block rows (39 over 2,990) and
+// kernels of up to 1,041 blocks: the shape row dedup and the
+// interval memo exist for.
+INSTANTIATE_TEST_SUITE_P(BlockHeavy, EngineWorkloadTest,
+                         ::testing::Values("cb-graphics-provence"),
+                         workloadParamName);
 
 // --- Replayed trials --------------------------------------------
 
@@ -231,18 +269,53 @@ TEST(FeatureEngine, ReplayedTrialNeedsItsOwnEngine)
 
 // --- Synthetic edge cases ----------------------------------------
 
+/** Derive @p p's dynamic totals (instrs, bytes read/written) from
+ * its block arrays. */
+void
+setTotals(gtpin::DispatchProfile &p)
+{
+    p.instrs = p.bytesRead = p.bytesWritten = 0;
+    for (size_t b = 0; b < p.blockCounts.size(); ++b) {
+        p.instrs += p.blockCounts[b] * p.blockLens[b];
+        p.bytesRead += p.blockCounts[b] * p.blockReadBytes[b];
+        p.bytesWritten += p.blockCounts[b] * p.blockWriteBytes[b];
+    }
+}
+
+/** A database over @p profiles in order, with setTotals() applied. */
+TraceDatabase
+syntheticDb(std::vector<gtpin::DispatchProfile> profiles)
+{
+    std::vector<cfl::KernelTiming> timings;
+    std::vector<ocl::ApiCallRecord> stream;
+    for (uint64_t i = 0; i < profiles.size(); ++i) {
+        gtpin::DispatchProfile &p = profiles[i];
+        p.seq = i;
+        setTotals(p);
+
+        cfl::KernelTiming t;
+        t.seq = i;
+        t.seconds = 1e-6 * (double)(i + 1);
+        timings.push_back(t);
+
+        ocl::ApiCallRecord rec;
+        rec.callIndex = i;
+        rec.id = ocl::ApiCallId::EnqueueNDRangeKernel;
+        rec.dispatchSeq = i;
+        stream.push_back(rec);
+    }
+    return TraceDatabase::build(std::move(profiles), timings,
+                                stream);
+}
+
 /** One all-zero dispatch between two normal ones, plus a dispatch
  * with zero-count blocks only. */
 TraceDatabase
 edgeDb()
 {
     std::vector<gtpin::DispatchProfile> profiles;
-    std::vector<cfl::KernelTiming> timings;
-    std::vector<ocl::ApiCallRecord> stream;
-    uint64_t idx = 0;
     for (uint64_t i = 0; i < 4; ++i) {
         gtpin::DispatchProfile p;
-        p.seq = i;
         p.kernelId = (uint32_t)i;
         p.kernelName = "edge";
         p.globalWorkSize = 64;
@@ -269,27 +342,9 @@ edgeDb()
             p.blockWriteBytes = {16};
             break;
         }
-        for (size_t b = 0; b < p.blockCounts.size(); ++b) {
-            p.instrs += p.blockCounts[b] * p.blockLens[b];
-            p.bytesRead += p.blockCounts[b] * p.blockReadBytes[b];
-            p.bytesWritten +=
-                p.blockCounts[b] * p.blockWriteBytes[b];
-        }
         profiles.push_back(p);
-
-        cfl::KernelTiming t;
-        t.seq = i;
-        t.seconds = 1e-6 * (double)(i + 1);
-        timings.push_back(t);
-
-        ocl::ApiCallRecord rec;
-        rec.callIndex = idx++;
-        rec.id = ocl::ApiCallId::EnqueueNDRangeKernel;
-        rec.dispatchSeq = i;
-        stream.push_back(rec);
     }
-    return TraceDatabase::build(std::move(profiles), timings,
-                                stream);
+    return syntheticDb(std::move(profiles));
 }
 
 TEST(FeatureEngine, EmptyDispatchesYieldEmptyVectorsOnBothBackends)
@@ -392,6 +447,197 @@ TEST(FeatureEngine, CacheKeyUniverseCoversEveryExtractedKey)
                                            key));
         }
     }
+}
+
+// --- Block-row dedup and the interval memo ------------------------
+
+/** A dispatch of kernel @p kernel over @p blocks blocks with varied
+ * counts, lengths and static byte counts. */
+gtpin::DispatchProfile
+blockDispatch(uint32_t kernel, size_t blocks)
+{
+    gtpin::DispatchProfile p;
+    p.kernelId = kernel;
+    p.kernelName = "dedup";
+    p.globalWorkSize = 256;
+    p.argsHash = 11;
+    for (size_t b = 0; b < blocks; ++b) {
+        p.blockCounts.push_back(b % 5 == 3 ? 0 : 1 + b % 7);
+        p.blockLens.push_back(2 + (uint32_t)(b % 3));
+        p.blockReadBytes.push_back(b % 2 ? 4 : 0);
+        p.blockWriteBytes.push_back(b % 4 == 0 ? 8 : 0);
+    }
+    setTotals(p);
+    return p;
+}
+
+/** Every contiguous interval of @p db. */
+std::vector<Interval>
+allRanges(const TraceDatabase &db)
+{
+    std::vector<Interval> out;
+    for (uint64_t first = 0; first < db.numDispatches(); ++first) {
+        for (uint64_t last = first; last < db.numDispatches(); ++last) {
+            Interval iv;
+            iv.firstDispatch = first;
+            iv.lastDispatch = last;
+            out.push_back(iv);
+        }
+    }
+    return out;
+}
+
+/** Flat vectors and memoized projections of every interval of @p db
+ * equal the map oracle's bitwise, for every kind. */
+void
+expectOracleEqualEverywhere(const TraceDatabase &db)
+{
+    FeatureEngine flat(db, FeatureBackend::Flat);
+    FeatureEngine map(db, FeatureBackend::Map);
+    std::vector<Interval> intervals = allRanges(db);
+    for (FeatureKind kind : allKinds()) {
+        for (const Interval &iv : intervals) {
+            expectBitwiseEqual(flat.extract(iv, kind),
+                               extractFeaturesMap(db, iv, kind));
+        }
+        auto got = flat.projectAll(intervals, kind);
+        auto want = map.projectAll(intervals, kind);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(samePointBits(got[i], want[i]))
+                << featureKindName(kind) << " interval " << i;
+        }
+    }
+}
+
+TEST(BlockRowDedup, RepeatsShareOneRowAndNearDuplicatesDoNot)
+{
+    gtpin::DispatchProfile base = blockDispatch(0, 12);
+    gtpin::DispatchProfile count = base;
+    count.blockCounts[5] += 1;       // one dynamic count differs
+    gtpin::DispatchProfile read = base;
+    read.blockReadBytes[6] += 4;     // one static byte count differs
+    gtpin::DispatchProfile kernel = base;
+    kernel.kernelId = 1;             // same arrays, other kernel
+    gtpin::DispatchProfile args = base;
+    args.argsHash = 12;              // kernel identity only
+
+    TraceDatabase db = syntheticDb(
+        {base, base, count, base, read, kernel, args, base, count});
+    DispatchFeatureCache cache(db);
+    // base (shared by args), count, read, kernel.
+    EXPECT_EQ(cache.numBlockRows(), 4u);
+    expectOracleEqualEverywhere(db);
+
+    // The near duplicates project away from the base row in the
+    // kinds that read the differing entry.
+    FeatureEngine flat(db, FeatureBackend::Flat);
+    auto single = [](uint64_t d) {
+        Interval iv;
+        iv.firstDispatch = d;
+        iv.lastDispatch = d;
+        return iv;
+    };
+    auto point = [&](uint64_t d, FeatureKind kind) {
+        return flat.projectAll({single(d)}, kind)[0];
+    };
+    EXPECT_FALSE(samePointBits(point(0, FeatureKind::BB),
+                               point(2, FeatureKind::BB)));
+    EXPECT_TRUE(samePointBits(point(0, FeatureKind::BB),
+                              point(4, FeatureKind::BB)));
+    EXPECT_FALSE(samePointBits(point(0, FeatureKind::BB_R),
+                               point(4, FeatureKind::BB_R)));
+    EXPECT_FALSE(samePointBits(point(0, FeatureKind::BB),
+                               point(5, FeatureKind::BB)));
+}
+
+TEST(BlockRowDedup, ZeroRowsAndEmptyKernelsMatchOracle)
+{
+    gtpin::DispatchProfile idle = blockDispatch(0, 6);
+    std::fill(idle.blockCounts.begin(), idle.blockCounts.end(), 0);
+    gtpin::DispatchProfile bare; // no block data at all
+    bare.kernelId = 2;
+    bare.kernelName = "bare";
+    gtpin::DispatchProfile busy = blockDispatch(0, 6);
+    TraceDatabase db =
+        syntheticDb({idle, busy, bare, idle, bare, busy});
+    DispatchFeatureCache cache(db);
+    EXPECT_EQ(cache.numBlockRows(), 3u);
+    expectOracleEqualEverywhere(db);
+}
+
+TEST(BlockRowDedup, RepeatsAfterARefreshMatchTheBatchCache)
+{
+    gtpin::DispatchProfile a = blockDispatch(0, 40);
+    gtpin::DispatchProfile b = blockDispatch(1, 25);
+    gtpin::DispatchProfile a2 = a;
+    a2.blockCounts[7] += 3;
+    TraceDatabase db = syntheticDb({a, b, a, a, a2, b, a, a2});
+
+    DispatchFeatureCache batch(db);
+    // Refresh after every append, so each row's first copy is
+    // ranked before its repeats arrive.
+    DispatchFeatureCache stream;
+    for (uint64_t d = 0; d < db.numDispatches(); ++d) {
+        size_t keys = stream.numKeys();
+        stream.appendDispatch(db.profileAt(d));
+        stream.refreshColumns();
+        if (d == 2 || d == 3 || d >= 5) { // a repeat interns nothing
+            EXPECT_EQ(stream.numKeys(), keys) << "dispatch " << d;
+        }
+    }
+    EXPECT_EQ(stream.numBlockRows(), batch.numBlockRows());
+    EXPECT_EQ(stream.uniqueKeys(), batch.uniqueKeys());
+    EXPECT_EQ(stream.memoryBytes(), batch.memoryBytes());
+
+    auto table =
+        simpoint::ProjectionTable::build(batch.uniqueKeys());
+    std::vector<Interval> intervals = allRanges(db);
+    DispatchFeatureCache::Scratch scratch;
+    for (FeatureKind kind : allKinds()) {
+        auto want = batch.projectAll(intervals, kind, table);
+        auto got = stream.projectAll(intervals, kind, table);
+        for (size_t i = 0; i < intervals.size(); ++i) {
+            ASSERT_TRUE(samePointBits(got[i], want[i]));
+            // The memo copies exactly what projectInto computes.
+            ASSERT_TRUE(samePointBits(
+                got[i],
+                batch.projectInto(intervals[i], kind, scratch, table)));
+        }
+    }
+}
+
+TEST(BlockRowDedup, RepeatedDispatchesCostAConstantEach)
+{
+    constexpr size_t blocks = 500;
+    gtpin::DispatchProfile p = blockDispatch(3, blocks);
+    DispatchFeatureCache cache;
+    cache.appendDispatch(p);
+    uint64_t one = cache.memoryBytes();
+    for (int i = 1; i < 1000; ++i) {
+        p.seq = (uint64_t)i;
+        cache.appendDispatch(p);
+    }
+    cache.refreshColumns();
+    EXPECT_EQ(cache.numBlockRows(), 1u);
+    double per_dispatch =
+        (double)(cache.memoryBytes() - one) / 999.0;
+    // The five kernel streams and the row id: ~120 bytes. One
+    // lowered copy of the row is four streams of ~400 entries.
+    EXPECT_LT(per_dispatch, 256.0);
+}
+
+TEST(IntervalMemo, RepeatedAndNearRepeatedSequencesMatchOracle)
+{
+    gtpin::DispatchProfile a = blockDispatch(0, 9);
+    gtpin::DispatchProfile b = blockDispatch(1, 4);
+    gtpin::DispatchProfile a_args = a;
+    a_args.argsHash = 99;
+    gtpin::DispatchProfile a_gws = a;
+    a_gws.globalWorkSize = 512;
+    TraceDatabase db =
+        syntheticDb({a, b, a, b, a_args, b, a_gws, a, a});
+    expectOracleEqualEverywhere(db);
 }
 
 // --- ProjectionTable and FeatureVector units ---------------------
