@@ -15,8 +15,8 @@
  *  - **serial**: core::DetailedValidator with the serial machine
  *    layer — one checkpoint per distinct dispatch, one replay cell
  *    per distinct dispatch, every selection served from the caches;
- *  - **parallel**: the same validator with GT_DETAILED=parallel
- *    semantics, replay cells fanned across the thread pool.
+ *  - **parallel**: the same validator with its default parallel
+ *    machine layer, replay cells fanned across the thread pool.
  *
  * All three must agree bit for bit (the parallel backend is
  * additionally checked at 1, 4, and hardware-width pools), and the

@@ -78,7 +78,7 @@ main()
     // detailed simulation of every dispatch. The validator's
     // checkpoint store runs the functional pre-pass once per
     // distinct dispatch (instead of once per simulate() call) and
-    // its machine layer fans replay cells out per GT_DETAILED.
+    // its parallel machine layer fans replay cells across the pool.
     const std::string sample = "cb-gaussian-image";
     std::cout << "Detailed-simulation cross-check (" << sample
               << ")...\n";

@@ -230,7 +230,7 @@ main()
     // error-minimizing selection of one small application is
     // detail-validated at the matrix's distinct design points
     // (profiling clock, a lowered clock, the next generation). The
-    // serial oracle and the GT_DETAILED machine layer must agree bit
+    // serial oracle and the parallel machine layer must agree bit
     // for bit; the checkpoint store shares one functional pre-pass
     // per dispatch across all design points of each validator.
     const std::string sample = "cb-gaussian-image";
@@ -263,7 +263,7 @@ main()
                       r.errorPct == serial_reps[i].errorPct &&
                       r.fullWalked == serial_reps[i].fullWalked &&
                       r.subsetWalked == serial_reps[i].subsetWalked,
-                  "GT_DETAILED serial/parallel divergence at ",
+                  "detailed serial/parallel divergence at ",
                   points[i].first);
         auto sci = [](double v) {
             std::ostringstream os;

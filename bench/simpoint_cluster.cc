@@ -135,7 +135,8 @@ caseName(const char *what, const std::string &app,
          simpoint::KMeansBackend backend)
 {
     return std::string(what) + "/" + app + "/" +
-           simpoint::kmeansBackendName(backend);
+           (backend == simpoint::KMeansBackend::Lloyd ? "lloyd"
+                                                      : "pruned");
 }
 
 constexpr simpoint::KMeansBackend bothBackends[] = {

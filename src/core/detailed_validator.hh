@@ -19,14 +19,14 @@
  *    that replaces the old per-(config, dispatch) re-profiling;
  *  - **replay cells** (per design point): one cycle-level EU replay
  *    per (design point, dispatch), fanned out across the
- *    sched::ThreadPool under GT_DETAILED=parallel and cached, so 30
- *    selections over the same design point pay the machine layer
- *    once.
+ *    sched::ThreadPool (the default Parallel backend) and cached,
+ *    so 30 selections over the same design point pay the machine
+ *    layer once.
  *
- * Serial and parallel backends are bitwise identical at any thread
- * count: cells are pure functions of (checkpoint, design point),
- * cell results land in per-index slots, and every aggregation walks
- * dispatches in ascending order.
+ * The Serial backend, passed explicitly, is the reference. Both are
+ * bitwise identical at any thread count: cells are pure functions of
+ * (checkpoint, design point), cell results land in per-index slots,
+ * and every aggregation walks dispatches in ascending order.
  */
 
 #ifndef GT_CORE_DETAILED_VALIDATOR_HH
@@ -57,13 +57,13 @@ class DetailedValidator
 
     /**
      * @param app     the profiled application (recording + database)
-     * @param backend machine-layer strategy (GT_DETAILED default)
+     * @param backend machine-layer strategy (Serial is the reference)
      * @param pool    worker pool for the parallel backend (null =
      *                the process-wide pool)
      */
     explicit DetailedValidator(
         const ProfiledApp &app,
-        Backend backend = gpu::DetailedSimulator::defaultBackend(),
+        Backend backend = Backend::Parallel,
         sched::ThreadPool *pool = nullptr);
 
     /** Outcome of detail-validating one selection. */

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <string>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -65,35 +63,6 @@ forEachBlockContribution(const gtpin::DispatchProfile &p, Fn &&fn)
 }
 
 } // anonymous namespace
-
-FeatureBackend
-defaultFeatureBackend()
-{
-    static const FeatureBackend selected = [] {
-        FeatureBackend b = FeatureBackend::Flat;
-        if (const char *env = std::getenv("GT_FEATURES");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "map") {
-                b = FeatureBackend::Map;
-            } else if (value != "flat") {
-                warn("ignoring invalid GT_FEATURES value '", value,
-                     "' (expected 'map' or 'flat')");
-            }
-        }
-        inform("features: ", featureBackendName(b),
-               " extraction backend "
-               "(override with GT_FEATURES=map|flat)");
-        return b;
-    }();
-    return selected;
-}
-
-const char *
-featureBackendName(FeatureBackend backend)
-{
-    return backend == FeatureBackend::Map ? "map" : "flat";
-}
 
 DispatchFeatureCache::DispatchFeatureCache(const TraceDatabase &db)
 {

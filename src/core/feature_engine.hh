@@ -43,8 +43,8 @@
  * (extractFeaturesMap). Per key, contributions accumulate in
  * dispatch-encounter order — the same order the map's `operator[]
  * +=` applied them — and the final columns iterate in ascending-key
- * order, the map's iteration order. Selection with GT_FEATURES=
- * map|flat (default flat), mirroring GT_INTERP.
+ * order, the map's iteration order. FeatureEngine runs the flat
+ * backend unless it is handed FeatureBackend::Map, the reference.
  */
 
 #ifndef GT_CORE_FEATURE_ENGINE_HH
@@ -66,12 +66,6 @@ enum class FeatureBackend : uint8_t
     Map,  //!< reference oracle: per-interval std::map walk
     Flat, //!< columnar DispatchFeatureCache + memoized projection
 };
-
-/** Process-wide default: GT_FEATURES=map|flat, else Flat. */
-FeatureBackend defaultFeatureBackend();
-
-/** @return "map" or "flat". */
-const char *featureBackendName(FeatureBackend backend);
 
 /**
  * Per-workload lowering of every DispatchProfile into sparse
@@ -273,7 +267,7 @@ class FeatureEngine
   public:
     explicit FeatureEngine(
         const TraceDatabase &db,
-        FeatureBackend backend = defaultFeatureBackend());
+        FeatureBackend backend = FeatureBackend::Flat);
 
     FeatureBackend backend() const { return mode; }
 

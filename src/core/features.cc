@@ -250,9 +250,7 @@ FeatureVector
 extractFeatures(const TraceDatabase &db, const Interval &interval,
                 FeatureKind kind)
 {
-    if (defaultFeatureBackend() == FeatureBackend::Map)
-        return extractFeaturesMap(db, interval, kind);
-    FeatureEngine engine(db, FeatureBackend::Flat);
+    FeatureEngine engine(db);
     return engine.extract(interval, kind);
 }
 

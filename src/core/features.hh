@@ -13,12 +13,12 @@
  * intervals running the same code on different data volumes
  * separate in feature space.
  *
- * Two extraction backends produce these vectors (selectable with
- * GT_FEATURES=map|flat, default flat; see core/feature_engine.hh):
- * the original per-interval walk into a std::map, kept as the
- * reference oracle, and the columnar DispatchFeatureCache engine
+ * Two extraction backends produce these vectors (see
+ * core/feature_engine.hh): the columnar DispatchFeatureCache engine
  * that lowers each dispatch profile once and merges per-dispatch
- * contributions. Both produce bitwise-identical vectors.
+ * contributions, used by default, and the original per-interval walk
+ * into a std::map (extractFeaturesMap), kept as the reference
+ * oracle. Both produce bitwise-identical vectors.
  */
 
 #ifndef GT_CORE_FEATURES_HH
@@ -138,11 +138,10 @@ class FeatureVector
 };
 
 /**
- * Extract the @p kind feature vector of @p interval with the
- * process-default backend (GT_FEATURES). One-shot convenience: the
- * flat backend lowers the whole database per call, so loops over
- * many intervals should use a core::FeatureEngine (or
- * extractAllFeatures) instead.
+ * Extract the @p kind feature vector of @p interval with the flat
+ * backend. One-shot convenience: it lowers the whole database per
+ * call, so loops over many intervals should use a core::FeatureEngine
+ * (or extractAllFeatures) instead.
  */
 FeatureVector extractFeatures(const TraceDatabase &db,
                               const Interval &interval,

@@ -88,7 +88,7 @@ struct InstrumentedStack
 
     /** The run's database; consumes the profiles collected so far. */
     TraceDatabase takeDatabase(
-        TraceDbBackend backend = defaultTraceDbBackend());
+        TraceDbBackend backend = TraceDbBackend::Columnar);
 
     workloads::TemplateJit jit;
     ocl::GpuDriver driver;
@@ -130,14 +130,14 @@ std::vector<ProfiledApp> profileSuite(
 /**
  * Replay @p recording on @p config under @p trial on an
  * InstrumentedStack, returning the new trial's database built on
- * @p backend (defaults to the process-wide GT_TRACEDB choice; the
- * differential tests pin it to compare backends on one replay).
+ * @p backend (columnar by default; the differential tests pass Mem
+ * to compare backends on one replay).
  */
 TraceDatabase replayTrial(const cfl::Recording &recording,
                           const gpu::DeviceConfig &config,
                           const gpu::TrialConfig &trial,
                           TraceDbBackend backend =
-                              defaultTraceDbBackend());
+                              TraceDbBackend::Columnar);
 
 } // namespace gt::core
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 
 #include "common/logging.hh"
 
@@ -721,35 +719,6 @@ KMeansStats::pruneRate() const
         return 0.0;
     return (double)(boundPrunes + tightenPrunes + memoHits) /
         (double)assignSteps;
-}
-
-KMeansBackend
-defaultKMeansBackend()
-{
-    static const KMeansBackend selected = [] {
-        KMeansBackend b = KMeansBackend::Pruned;
-        if (const char *env = std::getenv("GT_KMEANS");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "lloyd") {
-                b = KMeansBackend::Lloyd;
-            } else if (value != "pruned") {
-                warn("ignoring invalid GT_KMEANS value '", value,
-                     "' (expected 'lloyd' or 'pruned')");
-            }
-        }
-        inform("simpoint: ", kmeansBackendName(b),
-               " k-means backend "
-               "(override with GT_KMEANS=lloyd|pruned)");
-        return b;
-    }();
-    return selected;
-}
-
-const char *
-kmeansBackendName(KMeansBackend backend)
-{
-    return backend == KMeansBackend::Lloyd ? "lloyd" : "pruned";
 }
 
 KMeansRun

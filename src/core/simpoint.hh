@@ -127,8 +127,8 @@ UniqueIndex extendUniqueIndex(const UniqueIndex &base,
                               size_t n);
 
 /**
- * K-means assignment backend (GT_KMEANS=lloyd|pruned, default
- * pruned; mirrors GT_INTERP/GT_FEATURES/GT_MEMTRACE).
+ * K-means assignment backend: Pruned by default, Lloyd passed
+ * explicitly as the reference.
  *
  * Both backends produce bitwise-identical clusterings at every
  * thread count. The pruned backend keeps Hamerly/Elkan-style
@@ -148,12 +148,6 @@ enum class KMeansBackend : uint8_t
     Lloyd,  //!< reference oracle: full n x k scan every iteration
     Pruned, //!< triangle-inequality-pruned scan (default)
 };
-
-/** Process-wide default: GT_KMEANS=lloyd|pruned, else Pruned. */
-KMeansBackend defaultKMeansBackend();
-
-/** @return "lloyd" or "pruned". */
-const char *kmeansBackendName(KMeansBackend backend);
 
 /**
  * Assignment-step work counters. Every point examined by an
@@ -209,7 +203,7 @@ KMeansRun kmeansRun(const std::vector<Point> &points,
                     const std::vector<double> &weights, int k,
                     int max_iters, Rng &rng,
                     sched::ThreadPool *pool = nullptr,
-                    KMeansBackend backend = defaultKMeansBackend());
+                    KMeansBackend backend = KMeansBackend::Pruned);
 
 /** Result of clustering one interval population. */
 struct Clustering
@@ -278,7 +272,7 @@ struct ClusterOptions
      * Assignment-step backend. Changes wall clock only: clusterings
      * are bitwise identical across backends (see KMeansBackend).
      */
-    KMeansBackend backend = defaultKMeansBackend();
+    KMeansBackend backend = KMeansBackend::Pruned;
 };
 
 /**

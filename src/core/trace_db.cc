@@ -1,6 +1,5 @@
 #include "core/trace_db.hh"
 
-#include <cstdlib>
 #include <map>
 
 #include "common/logging.hh"
@@ -15,36 +14,6 @@ TraceDatabase::~TraceDatabase() = default;
 TraceDatabase::TraceDatabase(TraceDatabase &&) noexcept = default;
 TraceDatabase &
 TraceDatabase::operator=(TraceDatabase &&) noexcept = default;
-
-TraceDbBackend
-defaultTraceDbBackend()
-{
-    static const TraceDbBackend selected = [] {
-        TraceDbBackend b = TraceDbBackend::Columnar;
-        if (const char *env = std::getenv("GT_TRACEDB");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "mem") {
-                b = TraceDbBackend::Mem;
-            } else if (value != "columnar") {
-                fatal("GT_TRACEDB='", value,
-                      "' is not a trace-database backend "
-                      "(expected 'mem' or 'columnar')");
-            }
-        }
-        inform("trace db: ", traceDbBackendName(b),
-               " storage backend "
-               "(override with GT_TRACEDB=mem|columnar)");
-        return b;
-    }();
-    return selected;
-}
-
-const char *
-traceDbBackendName(TraceDbBackend backend)
-{
-    return backend == TraceDbBackend::Mem ? "mem" : "columnar";
-}
 
 TraceDatabase
 TraceDatabase::build(std::vector<gtpin::DispatchProfile> profiles,

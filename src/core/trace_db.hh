@@ -11,14 +11,15 @@
  * which dispatches begin a new synchronization epoch — the only
  * places a GPU simulation interval may legally start or stop.
  *
- * Two storage backends sit behind one accessor API (GT_TRACEDB):
+ * Two storage backends sit behind one accessor API:
  *
  *  - `columnar` (default): build() lowers the joined records into an
  *    on-disk compressed columnar spill (core/trace_store) and keeps
  *    only block-index metadata resident; profiles decode on demand
  *    through per-thread block caches.
- *  - `mem`: the original fully-resident record vector — the bitwise
- *    oracle the columnar backend is differentially tested against.
+ *  - `mem` (passed explicitly): the original fully-resident record
+ *    vector — the bitwise oracle the columnar backend is
+ *    differentially tested against.
  *
  * Every accessor returns bitwise-identical values on both backends:
  * both run the same join (so totals accumulate in the same FP
@@ -63,12 +64,6 @@ enum class TraceDbBackend
     Mem,      //!< fully-resident record vector (the oracle)
     Columnar, //!< on-disk compressed columnar spill
 };
-
-/** Process-wide backend from GT_TRACEDB (columnar unless overridden;
- * fatal on an unknown value). Logged once. */
-TraceDbBackend defaultTraceDbBackend();
-
-const char *traceDbBackendName(TraceDbBackend backend);
 
 /** Where one database's bytes live; see memoryFootprint(). */
 struct TraceDbFootprint
@@ -135,7 +130,7 @@ class TraceDatabase
     build(std::vector<gtpin::DispatchProfile> profiles,
           const std::vector<cfl::KernelTiming> &timings,
           const std::vector<ocl::ApiCallRecord> &call_stream,
-          TraceDbBackend backend = defaultTraceDbBackend(),
+          TraceDbBackend backend = TraceDbBackend::Columnar,
           uint32_t block_size = trace_store::defaultBlockSize);
 
     /**
@@ -355,13 +350,13 @@ class TraceDatabase::Builder
      * builder keeps streaming. Bitwise identical to build() over the
      * same prefix on both backends.
      */
-    TraceDatabase seal(TraceDbBackend backend = defaultTraceDbBackend(),
+    TraceDatabase seal(TraceDbBackend backend = TraceDbBackend::Columnar,
                        uint32_t block_size =
                            trace_store::defaultBlockSize) const &;
 
     /** Destructive seal (what build() uses): no copy of the joined
      * records. */
-    TraceDatabase seal(TraceDbBackend backend = defaultTraceDbBackend(),
+    TraceDatabase seal(TraceDbBackend backend = TraceDbBackend::Columnar,
                        uint32_t block_size =
                            trace_store::defaultBlockSize) &&;
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 
 #include "common/logging.hh"
 #include "gpu/eu_pipeline.hh"
@@ -85,34 +83,6 @@ DetailedSimulator::simulateBatch(
         pool ? *pool : sched::ThreadPool::global();
     p.parallelFor(cells.size(), cell, 1);
     return results;
-}
-
-DetailedSimulator::Backend
-DetailedSimulator::defaultBackend()
-{
-    static const Backend selected = [] {
-        Backend b = Backend::Parallel;
-        if (const char *env = std::getenv("GT_DETAILED");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "serial") {
-                b = Backend::Serial;
-            } else if (value != "parallel") {
-                fatal("invalid GT_DETAILED value '", value,
-                      "' (expected 'serial' or 'parallel')");
-            }
-        }
-        inform("detailed: ", backendName(b), " machine layer "
-               "(override with GT_DETAILED=serial|parallel)");
-        return b;
-    }();
-    return selected;
-}
-
-const char *
-DetailedSimulator::backendName(Backend b)
-{
-    return b == Backend::Serial ? "serial" : "parallel";
 }
 
 } // namespace gt::gpu

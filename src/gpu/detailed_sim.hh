@@ -32,12 +32,11 @@
  * homogeneity makes the replay *cell* the parallel partition grain:
  * every EU/sub-slice of a cell computes identical cycles, so
  * partitioning cells across workers covers the machine's EUs with no
- * redundant work. Backend selection follows the
- * GT_INTERP/GT_FEATURES/GT_MEMTRACE/GT_KMEANS pattern:
- * GT_DETAILED=serial|parallel (default parallel; the serial path is
- * the bitwise oracle — cells are pure functions of their checkpoint
- * and design point, and aggregation order is fixed, so results are
- * identical at any thread count).
+ * redundant work. simulateBatch() runs cells in parallel by default;
+ * Backend::Serial, passed explicitly, is the bitwise reference —
+ * cells are pure functions of their checkpoint and design point, and
+ * aggregation order is fixed, so results are identical at any thread
+ * count.
  */
 
 #ifndef GT_GPU_DETAILED_SIM_HH
@@ -101,7 +100,7 @@ class DetailedSimulator
      */
     std::vector<DetailedResult>
     simulateBatch(const std::vector<const DetailedCheckpoint *> &cells,
-                  Backend backend = defaultBackend(),
+                  Backend backend = Backend::Parallel,
                   sched::ThreadPool *pool = nullptr) const;
 
     /** Dependent-use latencies per opcode class, in cycles. */
@@ -109,14 +108,11 @@ class DetailedSimulator
     void setMathLatency(double cycles) { mathLatency = cycles; }
 
     /**
-     * Process-wide default: GT_DETAILED=serial|parallel, else
-     * Parallel. An unrecognized value is a fatal() configuration
-     * error, not a silent default.
+     * The production backend, Parallel. Kept only because the
+     * end-to-end benchmark (perfbench/flows.cc) names it; retire it
+     * with that call.
      */
-    static Backend defaultBackend();
-
-    /** @return "serial" or "parallel". */
-    static const char *backendName(Backend b);
+    static Backend defaultBackend() { return Backend::Parallel; }
 
   private:
     const DeviceConfig config;

@@ -4,9 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -209,7 +207,6 @@ struct UopSt
     uint8_t *local;
     std::vector<uint32_t> *callStack;
     DeviceMemory *memory;
-    const MemAccessFn *memAccess;
     MemTraceSink *memSink;
     /** When set (scalar continuation of a retired gang slot), trace
      * records append here instead of memSink so the gang can drain
@@ -501,16 +498,13 @@ uopSend(const Uop *up, UopSt &st)
             } else {
                 st.regs[u.dst][l] = st.memory->read32(addr);
             }
-            // Trace delivery: batched SoA append (hot default), the
-            // per-slot gang record buffer, or the per-access callback
-            // oracle. Local sends never reach the trace in any mode.
+            // Trace delivery: batched SoA append, or the per-slot gang
+            // record buffer. Local sends never reach the trace.
             if (st.memSink) {
                 st.memSink->append(addr, bytes, IsWrite);
             } else if (st.memVec) {
                 st.memVec->push_back(
                     {addr, bytes | (IsWrite ? 0x80000000u : 0u)});
-            } else if (st.memAccess) {
-                (*st.memAccess)(addr, bytes, IsWrite);
             }
         }
     }
@@ -796,7 +790,7 @@ buildTable()
 const UopTable uopTables[2] = {buildTable<false>(), buildTable<true>()};
 
 /*
- * Gang-lockstep execution (GT_EXEC=gang, Full-mode explicit threads).
+ * Gang-lockstep execution (uop backend, Full-mode explicit threads).
  *
  * Up to gangSize threads (slots) share one SoA context: register r of
  * slot s lane l lives at gangRegs[r][s * maxSimdWidth + l], so every
@@ -1430,68 +1424,11 @@ struct Executor::GangCtx
 };
 
 Executor::Executor(const DeviceConfig &config_, DeviceMemory &memory_)
-    : config(config_), memory(memory_), backendSel(defaultBackend()),
-      execSel(defaultExecMode())
+    : config(config_), memory(memory_)
 {
 }
 
 Executor::~Executor() = default;
-
-Executor::Backend
-Executor::defaultBackend()
-{
-    static const Backend selected = [] {
-        Backend b = Backend::Uops;
-        if (const char *env = std::getenv("GT_INTERP");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "switch") {
-                b = Backend::Switch;
-            } else if (value != "uops") {
-                warn("ignoring invalid GT_INTERP value '", value,
-                     "' (expected 'switch' or 'uops')");
-            }
-        }
-        inform("executor: ", backendName(b), " interpreter backend "
-               "(override with GT_INTERP=switch|uops)");
-        return b;
-    }();
-    return selected;
-}
-
-const char *
-Executor::backendName(Backend b)
-{
-    return b == Backend::Switch ? "switch" : "uops";
-}
-
-Executor::ExecMode
-Executor::defaultExecMode()
-{
-    static const ExecMode selected = [] {
-        ExecMode m = ExecMode::Gang;
-        if (const char *env = std::getenv("GT_EXEC");
-            env && *env != '\0') {
-            std::string value(env);
-            if (value == "scalar") {
-                m = ExecMode::Scalar;
-            } else if (value != "gang") {
-                fatal("invalid GT_EXEC value '", value,
-                      "' (expected 'scalar' or 'gang')");
-            }
-        }
-        inform("executor: ", execModeName(m), " execution mode "
-               "(override with GT_EXEC=scalar|gang)");
-        return m;
-    }();
-    return selected;
-}
-
-const char *
-Executor::execModeName(ExecMode m)
-{
-    return m == ExecMode::Scalar ? "scalar" : "gang";
-}
 
 void
 Executor::setSharedPlanCache(SharedPlanCache *cache)
@@ -1638,11 +1575,9 @@ Executor::gangDispatchSafe(const Dispatch &dispatch, const Plan &p) const
 
 ExecProfile
 Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
-              const MemAccessFn &mem_access, const MemBatchFn &mem_batch)
+              const MemBatchFn &mem_batch)
 {
     GT_ASSERT(dispatch.binary, "dispatch without binary");
-    GT_ASSERT(!(mem_access && mem_batch),
-              "per-access and batched trace delivery are exclusive");
     GT_ASSERT(dispatch.globalSize > 0, "dispatch with empty ND-range");
     GT_ASSERT(dispatch.simdWidth == 8 || dispatch.simdWidth == 16,
               "dispatch SIMD width must be 8 or 16");
@@ -1655,7 +1590,7 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
     const Plan &p = plan(&bin);
 
     bool fast = mode == Mode::Fast;
-    if (fast && (p.rel.needsFullExec || mem_access || mem_batch))
+    if (fast && (p.rel.needsFullExec || mem_batch))
         fast = false;
 
     uint64_t num_threads = dispatch.numThreads();
@@ -1718,23 +1653,18 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
         double cycles = uops
             ? runThreadUops(dispatch, thread_idx, fast, p, ctx,
                             scratchCounts, dirtyCounts,
-                            scratchDeltas, dirtyDeltas, mem_access,
-                            sink)
+                            scratchDeltas, dirtyDeltas, sink)
             : runThread(dispatch, thread_idx, fast, p, ctx,
                         scratchCounts, dirtyCounts,
-                        scratchDeltas, dirtyDeltas, mem_access,
-                        sink);
+                        scratchDeltas, dirtyDeltas, sink);
         flush_scratch(weight);
         profile.threadCycles += cycles * (double)weight;
     };
 
     // Gang execution covers Full-mode explicit threads on the uop
     // backend when the plan's gang-safety verdict holds for this
-    // dispatch's arguments. The per-access callback needs accesses
-    // delivered in real time, which the deferred per-slot drain
-    // cannot honor, so it pins scalar execution.
-    const bool gang_ok = uops && !fast && !mem_access &&
-        execSel == ExecMode::Gang && gangDispatchSafe(dispatch, p);
+    // dispatch's arguments.
+    const bool gang_ok = uops && !fast && gangDispatchSafe(dispatch, p);
     lastGanged = false;
 
     if (fast && !p.rel.threadDependent) {
@@ -1820,11 +1750,11 @@ Executor::blockTrace(const Dispatch &dispatch, uint64_t thread_idx,
     std::vector<uint32_t> trace;
     if (uops) {
         runThreadUops(dispatch, thread_idx, fast, p, *ctxBuf, counts,
-                      dirty_counts, deltas, dirty_deltas, {}, nullptr,
+                      dirty_counts, deltas, dirty_deltas, nullptr,
                       &trace, max_len);
     } else {
         runThread(dispatch, thread_idx, fast, p, *ctxBuf, counts,
-                  dirty_counts, deltas, dirty_deltas, {}, nullptr,
+                  dirty_counts, deltas, dirty_deltas, nullptr,
                   &trace, max_len);
     }
     return trace;
@@ -1867,7 +1797,6 @@ Executor::runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
                         std::vector<uint32_t> &dirty_counts,
                         std::vector<uint64_t> &trace_deltas,
                         std::vector<uint32_t> &dirty_deltas,
-                        const MemAccessFn &mem_access,
                         MemTraceSink *mem_sink,
                         std::vector<uint32_t> *block_trace,
                         uint64_t trace_max_len)
@@ -1882,7 +1811,6 @@ Executor::runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
     st.local = ctx.local.data();
     st.callStack = &ctx.callStack;
     st.memory = &memory;
-    st.memAccess = mem_access ? &mem_access : nullptr;
     st.memSink = mem_sink;
     st.memVec = nullptr;
     st.deltas = trace_deltas.data();
@@ -2078,7 +2006,6 @@ Executor::runGang(const Dispatch &dispatch, uint64_t first_thread,
         sst.local = ctx.local.data();
         sst.callStack = &ctx.callStack;
         sst.memory = &memory;
-        sst.memAccess = nullptr;
         sst.memSink = nullptr;
         sst.memVec = st.traceRecs ? &g.memRecs[s] : nullptr;
         sst.deltas = trace_deltas.data();
@@ -2202,7 +2129,6 @@ Executor::runThread(const Dispatch &dispatch, uint64_t thread_idx,
                     std::vector<uint32_t> &dirty_counts,
                     std::vector<uint64_t> &trace_deltas,
                     std::vector<uint32_t> &dirty_deltas,
-                    const MemAccessFn &mem_access,
                     MemTraceSink *mem_sink,
                     std::vector<uint32_t> *block_trace,
                     uint64_t trace_max_len)
@@ -2468,9 +2394,6 @@ Executor::runThread(const Dispatch &dispatch, uint64_t thread_idx,
                     if (mem_sink) {
                         mem_sink->append(addr, ins.send.bytesPerLane,
                                          ins.send.isWrite);
-                    } else if (mem_access) {
-                        mem_access(addr, ins.send.bytesPerLane,
-                                   ins.send.isWrite);
                     }
                 }
                 break;

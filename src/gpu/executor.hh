@@ -6,8 +6,8 @@
  * covering simdWidth work items. Two modes are offered:
  *
  *  - Full: every instruction of every thread is evaluated, including
- *    memory contents. Required for cache simulation (per-access
- *    callbacks) and used by the semantic unit tests.
+ *    memory contents. Required for cache simulation (the batched
+ *    memory trace) and used by the semantic unit tests.
  *  - Fast: only control-relevant instructions (see isa/slice.hh) are
  *    evaluated; everything else is counted at basic-block grain. When
  *    a kernel's control flow is thread-invariant, one representative
@@ -16,7 +16,7 @@
  *    instruction counts (10^11+) tractable.
  *
  * Orthogonally to the mode, two interpreter *backends* implement both
- * modes (selectable with GT_INTERP=switch|uops, default uops):
+ * modes (chosen per executor with setBackend(), default uops):
  *
  *  - Uops (default): binaries are predecoded at plan time into
  *    operand-shape-specialized micro-ops chained into superblocks
@@ -30,10 +30,9 @@
  * execute in both modes, accumulating into the TraceBuffer, so
  * profiles are produced identically regardless of mode.
  *
- * Independently of the backend, the uop interpreter offers a gang
- * *execution mode* (GT_EXEC=scalar|gang, default gang): when Full
- * mode runs threads explicitly, up to gangSize threads are reset into
- * one structure-of-arrays context and driven through the shared uop
+ * The uop backend also gangs threads: when Full mode runs threads
+ * explicitly, up to gangSize threads are reset into one
+ * structure-of-arrays context and driven through the shared uop
  * stream in lockstep, so each handler invocation is a single
  * vectorizable loop over all gang lanes instead of one short loop per
  * thread. Threads whose control flow leaves the gang's consensus
@@ -41,13 +40,12 @@
  * stores the plan-time gang-safety proof (isa::analyzeGangSafety)
  * cannot show to be order-invisible run scalar. Either way every
  * observable — profiles, trace deltas, memory, trace-record order —
- * is bitwise identical to scalar execution.
+ * is bitwise identical to the switch backend, which never gangs.
  */
 
 #ifndef GT_GPU_EXECUTOR_HH
 #define GT_GPU_EXECUTOR_HH
 
-#include <functional>
 #include <memory>
 #include <unordered_map>
 
@@ -87,13 +85,6 @@ struct Dispatch
     }
 };
 
-/** Per-access callback for cache simulation (Full mode only). */
-using MemAccessFn =
-    std::function<void(uint64_t addr, uint32_t bytes, bool is_write)>;
-
-// The batched alternative (MemBatch/MemBatchFn/MemTraceSink) lives in
-// gpu/memtrace.hh; run() accepts either delivery mode.
-
 /** Interprets dispatches and produces execution profiles. */
 class Executor
 {
@@ -102,9 +93,6 @@ class Executor
 
     /** Interpreter implementation (see the file comment). */
     enum class Backend { Switch, Uops };
-
-    /** Thread interleaving of Full-mode explicit execution. */
-    enum class ExecMode { Scalar, Gang };
 
     /** Threads ganged into one lockstep SoA context. */
     static constexpr int gangSize = 8;
@@ -119,17 +107,14 @@ class Executor
      *                   control flow depends on loaded data)
      * @param trace      trace buffer for instrumentation ops (may be
      *                   null when the binary is uninstrumented)
-     * @param mem_access invoked for every memory access; forces Full
-     *                   mode and per-thread execution when set
-     * @param mem_batch  bulk alternative to @p mem_access: accesses
-     *                   are appended to the executor's SoA trace
-     *                   buffer and flushed in fixed-size chunks, in
-     *                   execution order; also forces Full mode. At
-     *                   most one of the two may be set.
+     * @param mem_batch  memory-trace consumer: every global access is
+     *                   appended to the executor's SoA trace buffer
+     *                   and flushed in fixed-size chunks, in
+     *                   execution order (see gpu/memtrace.hh); forces
+     *                   Full mode when set
      */
     ExecProfile run(const Dispatch &dispatch, Mode mode,
                     TraceBuffer *trace = nullptr,
-                    const MemAccessFn &mem_access = {},
                     const MemBatchFn &mem_batch = {});
 
     /**
@@ -147,35 +132,17 @@ class Executor
 
     /**
      * Records per flushed chunk when run() is given a batch consumer.
-     * Exposed so tests can exercise chunk-boundary behaviour; the
-     * default (MemTraceSink::defaultChunk) suits production use.
+     * Exposed so tests can exercise chunk-boundary behaviour (a chunk
+     * of 1 delivers every access on its own); the default
+     * (MemTraceSink::defaultChunk) suits production use.
      */
     void setMemTraceChunk(size_t records) { memTraceChunk = records; }
 
     size_t memTraceChunkSize() const { return memTraceChunk; }
 
-    /** Select the interpreter backend (default: defaultBackend()). */
+    /** Select the interpreter backend (default Uops; Switch is the
+     * reference the differential tests compare against). */
     void setBackend(Backend b) { backendSel = b; }
-
-    Backend backend() const { return backendSel; }
-
-    /** Process-wide default: GT_INTERP=switch|uops, else Uops. */
-    static Backend defaultBackend();
-
-    /** @return "switch" or "uops". */
-    static const char *backendName(Backend b);
-
-    /** Select the execution mode (default: defaultExecMode()). */
-    void setExecMode(ExecMode m) { execSel = m; }
-
-    ExecMode execMode() const { return execSel; }
-
-    /** Process-wide default: GT_EXEC=scalar|gang (fatal on other
-     * values), else Gang. */
-    static ExecMode defaultExecMode();
-
-    /** @return "scalar" or "gang". */
-    static const char *execModeName(ExecMode m);
 
     /** Relevance analysis for @p bin, computed once and cached. */
     const isa::Relevance &relevance(const isa::KernelBinary *bin);
@@ -263,7 +230,6 @@ class Executor
                      std::vector<uint32_t> &dirty_counts,
                      std::vector<uint64_t> &trace_deltas,
                      std::vector<uint32_t> &dirty_deltas,
-                     const MemAccessFn &mem_access,
                      MemTraceSink *mem_sink,
                      std::vector<uint32_t> *block_trace = nullptr,
                      uint64_t trace_max_len = 0);
@@ -281,7 +247,6 @@ class Executor
                          std::vector<uint32_t> &dirty_counts,
                          std::vector<uint64_t> &trace_deltas,
                          std::vector<uint32_t> &dirty_deltas,
-                         const MemAccessFn &mem_access,
                          MemTraceSink *mem_sink,
                          std::vector<uint32_t> *block_trace = nullptr,
                          uint64_t trace_max_len = 0);
@@ -329,8 +294,7 @@ class Executor
     uint64_t threadInstrLimit = 200'000'000;
     uint64_t maxExplicitThreads = 1024;
     bool lastGanged = false;
-    Backend backendSel;
-    ExecMode execSel;
+    Backend backendSel = Backend::Uops;
     std::unordered_map<const isa::KernelBinary *, LocalPlan> plans;
     SharedPlanCache *sharedPlans = nullptr;
 

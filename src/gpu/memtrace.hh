@@ -3,19 +3,18 @@
  * Batched SoA memory-trace pipeline.
  *
  * The executor's Full mode can surface every global memory access to
- * profiling tools (GT-Pin's trace-driven cache simulation). The
- * original delivery mechanism is one std::function call per lane per
- * send instruction — an opaque indirect call in the interpreter's
- * innermost loop. This module provides the batched alternative, the
+ * profiling tools (GT-Pin's trace-driven cache simulation). Rather
+ * than an opaque indirect call per lane per send instruction in the
+ * interpreter's innermost loop, delivery follows the
  * trace-buffer-and-post-process structure the paper's GT-Pin uses for
  * every other statistic: send handlers append packed records into a
  * structure-of-arrays buffer owned by the Executor, and the buffer is
  * flushed in fixed-size chunks to a bulk consumer. Appends happen in
  * exact execution order and chunks are delivered in order, so a
- * consumer that walks each chunk left to right observes the same
- * access sequence the per-access callback would have delivered —
- * which is what keeps cache-simulation results bitwise identical
- * between the two delivery modes (GT_MEMTRACE=callback|batch).
+ * consumer that walks each chunk left to right observes the exact
+ * access sequence at any chunk size — which is what keeps
+ * cache-simulation results bitwise identical between the default
+ * chunk and a chunk of one record (per-access delivery).
  */
 
 #ifndef GT_GPU_MEMTRACE_HH

@@ -127,7 +127,7 @@ class CacheSimTool : public GtPinTool
     std::string name() const override { return "cachesim"; }
     bool needsAddresses() const override { return true; }
 
-    /** Native bulk consumer (GT_MEMTRACE=batch). */
+    /** Native bulk consumer of the memory trace. */
     void
     onMemBatch(const gpu::MemBatch &batch) override
     {

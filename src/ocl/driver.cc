@@ -80,7 +80,7 @@ GpuDriver::execute(uint32_t kernel_id, uint64_t global_size,
     result.argsHash = gpu::dispatchArgsHash(args);
 
     result.profile =
-        exec.run(dispatch, execMode, &trace, memAccess, memBatch);
+        exec.run(dispatch, execMode, &trace, memBatch);
     result.time = timing.kernelTime(result.profile);
     busySeconds += result.time.seconds;
 
@@ -129,22 +129,6 @@ double
 GpuDriver::transferSeconds(uint64_t bytes) const
 {
     return (double)bytes / (cfg.memBandwidthGBs * 1e9);
-}
-
-void
-GpuDriver::setMemAccessCallback(gpu::MemAccessFn fn)
-{
-    memAccess = std::move(fn);
-    if (memAccess)
-        memBatch = nullptr;
-}
-
-void
-GpuDriver::setMemBatchCallback(gpu::MemBatchFn fn)
-{
-    memBatch = std::move(fn);
-    if (memBatch)
-        memAccess = nullptr;
 }
 
 } // namespace gt::ocl

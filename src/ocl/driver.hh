@@ -143,16 +143,16 @@ class GpuDriver
     /** Functional execution mode (Fast by default). */
     void setExecMode(gpu::Executor::Mode mode) { execMode = mode; }
 
-    /** Per-access callback (forces Full execution; cache tools). */
-    void setMemAccessCallback(gpu::MemAccessFn fn);
-
     /**
-     * Batched trace consumer (forces Full execution): accesses are
-     * collected in the executor's SoA buffer and delivered in
-     * fixed-size chunks, in execution order. Mutually exclusive with
-     * the per-access callback — setting either clears the other.
+     * Memory-trace consumer (forces Full execution; cache tools):
+     * accesses are collected in the executor's SoA buffer and
+     * delivered in fixed-size chunks, in execution order.
      */
-    void setMemBatchCallback(gpu::MemBatchFn fn);
+    void
+    setMemBatchCallback(gpu::MemBatchFn fn)
+    {
+        memBatch = std::move(fn);
+    }
 
     gpu::DeviceMemory &memory() { return mem; }
     gpu::Executor &executor() { return exec; }
@@ -180,7 +180,6 @@ class GpuDriver
     gpu::TraceBuffer trace;
     DriverObserver *observerPtr = nullptr;
     gpu::Executor::Mode execMode = gpu::Executor::Mode::Fast;
-    gpu::MemAccessFn memAccess;
     gpu::MemBatchFn memBatch;
     gpu::CheckpointStore ckpts;
     gpu::SharedCheckpointCache *sharedCkpts = nullptr;

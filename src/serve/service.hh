@@ -310,7 +310,7 @@ class WorkloadSession
      * the differential tests and SPI projections run against. */
     core::TraceDatabase
     sealDatabase(core::TraceDbBackend backend =
-                     core::defaultTraceDbBackend()) const;
+                     core::TraceDbBackend::Columnar) const;
 
     SessionStats stats() const;
 

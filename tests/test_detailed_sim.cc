@@ -405,18 +405,5 @@ TEST_F(DetailedSimTest, SerialParallelBitwiseAcrossDesignPoints)
     }
 }
 
-TEST_F(DetailedSimTest, BackendNamesAndDefault)
-{
-    using Backend = DetailedSimulator::Backend;
-    EXPECT_STREQ("serial",
-                 DetailedSimulator::backendName(Backend::Serial));
-    EXPECT_STREQ("parallel",
-                 DetailedSimulator::backendName(Backend::Parallel));
-    // The default is env-driven; whatever it resolved to must be one
-    // of the two public names (unknown values fatal at startup).
-    Backend def = DetailedSimulator::defaultBackend();
-    EXPECT_TRUE(def == Backend::Serial || def == Backend::Parallel);
-}
-
 } // anonymous namespace
 } // namespace gt::gpu

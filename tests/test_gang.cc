@@ -1,11 +1,13 @@
 /**
  * @file
- * Differential tests for gang-lockstep execution (GT_EXEC=gang).
+ * Differential tests for gang-lockstep execution (uop backend,
+ * Full mode).
  *
  * The gang path reorders thread interleaving, never thread-visible
  * results: everything observable must be bitwise identical to scalar
- * execution. The matrix covers every kernel template under
- * {scalar,gang} x {Full,Fast} x {plain, instrumented, batch-memtrace}
+ * execution. The scalar side is the switch-interpreter reference,
+ * which never gangs. The matrix covers every kernel template under
+ * {switch,gang} x {Full,Fast} x {plain, instrumented, batch-memtrace}
  * with *distinct* per-argument buffers (a shared buffer makes the
  * dispatch-time region checks overlap, pinning scalar execution —
  * itself covered as a fallback case). Adversarial coverage: control
@@ -78,22 +80,20 @@ struct TraceRec
 };
 
 /**
- * One executor per execution mode, each over its own device memory so
+ * A scalar reference executor (the switch backend, which never gangs)
+ * and a ganging uop executor, each over its own device memory so
  * Full-mode stores can be compared byte for byte afterwards. The
  * allocators run in lockstep, so buffers land at the same addresses.
  */
-class ExecModePair
+class GangPair
 {
   public:
-    ExecModePair()
+    GangPair()
         : config(DeviceConfig::hd4000()), memScalar(memBytes),
           memGang(memBytes), execScalar(config, memScalar),
           execGang(config, memGang)
     {
-        execScalar.setBackend(Executor::Backend::Uops);
-        execGang.setBackend(Executor::Backend::Uops);
-        execScalar.setExecMode(Executor::ExecMode::Scalar);
-        execGang.setExecMode(Executor::ExecMode::Gang);
+        execScalar.setBackend(Executor::Backend::Switch);
     }
 
     uint64_t
@@ -101,11 +101,11 @@ class ExecModePair
     {
         uint64_t addr = memScalar.allocate(size);
         uint64_t addr2 = memGang.allocate(size);
-        GT_ASSERT(addr == addr2, "exec-mode allocators diverged");
+        GT_ASSERT(addr == addr2, "paired allocators diverged");
         return addr;
     }
 
-    /** Run the dispatch under both modes; expect equal profiles. */
+    /** Run the dispatch on both executors; expect equal profiles. */
     void
     runBoth(const Dispatch &d, Executor::Mode mode,
             TraceBuffer *trace_scalar = nullptr,
@@ -117,7 +117,7 @@ class ExecModePair
     }
 
     /**
-     * Run with batched trace delivery under both modes; expect equal
+     * Run with batched trace delivery on both; expect equal
      * profiles and an identical record stream including chunk flush
      * boundaries. @p chunk stresses mid-thread flushes when small.
      */
@@ -140,9 +140,9 @@ class ExecModePair
         execScalar.setMemTraceChunk(chunk);
         execGang.setMemTraceChunk(chunk);
         ExecProfile ps = execScalar.run(d, Executor::Mode::Full,
-                                        nullptr, {}, fnScalar);
+                                        nullptr, fnScalar);
         ExecProfile pg = execGang.run(d, Executor::Mode::Full,
-                                      nullptr, {}, fnGang);
+                                      nullptr, fnGang);
         expectProfilesEqual(ps, pg);
         EXPECT_EQ(chunksScalar, chunksGang);
         ASSERT_EQ(recScalar.size(), recGang.size());
@@ -236,7 +236,7 @@ class GangDiff : public ::testing::TestWithParam<std::string>
         return gangSafeTemplates().count(GetParam()) != 0;
     }
 
-    ExecModePair pair;
+    GangPair pair;
 };
 
 TEST_P(GangDiff, PlanVerdictMatchesExpectation)
@@ -380,7 +380,7 @@ class GangCascade : public ::testing::Test
         return workloads::TemplateJit().compile(src);
     }
 
-    ExecModePair pair;
+    GangPair pair;
 };
 
 TEST_F(GangCascade, DivergentThreadsMatchScalar)
@@ -444,7 +444,7 @@ TEST(GangDivergence, FirstSuperblock)
     b.halt();
     KernelBinary bin = b.finish();
 
-    ExecModePair pair;
+    GangPair pair;
     Dispatch d;
     d.binary = &bin;
     d.globalSize = 16 * 24;
@@ -483,7 +483,7 @@ TEST(GangDivergence, LastSuperblock)
     b.halt();
     KernelBinary bin = b.finish();
 
-    ExecModePair pair;
+    GangPair pair;
     Dispatch d;
     d.binary = &bin;
     d.globalSize = 16 * 24;
@@ -511,7 +511,7 @@ TEST(GangSafety, AliasingStoresPinScalar)
     b.halt();
     KernelBinary bin = b.finish();
 
-    ExecModePair pair;
+    GangPair pair;
     const isa::GangSafety &g = pair.execGang.gangSafety(&bin);
     EXPECT_FALSE(g.regionForm);
 
@@ -539,7 +539,7 @@ TEST(GangSafety, SimdWidthGuard)
     src.params = {8};
     KernelBinary bin = workloads::TemplateJit().compile(src);
 
-    ExecModePair pair;
+    GangPair pair;
     const isa::GangSafety &g = pair.execGang.gangSafety(&bin);
     ASSERT_TRUE(g.regionForm);
     ASSERT_GT(g.minSimdWidth, 8);

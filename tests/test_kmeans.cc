@@ -414,24 +414,5 @@ INSTANTIATE_TEST_SUITE_P(
         return out;
     });
 
-// --- Backend selection --------------------------------------------
-
-TEST(KMeansBackendSelect, NamesRoundTrip)
-{
-    EXPECT_STREQ(simpoint::kmeansBackendName(KMeansBackend::Lloyd),
-                 "lloyd");
-    EXPECT_STREQ(simpoint::kmeansBackendName(KMeansBackend::Pruned),
-                 "pruned");
-}
-
-TEST(KMeansBackendSelect, DefaultIsAValidBackend)
-{
-    // The process-wide default is env-dependent (GT_KMEANS); it must
-    // be one of the two real backends either way.
-    KMeansBackend b = simpoint::defaultKMeansBackend();
-    EXPECT_TRUE(b == KMeansBackend::Lloyd ||
-                b == KMeansBackend::Pruned);
-}
-
 } // anonymous namespace
 } // namespace gt::core

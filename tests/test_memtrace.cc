@@ -2,13 +2,15 @@
  * @file
  * Batched SoA memory-trace pipeline tests: the MemTraceSink's
  * chunking contract, CacheModel's bulk consumer against the
- * per-access oracle, and end-to-end GT-Pin batch-vs-callback
- * differentials — the batch backend must be bitwise identical to the
- * retained callback oracle at every thread count.
+ * per-access oracle, and end-to-end GT-Pin differentials — the
+ * default chunked delivery must be bitwise identical to per-access
+ * delivery (a one-record chunk on the switch interpreter, which never
+ * gangs) at every thread count.
  */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -216,7 +218,7 @@ class MemTraceExecTest : public ::testing::Test
         d.simdWidth = 16;
         d.args = {(uint32_t)base};
         exec.setMemTraceChunk(chunk);
-        return exec.run(d, gpu::Executor::Mode::Full, nullptr, {},
+        return exec.run(d, gpu::Executor::Mode::Full, nullptr,
                         [&](const MemBatch &b) {
                             sizes.push_back(b.count);
                             unpack(b, recs);
@@ -271,7 +273,7 @@ TEST_F(MemTraceExecTest, DispatchWithoutSendsDeliversNothing)
     d.globalSize = 32;
     d.simdWidth = 16;
     exec.setMemTraceChunk(8);
-    exec.run(d, gpu::Executor::Mode::Full, nullptr, {},
+    exec.run(d, gpu::Executor::Mode::Full, nullptr,
              [&](const MemBatch &bch) {
                  sizes.push_back(bch.count);
                  unpack(bch, recs);
@@ -295,20 +297,12 @@ TEST_F(MemTraceExecTest, LocalSendsExcludedIdenticallyToOracle)
     b.halt();
     KernelBinary bin = b.finish();
 
-    std::vector<size_t> sizes;
-    std::vector<Rec> batch_recs;
+    std::vector<size_t> sizes, oracle_sizes;
+    std::vector<Rec> batch_recs, oracle_recs;
     runBatched(bin, 16, 8, sizes, batch_recs);
-
-    std::vector<Rec> oracle_recs;
-    gpu::Dispatch d;
-    d.binary = &bin;
-    d.globalSize = 16;
-    d.simdWidth = 16;
-    d.args = {(uint32_t)base};
-    exec.run(d, gpu::Executor::Mode::Full, nullptr,
-             [&](uint64_t addr, uint32_t bytes, bool is_write) {
-                 oracle_recs.push_back({addr, bytes, is_write});
-             });
+    // A one-record chunk delivers every access on its own.
+    runBatched(bin, 16, 1, oracle_sizes, oracle_recs);
+    EXPECT_EQ(oracle_sizes, std::vector<size_t>(16, 1));
 
     ASSERT_EQ(batch_recs.size(), 16u); // global stores only
     for (uint32_t lane = 0; lane < 16; ++lane)
@@ -319,32 +313,28 @@ TEST_F(MemTraceExecTest, LocalSendsExcludedIdenticallyToOracle)
 TEST_F(MemTraceExecTest, BothBackendsEmitIdenticalTraces)
 {
     // The Switch and Uops interpreters share the sink plumbing; both
-    // must produce the same ordered trace as the callback oracle.
+    // must produce the same ordered trace at any chunk size, and the
+    // same trace as each other.
     KernelBinary bin = storeKernel();
+    std::vector<Rec> per_backend[2];
     for (auto backend : {gpu::Executor::Backend::Switch,
                          gpu::Executor::Backend::Uops}) {
         exec.setBackend(backend);
-        std::vector<size_t> sizes;
+        std::vector<size_t> sizes, oracle_sizes;
         std::vector<Rec> batch_recs, oracle_recs;
         runBatched(bin, 48, 7, sizes, batch_recs);
-
-        gpu::Dispatch d;
-        d.binary = &bin;
-        d.globalSize = 48;
-        d.simdWidth = 16;
-        d.args = {(uint32_t)base};
-        exec.run(d, gpu::Executor::Mode::Full, nullptr,
-                 [&](uint64_t addr, uint32_t bytes, bool is_write) {
-                     oracle_recs.push_back({addr, bytes, is_write});
-                 });
-        EXPECT_EQ(batch_recs, oracle_recs)
-            << gpu::Executor::backendName(backend);
+        runBatched(bin, 48, 1, oracle_sizes, oracle_recs);
+        const bool uops = backend == gpu::Executor::Backend::Uops;
+        EXPECT_EQ(batch_recs, oracle_recs) << (uops ? "uops" : "switch");
+        per_backend[uops] = batch_recs;
     }
+    EXPECT_EQ(per_backend[0], per_backend[1]);
 }
 
 // --- end-to-end GT-Pin differential ------------------------------------
 
-/** Counters one profiled stack produces; must be mode-invariant. */
+/** Counters one profiled stack produces; must not depend on how the
+ * trace is delivered. */
 struct StackResult
 {
     uint64_t hits, misses, writebacks;
@@ -352,24 +342,61 @@ struct StackResult
     bool operator==(const StackResult &) const = default;
 };
 
+/** How one profiled stack delivers its memory trace. */
+enum class Delivery
+{
+    /** Reference: switch interpreter (never gangs), one-record
+     * chunks, and a cache tool consuming them per access. */
+    PerAccess,
+    Chunked, //!< default uop executor, chunk size, bulk consumer
+};
+
+/** A cache tool consuming the trace through GtPinTool's default
+ * onMemBatch(), which replays every record into onMemAccess(). */
+class PerAccessCacheTool : public CacheSimTool
+{
+  public:
+    using CacheSimTool::CacheSimTool;
+
+    void
+    onMemBatch(const gpu::MemBatch &batch) override
+    {
+        GtPinTool::onMemBatch(batch);
+    }
+};
+
+/** Set @p driver's executor up for @p delivery. */
+void
+configure(ocl::GpuDriver &driver, Delivery delivery)
+{
+    if (delivery == Delivery::PerAccess) {
+        driver.executor().setBackend(gpu::Executor::Backend::Switch);
+        driver.executor().setMemTraceChunk(1);
+    }
+}
+
 /**
- * Build a private driver + GT-Pin stack in @p mode, dispatch template
- * @p tname twice (256 then 512 items), and collect every counter.
+ * Build a private driver + GT-Pin stack with @p delivery, dispatch
+ * template @p tname twice (256 then 512 items), and collect every
+ * counter.
  */
 StackResult
-runStack(const std::string &tname, GtPin::MemTraceMode mode)
+runStack(const std::string &tname, Delivery delivery)
 {
     workloads::TemplateJit jit;
     gpu::TrialConfig trial;
     trial.noiseSigma = 0.0;
     ocl::GpuDriver driver(gpu::DeviceConfig::hd4000(), jit, trial);
+    configure(driver, delivery);
 
-    CacheSimTool cache(64 * 1024, 16, 64);
+    std::unique_ptr<CacheSimTool> cache =
+        delivery == Delivery::PerAccess
+        ? std::make_unique<PerAccessCacheTool>(64 * 1024, 16, 64)
+        : std::make_unique<CacheSimTool>(64 * 1024, 16, 64);
     MemBytesTool mem;
     BasicBlockCounterTool bb;
     GtPin pin;
-    pin.setMemTraceMode(mode);
-    pin.addTool(&cache);
+    pin.addTool(cache.get());
     pin.addTool(&mem);
     pin.addTool(&bb);
     pin.attach(driver);
@@ -392,17 +419,16 @@ runStack(const std::string &tname, GtPin::MemTraceMode mode)
     rt.finish(q);
     pin.detach();
 
-    return {cache.cache().hits(), cache.cache().misses(),
-            cache.cache().writebacks(), mem.totalBytesRead(),
+    return {cache->cache().hits(), cache->cache().misses(),
+            cache->cache().writebacks(), mem.totalBytesRead(),
             mem.totalBytesWritten(), bb.totalDynInstrs()};
 }
 
 TEST(GtPinMemTrace, BatchBitwiseIdenticalToCallbackOracle)
 {
     for (const char *tname : {"stream", "blur", "hash", "histogram"}) {
-        StackResult callback =
-            runStack(tname, GtPin::MemTraceMode::Callback);
-        StackResult batch = runStack(tname, GtPin::MemTraceMode::Batch);
+        StackResult callback = runStack(tname, Delivery::PerAccess);
+        StackResult batch = runStack(tname, Delivery::Chunked);
         EXPECT_EQ(batch, callback) << tname;
         EXPECT_GT(batch.hits + batch.misses, 0u) << tname;
     }
@@ -418,14 +444,14 @@ TEST(GtPinMemTrace, ParallelStacksMatchSerialBitwise)
                                              "blend"};
     std::vector<StackResult> serial(tnames.size());
     for (size_t i = 0; i < tnames.size(); ++i)
-        serial[i] = runStack(tnames[i], GtPin::MemTraceMode::Batch);
+        serial[i] = runStack(tnames[i], Delivery::Chunked);
 
     std::vector<StackResult> parallel(tnames.size());
     sched::ThreadPool pool(4);
     pool.parallelFor(
         tnames.size(),
         [&](size_t i) {
-            parallel[i] = runStack(tnames[i], GtPin::MemTraceMode::Batch);
+            parallel[i] = runStack(tnames[i], Delivery::Chunked);
         },
         1);
 
@@ -436,15 +462,15 @@ TEST(GtPinMemTrace, ParallelStacksMatchSerialBitwise)
 TEST(GtPinMemTrace, ProfilesIdenticalAcrossModes)
 {
     // The DispatchResult profile (executor ground truth) must not
-    // depend on the trace delivery mode either.
-    auto profile_of = [](GtPin::MemTraceMode mode) {
+    // depend on the trace delivery either.
+    auto profile_of = [](Delivery delivery) {
         workloads::TemplateJit jit;
         gpu::TrialConfig trial;
         trial.noiseSigma = 0.0;
         ocl::GpuDriver driver(gpu::DeviceConfig::hd4000(), jit, trial);
+        configure(driver, delivery);
         CacheSimTool cache;
         GtPin pin;
-        pin.setMemTraceMode(mode);
         pin.addTool(&cache);
         pin.attach(driver);
 
@@ -482,9 +508,8 @@ TEST(GtPinMemTrace, ProfilesIdenticalAcrossModes)
         return last;
     };
 
-    ocl::DispatchResult callback =
-        profile_of(GtPin::MemTraceMode::Callback);
-    ocl::DispatchResult batch = profile_of(GtPin::MemTraceMode::Batch);
+    ocl::DispatchResult callback = profile_of(Delivery::PerAccess);
+    ocl::DispatchResult batch = profile_of(Delivery::Chunked);
     EXPECT_EQ(batch.profile.dynInstrs, callback.profile.dynInstrs);
     EXPECT_EQ(batch.profile.bytesRead, callback.profile.bytesRead);
     EXPECT_EQ(batch.profile.bytesWritten,

@@ -338,6 +338,28 @@ TEST(TraceStore, FootprintShrinksAndIsAccounted)
     setLogQuiet(false);
 }
 
+TEST(TraceStore, MissingSpillDirIsFatalAndNamesThePath)
+{
+    setLogQuiet(true);
+    SyntheticTrace t = makeTrace(8, 4);
+    std::vector<DispatchRecord> records(t.profiles.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+        records[i].profile = t.profiles[i];
+        records[i].seconds = t.timings[i].seconds;
+    }
+    trace_store::ColumnarOptions options;
+    options.spillDir = test::uniqueTempPath(".absent") + "/no/such/dir";
+    try {
+        trace_store::ColumnarStore::spill(records, options);
+        ADD_FAILURE() << "spill into a missing directory succeeded";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find(options.spillDir), std::string::npos) << msg;
+        EXPECT_NE(msg.find("GT_TRACEDB_DIR"), std::string::npos) << msg;
+    }
+    setLogQuiet(false);
+}
+
 TEST(TraceStore, ThreadCacheDropsSlotsOfDestroyedStores)
 {
     setLogQuiet(true);
