@@ -14,7 +14,7 @@
  *        honors GT_THREADS)
  *
  * With GT_SERVE=N set, the workload is instead recorded once and
- * submitted to N tenants of the streaming profiling service; the
+ * submitted to N tenants of the profiling service; the
  * report shows the shared-cache and incremental-refresh statistics.
  */
 
@@ -58,7 +58,7 @@ profileWholeSuite()
 }
 
 /** GT_SERVE=N: submit @p app's recording to N tenants of the
- * streaming profiling service and report the shared-cache and
+ * multi-tenant profiling service and report the shared-cache and
  * incremental-selection statistics. */
 int
 serveDemo(unsigned tenants, const workloads::Workload &app)
@@ -135,7 +135,7 @@ printUsage(std::ostream &os)
           "Environment:\n"
           "  GT_SERVE=N             Instead of one batch profile,\n"
           "                         record the workload and submit it\n"
-          "                         to N tenants of the streaming\n"
+          "                         to N tenants of the\n"
           "                         profiling service: replays share\n"
           "                         kernel plans and replay artifacts\n"
           "                         by content hash, and selections\n"

@@ -257,35 +257,10 @@ recordingContentHash(const Recording &recording)
 void
 replay(const Recording &recording, ocl::ClRuntime &runtime)
 {
-    StreamingReplay stream(recording, runtime);
-    stream.drain();
-}
-
-StreamingReplay::StreamingReplay(const Recording &recording,
-                                 ocl::ClRuntime &runtime)
-    : rec(recording), rt(runtime)
-{
     GT_ASSERT(runtime.apiCallCount() == 0,
               "replay requires a fresh runtime");
-}
-
-bool
-StreamingReplay::nextDispatch()
-{
-    while (cursor < rec.calls.size()) {
-        const ApiCallRecord &call = rec.calls[cursor++];
-        issueCall(call, rt);
-        if (call.id == ApiCallId::EnqueueNDRangeKernel)
-            return true;
-    }
-    return false;
-}
-
-void
-StreamingReplay::drain()
-{
-    while (cursor < rec.calls.size())
-        issueCall(rec.calls[cursor++], rt);
+    for (const ApiCallRecord &call : recording.calls)
+        issueCall(call, runtime);
 }
 
 } // namespace gt::cfl

@@ -71,42 +71,6 @@ uint64_t recordingContentHash(const Recording &recording);
  */
 void replay(const Recording &recording, ocl::ClRuntime &runtime);
 
-/**
- * Cursor-driven replay: the same call-for-call re-issue as replay()
- * — replay() is implemented on top of this class — but the caller
- * controls the pace, stopping after every kernel dispatch to harvest
- * that dispatch's profile and timing from its tools before the next
- * call is issued. This is the streaming service's engine: intervals
- * and feature columns build incrementally between steps while the
- * issued stream stays byte-identical to a batch replay.
- */
-class StreamingReplay
-{
-  public:
-    StreamingReplay(const Recording &recording,
-                    ocl::ClRuntime &runtime);
-
-    /**
-     * Issue calls up to and including the next kernel dispatch.
-     * @return true when a dispatch was issued; false when the stream
-     * ended first (every remaining call has then been issued).
-     */
-    bool nextDispatch();
-
-    /** Issue every remaining call. */
-    void drain();
-
-    /** Calls issued so far. */
-    size_t position() const { return cursor; }
-
-    bool done() const { return cursor == rec.calls.size(); }
-
-  private:
-    const Recording &rec;
-    ocl::ClRuntime &rt;
-    size_t cursor = 0;
-};
-
 } // namespace gt::cfl
 
 #endif // GT_CFL_RECORDER_HH

@@ -39,9 +39,10 @@ ApiTracer::categoryCalls(ocl::ApiCategory category) const
 double
 ApiTracer::categoryFraction(ocl::ApiCategory category) const
 {
-    if (calls.empty())
+    uint64_t total = totalCalls();
+    if (total == 0)
         return 0.0;
-    return (double)categoryCalls(category) / (double)calls.size();
+    return (double)categoryCalls(category) / (double)total;
 }
 
 void

@@ -42,8 +42,12 @@ class ApiTracer : public ocl::ApiObserver
     void onDispatchExecuted(const ocl::DispatchResult &result)
         override;
 
-    /** Total API calls observed. */
-    uint64_t totalCalls() const { return calls.size(); }
+    /** Total API calls observed (survives takeCallStream()). */
+    uint64_t
+    totalCalls() const
+    {
+        return categoryCounts[0] + categoryCounts[1] + categoryCounts[2];
+    }
 
     /** Calls observed in @p category (Fig. 3a's three types). */
     uint64_t categoryCalls(ocl::ApiCategory category) const;
@@ -67,6 +71,18 @@ class ApiTracer : public ocl::ApiObserver
     const std::vector<KernelTiming> &kernelTimings() const
     {
         return timings;
+    }
+
+    /** Move the call stream out (the counts stay). */
+    std::vector<ocl::ApiCallRecord> takeCallStream()
+    {
+        return std::move(calls);
+    }
+
+    /** Move the kernel timings out. */
+    std::vector<KernelTiming> takeKernelTimings()
+    {
+        return std::move(timings);
     }
 
     /** Sum of all kernel invocation times, in seconds. */

@@ -73,9 +73,9 @@ std::vector<Interval> buildIntervals(const TraceDatabase &db,
                                      uint64_t target_instrs = 0);
 
 /**
- * Streaming interval division: the same boundary logic as
- * buildIntervals(), maintained one dispatch at a time as a replay
- * drains. buildIntervals() is implemented on top of this class (feed
+ * Incremental interval division: the same boundary logic as
+ * buildIntervals(), maintained one dispatch at a time as rows are
+ * fed. buildIntervals() is implemented on top of this class (feed
  * every dispatch, snapshot once), so the incremental and batch paths
  * cannot drift — the differential tests pin the equivalence across
  * schemes, targets, and arrival granularities.

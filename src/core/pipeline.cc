@@ -25,12 +25,22 @@ InstrumentedStack::InstrumentedStack(const gpu::DeviceConfig &device,
         runtime.addObserver(&recorder);
 }
 
-TraceDatabase
-InstrumentedStack::takeDatabase(TraceDbBackend backend)
+ReplayArtifact
+InstrumentedStack::takeArtifact()
 {
-    return TraceDatabase::build(profileTool.takeProfiles(),
-                                tracer.kernelTimings(),
-                                tracer.callStream(), backend);
+    ReplayArtifact artifact;
+    artifact.calls = tracer.takeCallStream();
+    artifact.profiles = profileTool.takeProfiles();
+    artifact.timings = tracer.takeKernelTimings();
+    artifact.epochs = assignEpochs(artifact.calls);
+    // Dispatches execute in seq order at alignment points, so the
+    // profiled ones are a prefix of the issued ones.
+    GT_ASSERT(artifact.epochs.size() >= artifact.profiles.size(),
+              "the call stream issued ", artifact.epochs.size(),
+              " dispatches but GT-Pin profiled ",
+              artifact.profiles.size());
+    artifact.epochs.resize(artifact.profiles.size());
+    return artifact;
 }
 
 ProfiledApp
@@ -43,7 +53,7 @@ profileApp(const workloads::Workload &workload,
 
     ProfiledApp app;
     app.name = workload.info().name;
-    app.db = stack.takeDatabase();
+    app.db = TraceDatabase::build(stack.takeArtifact());
     app.recording = stack.recorder.take();
 
     const cfl::ApiTracer &tracer = stack.tracer;
@@ -96,7 +106,7 @@ replayTrial(const cfl::Recording &recording,
 {
     InstrumentedStack stack(config, trial);
     cfl::replay(recording, stack.runtime);
-    return stack.takeDatabase(backend);
+    return TraceDatabase::build(stack.takeArtifact(), backend);
 }
 
 } // namespace gt::core

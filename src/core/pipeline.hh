@@ -86,9 +86,9 @@ struct InstrumentedStack
                       gpu::SharedPlanCache *plans = nullptr,
                       gpu::SharedCheckpointCache *ckpts = nullptr);
 
-    /** The run's database; consumes the profiles collected so far. */
-    TraceDatabase takeDatabase(
-        TraceDbBackend backend = TraceDbBackend::Columnar);
+    /** The run's outcome so far: moves the profiles, call stream
+     * and timings out and walks the epochs once. */
+    ReplayArtifact takeArtifact();
 
     workloads::TemplateJit jit;
     ocl::GpuDriver driver;

@@ -1,7 +1,5 @@
 #include "core/trace_db.hh"
 
-#include <map>
-
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/trace_store.hh"
@@ -15,22 +13,90 @@ TraceDatabase::TraceDatabase(TraceDatabase &&) noexcept = default;
 TraceDatabase &
 TraceDatabase::operator=(TraceDatabase &&) noexcept = default;
 
+namespace
+{
+
+/** The one join every database goes through: profile i with timing i
+ * and the epoch assigned to its seq, appended in dispatch order. */
+TraceDatabase
+joinRows(std::vector<gtpin::DispatchProfile> &profiles,
+         const std::vector<cfl::KernelTiming> &timings,
+         const EpochAssignments &epochs, TraceDbBackend backend,
+         uint32_t block_size)
+{
+    GT_ASSERT(profiles.size() == timings.size(),
+              "GT-Pin saw ", profiles.size(),
+              " dispatches but CoFluent timed ", timings.size());
+    TraceDatabase::Builder builder;
+    for (size_t i = 0; i < profiles.size(); ++i) {
+        uint64_t seq = profiles[i].seq;
+        GT_ASSERT(seq == timings[i].seq,
+                  "profile/timing sequence mismatch at index ", i);
+        GT_ASSERT(i < epochs.size() && epochs[i].first == seq,
+                  "dispatch ", seq,
+                  " missing from the host call stream");
+        builder.appendJoined(std::move(profiles[i]), timings[i].seconds,
+                             epochs[i].second);
+    }
+    return std::move(builder).seal(backend, block_size);
+}
+
+} // anonymous namespace
+
+EpochAssignments
+assignEpochs(const std::vector<ocl::ApiCallRecord> &calls)
+{
+    EpochAssignments out;
+    uint64_t epoch = 0;
+    bool has_work = false;
+    for (const ocl::ApiCallRecord &call : calls) {
+        switch (ocl::apiCategory(call.id)) {
+          case ocl::ApiCategory::Kernel:
+            out.emplace_back(call.dispatchSeq, epoch);
+            has_work = true;
+            break;
+          case ocl::ApiCategory::Synchronization:
+            if (has_work) {
+                ++epoch;
+                has_work = false;
+            }
+            break;
+          default:
+            break;
+        }
+    }
+    return out;
+}
+
+uint64_t
+ReplayArtifact::memoryBytes() const
+{
+    uint64_t bytes = sizeof(*this);
+    for (const ocl::ApiCallRecord &call : calls)
+        bytes += call.footprintBytes();
+    for (const gtpin::DispatchProfile &profile : profiles)
+        bytes += profile.footprintBytes();
+    bytes += timings.size() * sizeof(cfl::KernelTiming);
+    bytes += epochs.size() * sizeof(epochs[0]);
+    return bytes;
+}
+
 TraceDatabase
 TraceDatabase::build(std::vector<gtpin::DispatchProfile> profiles,
                      const std::vector<cfl::KernelTiming> &timings,
                      const std::vector<ocl::ApiCallRecord> &call_stream,
                      TraceDbBackend backend, uint32_t block_size)
 {
-    GT_ASSERT(profiles.size() == timings.size(),
-              "GT-Pin saw ", profiles.size(),
-              " dispatches but CoFluent timed ", timings.size());
+    return joinRows(profiles, timings, assignEpochs(call_stream),
+                    backend, block_size);
+}
 
-    Builder builder;
-    for (const auto &call : call_stream)
-        builder.observeCall(call);
-    for (size_t i = 0; i < profiles.size(); ++i)
-        builder.append(std::move(profiles[i]), timings[i]);
-    return std::move(builder).seal(backend, block_size);
+TraceDatabase
+TraceDatabase::build(ReplayArtifact artifact, TraceDbBackend backend,
+                     uint32_t block_size)
+{
+    return joinRows(artifact.profiles, artifact.timings,
+                    artifact.epochs, backend, block_size);
 }
 
 TraceDatabase
@@ -52,48 +118,6 @@ TraceDatabase::openColumnarFile(const std::string &path)
     if (db.instrTotal > 0)
         db.spiCached = db.secondsTotal / (double)db.instrTotal;
     return db;
-}
-
-void
-TraceDatabase::Builder::observeCall(const ocl::ApiCallRecord &call)
-{
-    // The synchronization-epoch walk: each dispatch (by seq) gets
-    // the epoch its Kernel call was issued in; the counter advances
-    // at each sync call that actually separated kernel work.
-    switch (ocl::apiCategory(call.id)) {
-      case ocl::ApiCategory::Kernel:
-        epochOf[call.dispatchSeq] = epoch;
-        epochHasWork = true;
-        break;
-      case ocl::ApiCategory::Synchronization:
-        if (epochHasWork) {
-            ++epoch;
-            epochHasWork = false;
-        }
-        break;
-      default:
-        break;
-    }
-}
-
-void
-TraceDatabase::Builder::append(gtpin::DispatchProfile profile,
-                               const cfl::KernelTiming &timing)
-{
-    GT_ASSERT(profile.seq == timing.seq,
-              "profile/timing sequence mismatch at index ",
-              records.size());
-    auto it = epochOf.find(profile.seq);
-    GT_ASSERT(it != epochOf.end(),
-              "dispatch ", profile.seq,
-              " missing from the host call stream");
-    uint64_t sync_epoch = it->second;
-    // The entry is consumed exactly once (seqs ascend), so pruning
-    // it keeps the walk map at O(in-flight dispatches) instead of
-    // O(history) — what makes walkState() cheap to keep resident
-    // across a session eviction.
-    epochOf.erase(it);
-    appendJoined(std::move(profile), timing.seconds, sync_epoch);
 }
 
 void
@@ -125,36 +149,6 @@ TraceDatabase::Builder::appendJoined(gtpin::DispatchProfile profile,
     records.push_back(std::move(rec));
 }
 
-std::vector<std::pair<uint64_t, uint64_t>>
-TraceDatabase::Builder::assignEpochs(
-    const std::vector<ocl::ApiCallRecord> &calls)
-{
-    Builder walk;
-    for (const ocl::ApiCallRecord &call : calls)
-        walk.observeCall(call);
-    // epochOf is keyed by seq, so map order is the ascending seq
-    // order appends consume assignments in.
-    return {walk.epochOf.begin(), walk.epochOf.end()};
-}
-
-TraceDatabase::Builder::EpochWalk
-TraceDatabase::Builder::walkState() const
-{
-    EpochWalk walk;
-    walk.pending = epochOf;
-    walk.epoch = epoch;
-    walk.hasWork = epochHasWork;
-    return walk;
-}
-
-void
-TraceDatabase::Builder::restoreWalk(EpochWalk walk)
-{
-    epochOf = std::move(walk.pending);
-    epoch = walk.epoch;
-    epochHasWork = walk.hasWork;
-}
-
 uint64_t
 TraceDatabase::Builder::memoryBytes() const
 {
@@ -166,9 +160,6 @@ TraceDatabase::Builder::memoryBytes() const
     }
     bytes += instrPrefix.size() * sizeof(uint64_t);
     bytes += secondsCol.size() * sizeof(double);
-    // Red-black tree node overhead dominates the pending walk map.
-    bytes += epochOf.size() * (sizeof(std::pair<uint64_t, uint64_t>) +
-                               4 * sizeof(void *));
     return bytes;
 }
 

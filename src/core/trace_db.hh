@@ -32,7 +32,6 @@
 #define GT_CORE_TRACE_DB_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,6 +87,39 @@ struct TraceDbFootprint
     uint64_t residentBytes = 0;
 };
 
+/** (dispatch seq, sync epoch) pairs in ascending seq order. */
+using EpochAssignments = std::vector<std::pair<uint64_t, uint64_t>>;
+
+/**
+ * The synchronization-epoch walk over a complete call stream: each
+ * dispatch (by seq) gets the epoch its Kernel call was issued in, and
+ * the counter advances at each sync call that actually separated
+ * kernel work. Run once per replay outcome.
+ */
+EpochAssignments
+assignEpochs(const std::vector<ocl::ApiCallRecord> &calls);
+
+/**
+ * One replay outcome, taken off an instrumented stack
+ * (InstrumentedStack::takeArtifact): the traced call stream, GT-Pin's
+ * per-dispatch profiles, CoFluent's per-dispatch timings, and the
+ * stream's epoch assignments (one per profile, same order). Every
+ * database — a profiled run, a replay trial, a service session — is
+ * joined from one. The service caches artifacts across tenants by
+ * recording content hash and shares them as shared_ptr<const>, so an
+ * artifact is never mutated once built.
+ */
+struct ReplayArtifact
+{
+    std::vector<ocl::ApiCallRecord> calls;
+    std::vector<gtpin::DispatchProfile> profiles;
+    std::vector<cfl::KernelTiming> timings;
+    EpochAssignments epochs;
+
+    /** Approximate resident bytes of the outcome. */
+    uint64_t memoryBytes() const;
+};
+
 /**
  * The whole profiled execution of one application.
  *
@@ -130,6 +162,13 @@ class TraceDatabase
     build(std::vector<gtpin::DispatchProfile> profiles,
           const std::vector<cfl::KernelTiming> &timings,
           const std::vector<ocl::ApiCallRecord> &call_stream,
+          TraceDbBackend backend = TraceDbBackend::Columnar,
+          uint32_t block_size = trace_store::defaultBlockSize);
+
+    /** Join a replay outcome, consuming its profiles (the same join
+     * as above, with the epochs the artifact already carries). */
+    static TraceDatabase
+    build(ReplayArtifact artifact,
           TraceDbBackend backend = TraceDbBackend::Columnar,
           uint32_t block_size = trace_store::defaultBlockSize);
 
@@ -215,20 +254,18 @@ class TraceDatabase
 };
 
 /**
- * Streaming construction of a TraceDatabase, one dispatch at a time.
+ * Incremental construction of a TraceDatabase, one joined dispatch at
+ * a time.
  *
- * The batch join consumes three complete streams; the profiling
- * service sees the same data trickle in as a replay progresses: API
- * calls at issue time, then the matching (profile, timing) pair when
- * the dispatch drains. The builder accepts exactly that order —
- * observeCall() advances the synchronization-epoch walk, append()
- * joins one dispatch — and maintains the same running totals, prefix
- * sums, and dense seconds column build() computes, in the same
+ * Every database is built from rows that already carry their
+ * synchronization epoch (assignEpochs() walks the call stream once
+ * per replay). appendJoined() maintains the same running totals,
+ * prefix sums, and dense seconds column build() computes, in the same
  * left-to-right FP order, so seal() at any point yields a database
  * bitwise identical to build() over the prefix fed so far. A
- * dispatch's epoch depends only on calls issued before its own
- * Kernel call, which is why assignment at append time matches the
- * batch walk at any arrival granularity.
+ * dispatch's epoch depends only on calls issued before its own Kernel
+ * call, which is why a prefix of the full stream's assignments equals
+ * the assignments of the call-stream prefix.
  *
  * The prefix accessors mirror the TraceDatabase query API so the
  * incremental interval builder can run against an unsealed prefix.
@@ -239,55 +276,13 @@ class TraceDatabase::Builder
 {
   public:
     /**
-     * The synchronization-epoch walk's restart state: the epoch
-     * counter, whether the open epoch saw kernel work, and the
-     * pending (observed Kernel call, dispatch not yet drained)
-     * assignments. Appended dispatches consume their entry, so this
-     * stays O(in-flight dispatches), not O(history) — it is the only
-     * builder state an evicted session must keep resident to resume
-     * its call stream after rehydration.
-     */
-    struct EpochWalk
-    {
-        std::map<uint64_t, uint64_t> pending;
-        uint64_t epoch = 0;
-        bool hasWork = false;
-    };
-
-    /** Advance the epoch walk over one host API call. Kernel calls
-     * must be observed before the dispatch they issue is appended. */
-    void observeCall(const ocl::ApiCallRecord &call);
-
-    /** Join one drained dispatch (profile + CoFluent timing). Must
-     * arrive in dispatch order with its Kernel call observed. */
-    void append(gtpin::DispatchProfile profile,
-                const cfl::KernelTiming &timing);
-
-    /**
-     * Join one already-epoch-assigned dispatch, bypassing the epoch
-     * walk. The totals accumulate exactly as append() does, so a
-     * builder re-fed from an archived database (rehydration) or from
-     * a cached replay artifact (the warm admission path) is bitwise
-     * identical to one that joined the live stream.
+     * Join one epoch-assigned dispatch. Dispatches must arrive in
+     * ascending seq order with monotone epochs. A builder re-fed from
+     * an archived database (rehydration) or from a replay artifact is
+     * bitwise identical to one fed the original rows.
      */
     void appendJoined(gtpin::DispatchProfile profile, double seconds,
                       uint64_t sync_epoch);
-
-    /**
-     * Run the epoch walk over a complete call stream once, returning
-     * (dispatch seq, epoch) pairs in ascending seq order — the
-     * assignments append() would have produced. Computed once per
-     * replay artifact so warm submissions skip the per-dispatch walk
-     * entirely.
-     */
-    static std::vector<std::pair<uint64_t, uint64_t>>
-    assignEpochs(const std::vector<ocl::ApiCallRecord> &calls);
-
-    /** Snapshot the epoch walk (see EpochWalk). */
-    EpochWalk walkState() const;
-
-    /** Restore a walk snapshot taken by walkState(). */
-    void restoreWalk(EpochWalk walk);
 
     /** Dispatches appended so far. */
     uint64_t numAppended() const { return records.size(); }
@@ -330,8 +325,8 @@ class TraceDatabase::Builder
     }
 
     /** Resident bytes of the builder: joined records (including the
-     * profiles' heap), the prefix/seconds columns, and the pending
-     * epoch walk. What session eviction reclaims. */
+     * profiles' heap) and the prefix/seconds columns. What session
+     * eviction reclaims. */
     uint64_t memoryBytes() const;
 
     /**
@@ -366,11 +361,6 @@ class TraceDatabase::Builder
     std::vector<double> secondsCol;
     uint64_t instrTotal = 0;
     double secondsTotal = 0.0;
-
-    // Incremental synchronization-epoch walk.
-    std::map<uint64_t, uint64_t> epochOf;
-    uint64_t epoch = 0;
-    bool epochHasWork = false;
 };
 
 } // namespace gt::core

@@ -72,6 +72,19 @@ apiCallName(ApiCallId id)
     }
 }
 
+uint64_t
+ApiCallRecord::footprintBytes() const
+{
+    uint64_t bytes = sizeof(ApiCallRecord) + kernelName.size() +
+                     uargs.size() * sizeof(uint64_t) + payload.size();
+    for (const isa::KernelSource &src : sources) {
+        bytes += sizeof(isa::KernelSource) + src.name.size() +
+                 src.templateName.size() +
+                 src.params.size() * sizeof(int64_t);
+    }
+    return bytes;
+}
+
 const char *
 apiCategoryName(ApiCategory category)
 {

@@ -112,6 +112,9 @@ struct ApiCallRecord
 
     /** Kernel sources for CreateProgramWithSource. */
     std::vector<isa::KernelSource> sources;
+
+    /** Approximate resident bytes: the struct plus its heap. */
+    uint64_t footprintBytes() const;
 };
 
 } // namespace gt::ocl

@@ -221,10 +221,12 @@ ThreadPool::parallelFor(size_t n,
     }
 
     // Lowest-index-first exception propagation keeps failure
-    // behavior deterministic too.
+    // behavior deterministic too. Move the exception out first: a
+    // helper may drop the last state reference while the caller is
+    // still handling it, so the caller must own it.
     for (size_t c = 0; c < num_chunks; ++c) {
-        if (state->errors[c])
-            std::rethrow_exception(state->errors[c]);
+        if (std::exception_ptr error = std::move(state->errors[c]))
+            std::rethrow_exception(error);
     }
 }
 

@@ -4,7 +4,7 @@
  *
  * When the profiling service seals an idle session's joined rows to
  * disk (see ProfilingService's lifecycle in service.hh), the bytes
- * must outlive the session object — a late dispatch, a post-hoc
+ * must outlive the session object — late rows, a post-hoc
  * sealDatabase(), or a service restart has to find them again. A
  * spill-and-unlink file (the columnar backend's default) cannot do
  * that, so evictions write *named* archive files through this

@@ -19,127 +19,26 @@ using core::simpoint::UniqueIndex;
 namespace
 {
 
-/** GT_SERVE_* environment defaults, parsed and logged once. They
- * fill ServiceConfig fields the caller left at their defaults — an
- * explicitly configured value always wins. */
-struct ServeEnv
-{
-    bool haveMaxSessions = false;
-    size_t maxSessions = 0;
-    bool haveMaxBytes = false;
-    uint64_t maxBytes = 0;
-    bool haveEvict = false;
-    bool evict = false;
-    std::string archiveDir;
-};
-
-uint64_t
-parseEnvCount(const char *name, const char *value)
-{
-    char *end = nullptr;
-    unsigned long long parsed = std::strtoull(value, &end, 10);
-    if (end == value || *end != '\0')
-        fatal(name, "='", value, "' is not a non-negative integer");
-    return (uint64_t)parsed;
-}
-
-const ServeEnv &
-serveEnv()
-{
-    static const ServeEnv parsed = [] {
-        ServeEnv e;
-        if (const char *v = std::getenv("GT_SERVE_MAX_SESSIONS");
-            v && *v != '\0') {
-            e.haveMaxSessions = true;
-            e.maxSessions =
-                (size_t)parseEnvCount("GT_SERVE_MAX_SESSIONS", v);
-        }
-        if (const char *v = std::getenv("GT_SERVE_MAX_BYTES");
-            v && *v != '\0') {
-            e.haveMaxBytes = true;
-            e.maxBytes = parseEnvCount("GT_SERVE_MAX_BYTES", v);
-        }
-        if (const char *v = std::getenv("GT_SERVE_EVICT");
-            v && *v != '\0') {
-            std::string value(v);
-            if (value != "0" && value != "1") {
-                fatal("GT_SERVE_EVICT='", value,
-                      "' is not a flag (expected '0' or '1')");
-            }
-            e.haveEvict = true;
-            e.evict = value == "1";
-        }
-        if (const char *v = std::getenv("GT_SERVE_ARCHIVE_DIR");
-            v && *v != '\0') {
-            e.archiveDir = v;
-        }
-        if (e.haveMaxSessions || e.haveMaxBytes || e.haveEvict ||
-            !e.archiveDir.empty()) {
-            inform("serve: lifecycle env overrides:",
-                   e.haveMaxSessions
-                       ? " max-sessions=" +
-                             std::to_string(e.maxSessions)
-                       : "",
-                   e.haveMaxBytes
-                       ? " max-bytes=" + std::to_string(e.maxBytes)
-                       : "",
-                   e.haveEvict
-                       ? std::string(" evict-on-drain=") +
-                             (e.evict ? "1" : "0")
-                       : "",
-                   e.archiveDir.empty()
-                       ? ""
-                       : " archive-dir=" + e.archiveDir);
-        }
-        return e;
-    }();
-    return parsed;
-}
-
-/** Apply the env defaults to fields left unset, then resolve the
- * archive directory fallback chain. */
+/** Resolve the archive directory fallback chain: the configured
+ * directory, else GT_SERVE_ARCHIVE_DIR, else TMPDIR (or /tmp) +
+ * "/gt-serve-<pid>". */
 ServiceConfig
 resolveConfig(ServiceConfig cfg)
 {
-    const ServeEnv &env = serveEnv();
-    if (env.haveMaxSessions && cfg.maxResidentSessions == SIZE_MAX)
-        cfg.maxResidentSessions = env.maxSessions;
-    if (env.haveMaxBytes && cfg.maxResidentBytes == UINT64_MAX)
-        cfg.maxResidentBytes = env.maxBytes;
-    if (env.haveEvict && !cfg.evictOnDrain)
-        cfg.evictOnDrain = env.evict;
-    if (cfg.archiveDir.empty())
-        cfg.archiveDir = env.archiveDir;
-    if (cfg.archiveDir.empty()) {
-        const char *tmp = std::getenv("TMPDIR");
-        std::string base = tmp && *tmp != '\0' ? tmp : "/tmp";
-        cfg.archiveDir =
-            base + "/gt-serve-" + std::to_string(::getpid());
+    if (!cfg.archiveDir.empty())
+        return cfg;
+    if (const char *dir = std::getenv("GT_SERVE_ARCHIVE_DIR");
+        dir && *dir != '\0') {
+        cfg.archiveDir = dir;
+        return cfg;
     }
+    const char *tmp = std::getenv("TMPDIR");
+    std::string base = tmp && *tmp != '\0' ? tmp : "/tmp";
+    cfg.archiveDir = base + "/gt-serve-" + std::to_string(::getpid());
     return cfg;
 }
 
 } // namespace
-
-uint64_t
-ReplayArtifact::memoryBytes() const
-{
-    uint64_t bytes = sizeof(*this);
-    bytes += calls.size() * sizeof(ocl::ApiCallRecord);
-    for (const ocl::ApiCallRecord &call : calls) {
-        bytes += call.kernelName.size() +
-                 call.uargs.size() * sizeof(uint64_t) +
-                 call.payload.size();
-    }
-    bytes += profiles.size() * sizeof(gtpin::DispatchProfile);
-    for (const gtpin::DispatchProfile &profile : profiles) {
-        bytes += profile.footprintBytes() -
-                 sizeof(gtpin::DispatchProfile);
-    }
-    bytes += timings.size() * sizeof(cfl::KernelTiming);
-    bytes += epochs.size() * sizeof(std::pair<uint64_t, uint64_t>);
-    return bytes;
-}
 
 WorkloadSession::WorkloadSession(std::string workload_name,
                                  const ServiceConfig &config,
@@ -158,33 +57,10 @@ WorkloadSession::WorkloadSession(std::string workload_name,
 }
 
 void
-WorkloadSession::observeCall(const ocl::ApiCallRecord &call)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    builder.observeCall(call);
-}
-
-void
-WorkloadSession::addDispatch(const gtpin::DispatchProfile &profile,
-                             const cfl::KernelTiming &timing)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    rehydrateLocked();
-    builder.append(profile, timing);
-    features.appendDispatch(profile);
-    uint64_t i = builder.numAppended() - 1;
-    uint64_t epoch = builder.syncEpoch(i);
-    for (ConfigState &cs : configs)
-        cs.intervals.append(epoch, profile.instrs, timing.seconds);
-    ++fed;
-    ++counters.dispatches;
-}
-
-void
 WorkloadSession::addDispatches(
-    const std::vector<gtpin::DispatchProfile> &profiles,
-    const std::vector<cfl::KernelTiming> &timings,
-    const std::vector<std::pair<uint64_t, uint64_t>> &epochs)
+    std::span<const gtpin::DispatchProfile> profiles,
+    std::span<const cfl::KernelTiming> timings,
+    std::span<const std::pair<uint64_t, uint64_t>> epochs)
 {
     GT_ASSERT(profiles.size() == timings.size() &&
                   profiles.size() == epochs.size(),
@@ -194,21 +70,28 @@ WorkloadSession::addDispatches(
     std::lock_guard<std::mutex> lock(mutex);
     rehydrateLocked();
     for (size_t i = 0; i < profiles.size(); ++i) {
-        const gtpin::DispatchProfile &profile = profiles[i];
-        GT_ASSERT(profile.seq == timings[i].seq,
+        GT_ASSERT(profiles[i].seq == timings[i].seq,
                   "profile/timing sequence mismatch at bulk row ", i);
-        GT_ASSERT(epochs[i].first == profile.seq,
+        GT_ASSERT(epochs[i].first == profiles[i].seq,
                   "epoch assignment misaligned at bulk row ", i);
-        builder.appendJoined(profile, timings[i].seconds,
-                             epochs[i].second);
-        features.appendDispatch(profile);
-        for (ConfigState &cs : configs) {
-            cs.intervals.append(epochs[i].second, profile.instrs,
-                                timings[i].seconds);
-        }
+        feedLocked(profiles[i], timings[i].seconds, epochs[i].second);
     }
     fed += profiles.size();
     counters.dispatches += profiles.size();
+}
+
+void
+WorkloadSession::feedLocked(const gtpin::DispatchProfile &profile,
+                            double seconds, uint64_t epoch)
+{
+    builder.appendJoined(profile, seconds, epoch);
+    // Lower the builder's own copy: @p profile may point into a
+    // trace-store decode cache that later block touches recycle.
+    const gtpin::DispatchProfile &joined =
+        builder.profileAt(builder.numAppended() - 1);
+    features.appendDispatch(joined);
+    for (ConfigState &cs : configs)
+        cs.intervals.append(epoch, joined.instrs, seconds);
 }
 
 void
@@ -358,12 +241,9 @@ WorkloadSession::evict(const std::string &archive_path)
         builder.writeArchive(archive_path);
         archivePath = archive_path;
     }
-    // Keep only the epoch-walk restart state (O(in-flight), tiny);
-    // everything else is reclaimed and reproducible from the
+    // Everything else is reclaimed and reproducible from the
     // archive.
-    core::TraceDatabase::Builder::EpochWalk walk = builder.walkState();
     builder = core::TraceDatabase::Builder();
-    builder.restoreWalk(std::move(walk));
     features = core::DispatchFeatureCache();
     table = core::simpoint::ProjectionTable();
     for (ConfigState &cs : configs) {
@@ -396,18 +276,8 @@ WorkloadSession::rehydrateLocked()
         return; // the session was empty when evicted
     core::TraceDatabase db =
         core::TraceDatabase::openColumnarFile(archivePath);
-    for (uint64_t i = 0; i < db.numDispatches(); ++i) {
-        // Copy out of the thread's decode cache before feeding: the
-        // reference is only stable across a few block touches.
-        gtpin::DispatchProfile profile = db.profileAt(i);
-        double secs = db.seconds(i);
-        uint64_t epoch = db.syncEpoch(i);
-        uint64_t instrs = profile.instrs;
-        features.appendDispatch(profile);
-        builder.appendJoined(std::move(profile), secs, epoch);
-        for (ConfigState &cs : configs)
-            cs.intervals.append(epoch, instrs, secs);
-    }
+    for (uint64_t i = 0; i < db.numDispatches(); ++i)
+        feedLocked(db.profileAt(i), db.seconds(i), db.syncEpoch(i));
     GT_ASSERT(builder.numAppended() == fed,
               "rehydrated ", builder.numAppended(),
               " rows but the session had fed ", fed);
@@ -494,7 +364,7 @@ ProfilingService::openTenant(std::string name)
 
 ProfilingService::WorkloadId
 ProfilingService::submit(TenantId tenant, std::string workload_name,
-                         cfl::Recording recording)
+                         const cfl::Recording &recording)
 {
     uint64_t key = cfl::recordingContentHash(recording);
     Workload *wl = nullptr;
@@ -506,7 +376,6 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
         Tenant &t = *tenants[tenant];
         auto workload = std::make_unique<Workload>();
         workload->tenant = tenant;
-        workload->recording = std::move(recording);
         workload->session = std::make_unique<WorkloadSession>(
             std::move(workload_name), cfg, pool);
         workload->id = t.workloads.size();
@@ -515,30 +384,46 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
         id = wl->id;
     }
 
-    // The warm admission fast path: a known recording needs no
-    // replay, no admission slot, and no pool hop — the cached rows
-    // bulk-append synchronously on the calling thread, so warm
-    // submission cost is O(rows) and independent of replay cost.
-    if (std::shared_ptr<const ReplayArtifact> artifact =
-            findArtifact(key)) {
-        artifactHitCount.fetch_add(1, std::memory_order_relaxed);
-        feedFromArtifact(*wl->session, *artifact);
-        wl->lastUse.store(useTicket.fetch_add(1),
-                          std::memory_order_relaxed);
-        wl->drained.store(true, std::memory_order_release);
-        enforceBudget();
-        return id;
+    // Single flight: the first submit of a recording owns its replay,
+    // identical submits attach to the pending entry until the replay
+    // publishes, and later ones find the complete artifact.
+    std::shared_ptr<const core::ReplayArtifact> artifact;
+    std::future<void> done;
+    bool replay = false;
+    {
+        ArtifactShard &shard = artifactShards[gpu::cacheShardOf(key)];
+        std::lock_guard<std::mutex> lock(shard.mu);
+        auto [it, inserted] = shard.map.try_emplace(key);
+        ArtifactEntry &entry = it->second;
+        if (inserted) {
+            entry.recording = recording;
+            replay = true;
+        } else if (entry.artifact) {
+            artifact = entry.artifact;
+        } else {
+            entry.waiters.push_back({wl, {}});
+            done = entry.waiters.back().fed.get_future();
+        }
     }
 
-    // Schedule outside the service lock: on a 1-thread pool submit()
-    // runs the replay inline, and the replay takes the lock-free
-    // feed path into the session.
-    std::future<void> fut =
-        pool.submit([this, wl] { runReplay(*wl); });
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        pendingReplays.push_back(std::move(fut));
+    if (artifact) {
+        // The warm admission fast path: no replay, no admission
+        // slot, and no pool hop — the cached rows bulk-append on the
+        // calling thread, so warm submission cost is O(rows) and
+        // independent of replay cost.
+        artifactHitCount.fetch_add(1, std::memory_order_relaxed);
+        feed(*wl, *artifact);
+        return id;
     }
+    if (replay) {
+        // Schedule outside every lock: on a 1-thread pool submit()
+        // runs the replay inline.
+        done = pool.submit([this, wl, key] { runReplay(*wl, key); });
+    } else {
+        artifactHitCount.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::lock_guard<std::mutex> lock(mutex);
+    pendingReplays.push_back(std::move(done));
     return id;
 }
 
@@ -550,8 +435,17 @@ ProfilingService::drain()
         std::lock_guard<std::mutex> lock(mutex);
         work.swap(pendingReplays);
     }
-    for (std::future<void> &f : work)
-        f.get();
+    std::exception_ptr first;
+    for (std::future<void> &f : work) {
+        try {
+            f.get();
+        } catch (...) {
+            if (!first)
+                first = std::current_exception();
+        }
+    }
+    if (first)
+        std::rethrow_exception(first);
 }
 
 void
@@ -612,114 +506,68 @@ ProfilingService::stats() const
     return st;
 }
 
-std::shared_ptr<const ReplayArtifact>
-ProfilingService::findArtifact(uint64_t key)
+void
+ProfilingService::runReplay(Workload &workload, uint64_t key)
 {
     ArtifactShard &shard = artifactShards[gpu::cacheShardOf(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    return it == shard.map.end() ? nullptr : it->second;
-}
-
-void
-ProfilingService::insertArtifact(
-    uint64_t key, std::shared_ptr<const ReplayArtifact> artifact)
-{
-    // First insert wins; a racing duplicate replay fed its own
-    // session identically, so dropping its artifact loses nothing.
-    ArtifactShard &shard = artifactShards[gpu::cacheShardOf(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.emplace(key, std::move(artifact));
-}
-
-void
-ProfilingService::runReplay(Workload &workload)
-{
+    ArtifactEntry *entry = nullptr;
     {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        entry = &shard.map.at(key);
+    }
+    std::shared_ptr<const core::ReplayArtifact> artifact;
+    std::vector<Waiter> waiters;
+    try {
         // The oversubscription guard: every replay runs on the one
         // shared pool, and at most admission.width() run
         // concurrently. Re-entrant: a replay submitted from inside
         // an already-admitted task (inline execution on a 1-thread
         // pool) must not wait on its own slot.
         sched::PoolHandle::Slot slot = admission.acquireReentrant();
-
-        uint64_t key = cfl::recordingContentHash(workload.recording);
-        if (std::shared_ptr<const ReplayArtifact> artifact =
-                findArtifact(key)) {
-            artifactHitCount.fetch_add(1, std::memory_order_relaxed);
-            feedFromArtifact(*workload.session, *artifact);
-        } else {
-            replayCount.fetch_add(1, std::memory_order_relaxed);
-            insertArtifact(key, replayStreaming(workload));
+        replayCount.fetch_add(1, std::memory_order_relaxed);
+        core::InstrumentedStack stack(cfg.device, cfg.trial,
+                                      /*record=*/false, &plans, &ckpts);
+        // Only this task writes a pending entry's recording, so it
+        // reads it without the shard lock.
+        cfl::replay(entry->recording, stack.runtime);
+        artifact = std::make_shared<const core::ReplayArtifact>(
+            stack.takeArtifact());
+    } catch (...) {
+        // Leave no entry behind, so a later submit replays again;
+        // every attached submitter sees this failure from drain().
+        {
+            std::lock_guard<std::mutex> lock(shard.mu);
+            waiters = std::move(entry->waiters);
+            shard.map.erase(key);
         }
+        for (Waiter &w : waiters)
+            w.fed.set_exception(std::current_exception());
+        throw;
     }
+    {
+        cfl::Recording replayed; // freed outside the shard lock
+        std::lock_guard<std::mutex> lock(shard.mu);
+        entry->artifact = artifact;
+        replayed = std::move(entry->recording);
+        waiters = std::move(entry->waiters);
+    }
+    feed(workload, *artifact);
+    for (Waiter &w : waiters) {
+        feed(*w.workload, *artifact);
+        w.fed.set_value();
+    }
+}
+
+void
+ProfilingService::feed(Workload &workload,
+                       const core::ReplayArtifact &artifact)
+{
+    workload.session->addDispatches(artifact.profiles,
+                                    artifact.timings, artifact.epochs);
     workload.lastUse.store(useTicket.fetch_add(1),
                            std::memory_order_relaxed);
     workload.drained.store(true, std::memory_order_release);
     enforceBudget();
-}
-
-std::shared_ptr<ReplayArtifact>
-ProfilingService::replayStreaming(Workload &workload)
-{
-    core::InstrumentedStack stack(cfg.device, cfg.trial, /*record=*/false,
-                                  &plans, &ckpts);
-    // Stream the replay: calls feed the session's epoch walk as they
-    // issue; dispatch rows feed as they drain (kernels execute at
-    // host/device alignment points, so rows arrive in sync-epoch
-    // bursts — exactly the granularity the incremental interval
-    // builder closes intervals at).
-    cfl::StreamingReplay stream(workload.recording, stack.runtime);
-    WorkloadSession &session = *workload.session;
-    size_t calls_fed = 0;
-    size_t rows_fed = 0;
-    auto feed = [&] {
-        const std::vector<ocl::ApiCallRecord> &calls =
-            stack.tracer.callStream();
-        for (; calls_fed < calls.size(); ++calls_fed)
-            session.observeCall(calls[calls_fed]);
-        const std::vector<gtpin::DispatchProfile> &profiles =
-            stack.profileTool.profiles();
-        const std::vector<cfl::KernelTiming> &timings =
-            stack.tracer.kernelTimings();
-        size_t avail = std::min(profiles.size(), timings.size());
-        for (; rows_fed < avail; ++rows_fed)
-            session.addDispatch(profiles[rows_fed],
-                                timings[rows_fed]);
-    };
-    while (stream.nextDispatch())
-        feed();
-    stream.drain();
-    feed();
-
-    auto artifact = std::make_shared<ReplayArtifact>();
-    artifact->calls = stack.tracer.callStream();
-    artifact->profiles = stack.profileTool.takeProfiles();
-    artifact->timings = stack.tracer.kernelTimings();
-    // Run the epoch walk once here so every warm submission can
-    // bulk-append without it.
-    artifact->epochs =
-        core::TraceDatabase::Builder::assignEpochs(artifact->calls);
-    GT_ASSERT(artifact->epochs.size() == artifact->profiles.size(),
-              "artifact epoch walk assigned ",
-              artifact->epochs.size(), " dispatches but the replay "
-              "profiled ", artifact->profiles.size());
-    return artifact;
-}
-
-void
-ProfilingService::feedFromArtifact(WorkloadSession &session,
-                                   const ReplayArtifact &artifact)
-{
-    // Epoch assignment depends only on calls issued before each
-    // dispatch's own Kernel call, and the artifact carries the
-    // complete walk's assignments — so the bulk append reproduces
-    // the streamed session state bit for bit, one lock for the
-    // whole batch.
-    GT_ASSERT(artifact.profiles.size() == artifact.timings.size(),
-              "artifact profile/timing count mismatch");
-    session.addDispatches(artifact.profiles, artifact.timings,
-                          artifact.epochs);
 }
 
 SessionArchive &
@@ -817,9 +665,12 @@ ProfilingService::memoryFootprint() const
     fp.checkpointCacheBytes = ckpts.memoryBytes();
     for (const ArtifactShard &shard : artifactShards) {
         std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto &[key, artifact] : shard.map) {
+        for (const auto &[key, entry] : shard.map) {
             (void)key;
-            fp.artifactBytes += artifact->memoryBytes();
+            if (entry.artifact)
+                fp.artifactBytes += entry.artifact->memoryBytes();
+            for (const ocl::ApiCallRecord &call : entry.recording.calls)
+                fp.artifactBytes += call.footprintBytes();
         }
     }
     fp.traceCacheBytes = core::trace_store::threadCacheResidentBytes();

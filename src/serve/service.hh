@@ -7,12 +7,12 @@
  * select. This service turns that pipeline into a long-running
  * facility the way GT-Pin is deployed inside a design team: N
  * tenants (users, CI jobs, sweep drivers) each submit recorded API
- * streams (cfl::Recording), the service replays them on per-tenant
- * driver stacks sharing one thread pool, and each workload's
- * intervals, feature columns, and subset selections are maintained
- * *incrementally* as dispatches drain — a refresh() at any moment
- * answers with selections bitwise identical to a one-shot
- * selectSubset() over everything fed so far.
+ * streams (cfl::Recording), the service replays each distinct
+ * recording once on a driver stack over one shared thread pool, and
+ * each workload's intervals, feature columns, and subset selections
+ * are maintained *incrementally* as replay outcomes are fed in — a
+ * refresh() at any moment answers with selections bitwise identical
+ * to a one-shot selectSubset() over everything fed so far.
  *
  * Cross-tenant sharing is content-addressed and immutable:
  *
@@ -21,19 +21,20 @@
  *    isa::contentHash, shared by every tenant driver;
  *  - gpu::SharedCheckpointCache — detailed-mode warm checkpoints
  *    keyed on (binary hash, dispatch shape);
- *  - the replay-artifact cache here — full replay outcomes (call
- *    stream, dispatch profiles, timings) keyed on
- *    cfl::recordingContentHash, so the second tenant submitting an
- *    identical recording streams the cached rows instead of
- *    re-executing kernels. On a single-core host this dedup, not
- *    thread parallelism, is what makes aggregate throughput scale
- *    with tenant count (bench/service_throughput gates it).
+ *  - the replay-artifact cache here — core::ReplayArtifact outcomes
+ *    (call stream, dispatch profiles, timings, epochs) keyed on
+ *    cfl::recordingContentHash. The cache is single-flight: an entry
+ *    is pending while its first submitter replays it, and identical
+ *    submits arriving meanwhile attach to it instead of replaying
+ *    again; once complete, later submits bulk-append the cached rows
+ *    without re-executing kernels. On a single-core host this dedup,
+ *    not thread parallelism, is what makes aggregate throughput
+ *    scale with tenant count (bench/service_throughput gates it).
  *
  * All caches follow the repo's "fully built => const, shareable"
- * contract: artifacts are inserted only once complete, never mutated
- * afterwards, first insert wins, and lookups hand out
- * shared_ptr<const> (or stable const references) safe to read from
- * any thread.
+ * contract: artifacts are published only once complete, never
+ * mutated afterwards, and lookups hand out shared_ptr<const> (or
+ * stable const references) safe to read from any thread.
  *
  * Incremental selection refresh reuses three invariants, each pinned
  * by differential tests:
@@ -64,19 +65,19 @@
  *    archive file under a small catalog (serve/archive.hh), and the
  *    builder, feature cache, and interval state are dropped. While
  *    evicted, refresh() and selection() answer from the memo at
- *    near-zero cost; a late dispatch (or a non-memo refresh)
- *    *rehydrates* by re-feeding the archived rows, after which every
+ *    near-zero cost; late rows (or a non-memo refresh) *rehydrate*
+ *    the session by re-feeding the archived rows, after which every
  *    selection is bitwise identical to a never-evicted session's
  *    (the eviction differential tests pin this across budget
  *    thresholds).
  *  - **Warm admission.** A submit() whose recording content hash
- *    already has a replay artifact skips replay scheduling entirely:
- *    the cached rows bulk-append into the new session through
- *    WorkloadSession::addDispatches() using the artifact's
- *    precomputed epoch assignments — one lock, no per-dispatch epoch
- *    walk, no admission slot, no pool hop. Warm submission is an
- *    O(rows) append on the calling thread, which is what the
- *    warm-vs-cold latency gate in bench/service_throughput measures.
+ *    already has a complete replay artifact skips replay scheduling
+ *    entirely: the cached rows bulk-append into the new session
+ *    through WorkloadSession::addDispatches() using the artifact's
+ *    precomputed epoch assignments — one lock, no admission slot, no
+ *    pool hop. Warm submission is an O(rows) append on the calling
+ *    thread, which is what the warm-vs-cold latency gate in
+ *    bench/service_throughput measures.
  *  - **Sharded caches.** The plan, checkpoint (gpu/plan_cache.hh),
  *    and replay-artifact caches are striped by content hash, so
  *    tenants contend per stripe, never on one global mutex; stats
@@ -90,6 +91,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 
 #include "cfl/recorder.hh"
@@ -97,6 +99,7 @@
 #include "core/feature_engine.hh"
 #include "core/interval.hh"
 #include "core/selection.hh"
+#include "core/trace_db.hh"
 #include "gpu/plan_cache.hh"
 #include "ocl/driver.hh"
 #include "sched/thread_pool.hh"
@@ -153,8 +156,7 @@ struct ServiceConfig
      * Resident-session cap: when more than this many sessions hold
      * live builder/feature state, drained sessions are evicted to
      * the archive in LRU order. SIZE_MAX = never evict by count;
-     * 0 = evict every drained session. Defaults from
-     * GT_SERVE_MAX_SESSIONS when the field is left unset.
+     * 0 = evict every drained session.
      */
     size_t maxResidentSessions = SIZE_MAX;
 
@@ -163,44 +165,18 @@ struct ServiceConfig
      * (builders, feature caches, interval/point state — see
      * WorkloadSession::memoryBytes). Exceeding it evicts drained
      * sessions LRU-first until back under. UINT64_MAX = unbounded.
-     * Defaults from GT_SERVE_MAX_BYTES when left unset.
      */
     uint64_t maxResidentBytes = UINT64_MAX;
 
     /** Evict every workload the moment its replay drains (the
      * most aggressive setting; selections stay answerable from the
-     * memo). Defaults from GT_SERVE_EVICT=1. */
+     * memo). */
     bool evictOnDrain = false;
 
     /** Directory for session archives and their catalog. Empty =
      * GT_SERVE_ARCHIVE_DIR, else TMPDIR (or /tmp) +
      * "/gt-serve-<pid>". Created on first eviction. */
     std::string archiveDir;
-};
-
-/**
- * One complete replay outcome, cached across tenants by recording
- * content hash. Immutable once built (const members only through the
- * shared_ptr), so any number of sessions may stream from it
- * concurrently.
- */
-struct ReplayArtifact
-{
-    std::vector<ocl::ApiCallRecord> calls;
-    std::vector<gtpin::DispatchProfile> profiles;
-    std::vector<cfl::KernelTiming> timings;
-
-    /** Precomputed (dispatch seq, sync epoch) assignments of the
-     * call stream, ascending by seq (one entry per profile) — what
-     * lets warm submissions bulk-append without re-running the
-     * per-dispatch epoch walk
-     * (core::TraceDatabase::Builder::assignEpochs). */
-    std::vector<std::pair<uint64_t, uint64_t>> epochs;
-
-    uint64_t dispatchCount() const { return profiles.size(); }
-
-    /** Approximate resident bytes of the cached outcome. */
-    uint64_t memoryBytes() const;
 };
 
 /** Per-session work counters (monotone; see stats()). */
@@ -217,7 +193,7 @@ struct SessionStats
 };
 
 /**
- * Per-(tenant, workload) incremental selection state: a streaming
+ * Per-(tenant, workload) incremental selection state: a
  * TraceDatabase::Builder, the flat feature columns, one
  * IncrementalIntervals per configured scheme, and the memoized
  * refresh artifacts (points, unique index, projection table,
@@ -232,27 +208,19 @@ class WorkloadSession
                     const ServiceConfig &config,
                     sched::ThreadPool &pool);
 
-    /** Advance the sync-epoch walk over one host API call (must be
-     * fed in call order, before the dispatches it precedes). */
-    void observeCall(const ocl::ApiCallRecord &call);
-
-    /** Feed one drained dispatch: joins the builder, lowers the
-     * feature columns, and advances every interval scheme. */
-    void addDispatch(const gtpin::DispatchProfile &profile,
-                     const cfl::KernelTiming &timing);
-
     /**
-     * Bulk-append already-epoch-assigned rows (the warm admission
-     * path): one session lock for the whole batch, and the joined
-     * rows bypass the per-dispatch epoch walk because @p epochs
-     * carries the artifact's precomputed (seq, epoch) assignments
-     * (parallel to @p profiles). Bitwise identical session state to
-     * feeding the same rows through observeCall()/addDispatch().
+     * Feed epoch-assigned rows — profile i, timing i, and epochs[i]
+     * (the (seq, epoch) pair of profile i, see core::assignEpochs) —
+     * in dispatch order: joins the builder, lowers the feature
+     * columns, and advances every interval scheme, under one session
+     * lock for the whole batch. The only feed: the service passes a
+     * whole replay artifact, and any split of the same rows into
+     * consecutive calls yields bitwise identical session state.
      */
     void addDispatches(
-        const std::vector<gtpin::DispatchProfile> &profiles,
-        const std::vector<cfl::KernelTiming> &timings,
-        const std::vector<std::pair<uint64_t, uint64_t>> &epochs);
+        std::span<const gtpin::DispatchProfile> profiles,
+        std::span<const cfl::KernelTiming> timings,
+        std::span<const std::pair<uint64_t, uint64_t>> epochs);
 
     /**
      * Seal this session's joined rows to the named columnar archive
@@ -260,10 +228,9 @@ class WorkloadSession
      * columns, and interval/point state — everything except the
      * memoized selections (refreshed here first, so an evicted
      * session answers refresh()/selection() from the memo without
-     * touching the archive) and the tiny epoch-walk restart state. A
-     * later dispatch rehydrates transparently by re-feeding the
-     * archived rows; selections afterwards are bitwise identical to
-     * a never-evicted session's. Idempotent.
+     * touching the archive). Later rows rehydrate transparently by
+     * re-feeding the archived rows first; selections afterwards are
+     * bitwise identical to a never-evicted session's. Idempotent.
      */
     void evict(const std::string &archive_path);
 
@@ -272,7 +239,7 @@ class WorkloadSession
 
     /**
      * Approximate resident bytes of this session's *reclaimable*
-     * state: the streaming builder (joined records + profile heap),
+     * state: the builder (joined records + profile heap),
      * the lowered feature columns, the projection table, and
      * per-config interval/point/unique-index state. What evict()
      * reclaims; the service's byte-budget eviction and
@@ -334,6 +301,11 @@ class WorkloadSession
 
     void refreshConfig(ConfigState &state);
 
+    /** Join one row into the builder, feature columns and every
+     * interval scheme. Caller holds the mutex. */
+    void feedLocked(const gtpin::DispatchProfile &profile,
+                    double seconds, uint64_t epoch);
+
     /** Re-feed the archived rows into fresh builder/feature/interval
      * state (no-op unless evicted). Caller holds the mutex. */
     void rehydrateLocked();
@@ -381,8 +353,8 @@ struct ServiceFootprint
      * matter how many workloads accumulate. */
     uint64_t sessionBytes = 0;
     /** Residual object bytes of evicted sessions (the session
-     * object, empty column/interval shells, the epoch-walk restart
-     * state — a few KB each, everything heavy is on disk). */
+     * object and empty column/interval shells — a few KB each,
+     * everything heavy is on disk). */
     uint64_t evictedResidueBytes = 0;
     /** Memoized selections, summed over every session. Retained
      * across eviction (selection()/refresh() answer from them), so
@@ -391,7 +363,9 @@ struct ServiceFootprint
     uint64_t memoBytes = 0;
     uint64_t planCacheBytes = 0;       //!< shared execution plans
     uint64_t checkpointCacheBytes = 0; //!< adopted checkpoints
-    uint64_t artifactBytes = 0;        //!< cached replay outcomes
+    /** Replay-artifact cache: complete outcomes, plus the
+     * recordings pending entries hold until their replay ends. */
+    uint64_t artifactBytes = 0;
     /** Decoded-block bytes the calling thread's trace-store cache
      * holds for live stores. */
     uint64_t traceCacheBytes = 0;
@@ -423,17 +397,22 @@ class ProfilingService
     TenantId openTenant(std::string name);
 
     /**
-     * Submit one recorded workload for @p tenant. The replay is
-     * scheduled on the shared pool and streams into the workload's
-     * session as dispatches drain; identical recordings (by content
-     * hash) from any tenant are served from the replay-artifact
-     * cache without re-executing kernels.
+     * Submit one recorded workload for @p tenant. Identical
+     * recordings (by content hash) from any tenant are replayed once:
+     * the first submit copies @p recording into a pending cache entry
+     * and schedules the replay on the shared pool, which publishes a
+     * core::ReplayArtifact, releases the copy, and then feeds the
+     * artifact into this session and every session whose submit
+     * attached meanwhile; a submit after publication bulk-appends the
+     * cached artifact inline. Only a submit that replays copies the
+     * recording.
      */
     WorkloadId submit(TenantId tenant, std::string workload_name,
-                      cfl::Recording recording);
+                      const cfl::Recording &recording);
 
-    /** Wait for every outstanding replay; rethrows the first
-     * failure. */
+    /** Wait for every outstanding replay and feed; rethrows the
+     * first failure. A failed replay leaves no cache entry, so a
+     * later submit of the same recording replays again. */
     void drain();
 
     /** refresh() every session (see WorkloadSession::refresh). */
@@ -467,7 +446,6 @@ class ProfilingService
     {
         TenantId tenant = 0;
         WorkloadId id = 0;
-        cfl::Recording recording;
         std::unique_ptr<WorkloadSession> session;
         /** Replay finished and every row is fed — the precondition
          * for eviction. */
@@ -483,14 +461,13 @@ class ProfilingService
         std::vector<std::unique_ptr<Workload>> workloads;
     };
 
-    void runReplay(Workload &workload);
-    std::shared_ptr<ReplayArtifact> replayStreaming(Workload &workload);
-    static void feedFromArtifact(WorkloadSession &session,
-                                 const ReplayArtifact &artifact);
+    /** Replay the pending entry @p key on the shared pool, publish
+     * the artifact, and feed @p workload plus every attached one. */
+    void runReplay(Workload &workload, uint64_t key);
 
-    std::shared_ptr<const ReplayArtifact> findArtifact(uint64_t key);
-    void insertArtifact(uint64_t key,
-                        std::shared_ptr<const ReplayArtifact> artifact);
+    /** Bulk-append @p artifact into @p workload's session and mark
+     * it drained. */
+    void feed(Workload &workload, const core::ReplayArtifact &artifact);
 
     /** The archive catalog, created (with its directory) on first
      * use. */
@@ -507,13 +484,29 @@ class ProfilingService
     gpu::SharedPlanCache plans;
     gpu::SharedCheckpointCache ckpts;
 
+    /** A workload attached to a pending entry, and the promise
+     * drain() waits on for its feed. */
+    struct Waiter
+    {
+        Workload *workload;
+        std::promise<void> fed;
+    };
+
+    /** One replay-artifact cache entry: pending (artifact null; the
+     * replay reads the recording, identical submits queue as
+     * waiters) until its replay publishes the artifact. */
+    struct ArtifactEntry
+    {
+        std::shared_ptr<const core::ReplayArtifact> artifact;
+        cfl::Recording recording;
+        std::vector<Waiter> waiters;
+    };
+
     /** Replay-artifact cache, striped like the gpu caches. */
     struct ArtifactShard
     {
         mutable std::mutex mu;
-        std::unordered_map<uint64_t,
-                           std::shared_ptr<const ReplayArtifact>>
-            map;
+        std::unordered_map<uint64_t, ArtifactEntry> map;
     };
     std::array<ArtifactShard, gpu::numCacheShards> artifactShards;
     std::atomic<uint64_t> replayCount{0};
@@ -526,6 +519,7 @@ class ProfilingService
 
     mutable std::mutex mutex; //!< tenants + pending futures
     std::vector<std::unique_ptr<Tenant>> tenants;
+    /** Replay tasks and attached feeds drain() waits on. */
     std::vector<std::future<void>> pendingReplays;
 };
 

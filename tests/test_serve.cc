@@ -1,24 +1,25 @@
 /**
  * @file
- * Profiling-service differential tests: the streaming
+ * Profiling-service differential tests: the incremental
  * TraceDatabase::Builder, incremental interval division, incremental
  * feature columns, incremental selection refresh, and the shared
  * content-addressed caches.
  *
  * The service's central contract is "incremental == one-shot,
- * bitwise": a session fed one dispatch at a time and refreshed at
- * any arrival prefix must answer with exactly the database,
+ * bitwise": a session fed epoch-assigned rows in any split and
+ * refreshed at any prefix must answer with exactly the database,
  * intervals, feature vectors, and selections a batch pipeline run
  * over the same prefix produces. These tests pin that equivalence
  * across schemes, feed granularities, refresh cadences, and pool
  * widths, plus the cache-sharing rules ("fully built => const,
- * shareable") under real concurrency — the `service` label puts the
- * whole file under TSan in the tsan preset.
+ * shareable", one replay per recording) under real concurrency — the
+ * `service` label puts the whole file under TSan in the tsan preset.
  */
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <span>
 #include <string>
 #include <thread>
 
@@ -45,6 +46,7 @@ struct Inputs
     std::vector<gtpin::DispatchProfile> profiles;
     std::vector<cfl::KernelTiming> timings;
     std::vector<ocl::ApiCallRecord> calls;
+    core::EpochAssignments epochs; //!< assignEpochs(calls)
 };
 
 /** Deterministic synthetic suite shaped like the profiled apps: a
@@ -98,7 +100,19 @@ makeInputs(uint64_t n, uint64_t seed = 0x5eedf00d)
             in.calls.push_back(sync);
         }
     }
+    in.epochs = core::assignEpochs(in.calls);
     return in;
+}
+
+/** Feed rows [first, last) of @p in through the session's feed. */
+void
+feedRows(WorkloadSession &session, const Inputs &in, size_t first,
+         size_t last)
+{
+    size_t n = last - first;
+    session.addDispatches(std::span(in.profiles).subspan(first, n),
+                          std::span(in.timings).subspan(first, n),
+                          std::span(in.epochs).subspan(first, n));
 }
 
 void
@@ -141,9 +155,9 @@ expectSameSelection(const core::SubsetSelection &got,
     EXPECT_EQ(got.totalInstrs, want.totalInstrs);
 }
 
-/** Feed @p in into @p consume(call) / @p row(d) in API-call order:
- * every call observed, each dispatch delivered right after its
- * Kernel call — the arrival order a draining replay produces. */
+/** Walk @p in in API-call order: @p consume(call) for every call,
+ * @p row(d) right after dispatch d's Kernel call, so a row callback
+ * knows the call-stream prefix issued up to its dispatch. */
 template <typename CallFn, typename RowFn>
 void
 streamInputs(const Inputs &in, CallFn &&consume, RowFn &&row)
@@ -156,7 +170,7 @@ streamInputs(const Inputs &in, CallFn &&consume, RowFn &&row)
 }
 
 // ---------------------------------------------------------------
-// Streaming TraceDatabase::Builder vs. batch build().
+// Incremental TraceDatabase::Builder vs. batch build().
 
 TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
 {
@@ -166,17 +180,16 @@ TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
         TraceDatabase::Builder builder;
         uint64_t calls_seen = 0;
         streamInputs(
-            in,
-            [&](const ocl::ApiCallRecord &c) {
-                builder.observeCall(c);
-                ++calls_seen;
-            },
+            in, [&](const ocl::ApiCallRecord &) { ++calls_seen; },
             [&](uint64_t d) {
-                builder.append(in.profiles[d], in.timings[d]);
+                builder.appendJoined(in.profiles[d],
+                                     in.timings[d].seconds,
+                                     in.epochs[d].second);
                 if ((d + 1) % chunk != 0 && d + 1 != n)
                     return;
-                // Batch-join the same prefix: every call issued so
-                // far, every dispatch drained so far.
+                // Batch-join the same prefix, walking epochs over
+                // only the calls issued so far: the full stream's
+                // assignments must agree on every prefix.
                 TraceDatabase want = TraceDatabase::build(
                     {in.profiles.begin(),
                      in.profiles.begin() + (long)(d + 1)},
@@ -224,12 +237,11 @@ TEST_P(IncrementalIntervalTest, AppendMatchesBatchAtEveryChunk)
         std::vector<Interval> prev;
         size_t prev_completed = 0;
         streamInputs(
-            in,
-            [&](const ocl::ApiCallRecord &c) {
-                builder.observeCall(c);
-            },
+            in, [](const ocl::ApiCallRecord &) {},
             [&](uint64_t d) {
-                builder.append(in.profiles[d], in.timings[d]);
+                builder.appendJoined(in.profiles[d],
+                                     in.timings[d].seconds,
+                                     in.epochs[d].second);
                 inc.append(builder.syncEpoch(d),
                            in.profiles[d].instrs,
                            in.timings[d].seconds);
@@ -375,34 +387,29 @@ TEST(ServeSimpoint, ExtendUniqueIndexMatchesFreshBuild)
 // ---------------------------------------------------------------
 // Incremental selection refresh vs. one-shot selectSubset().
 
-/** Refresh at every @p cadence dispatches and at the end; after each
- * refresh, every configured selection must equal a one-shot batch
- * selection over a database sealed at the same prefix. */
+/** Feed @p cadence dispatches at a time and refresh after each
+ * batch; after each refresh, every configured selection must equal a
+ * one-shot batch selection over a database sealed at the same
+ * prefix. */
 void
 runRefreshCadence(const Inputs &in, uint64_t cadence,
                   sched::ThreadPool &pool)
 {
     ServiceConfig cfg;
     WorkloadSession session("synthetic", cfg, pool);
-    uint64_t fed = 0;
-    streamInputs(
-        in,
-        [&](const ocl::ApiCallRecord &c) { session.observeCall(c); },
-        [&](uint64_t d) {
-            session.addDispatch(in.profiles[d], in.timings[d]);
-            if (++fed % cadence != 0 && d + 1 != in.profiles.size())
-                return;
-            session.refresh();
-            TraceDatabase db = session.sealDatabase();
-            for (size_t c = 0; c < cfg.selections.size(); ++c) {
-                const SelectionConfig &sc = cfg.selections[c];
-                expectSameSelection(
-                    session.selection(c),
-                    core::selectSubset(db, sc.scheme, sc.feature,
-                                       cfg.cluster,
-                                       cfg.targetInstrs));
-            }
-        });
+    const size_t n = in.profiles.size();
+    for (size_t first = 0; first < n; first += cadence) {
+        feedRows(session, in, first, std::min<size_t>(n, first + cadence));
+        session.refresh();
+        TraceDatabase db = session.sealDatabase();
+        for (size_t c = 0; c < cfg.selections.size(); ++c) {
+            const SelectionConfig &sc = cfg.selections[c];
+            expectSameSelection(
+                session.selection(c),
+                core::selectSubset(db, sc.scheme, sc.feature,
+                                   cfg.cluster, cfg.targetInstrs));
+        }
+    }
     SessionStats stats = session.stats();
     EXPECT_EQ(stats.dispatches, in.profiles.size());
     EXPECT_GT(stats.reclustered, 0u);
@@ -424,14 +431,7 @@ TEST(ServeSession, RefreshIsPoolWidthInvariant)
     for (unsigned width : {1u, 4u}) {
         sched::ThreadPool pool(width);
         WorkloadSession session("synthetic", cfg, pool);
-        streamInputs(in,
-                     [&](const ocl::ApiCallRecord &c) {
-                         session.observeCall(c);
-                     },
-                     [&](uint64_t d) {
-                         session.addDispatch(in.profiles[d],
-                                             in.timings[d]);
-                     });
+        feedRows(session, in, 0, in.profiles.size());
         session.refresh();
         for (size_t c = 0; c < cfg.selections.size(); ++c) {
             if (width == 1)
@@ -448,14 +448,7 @@ TEST(ServeSession, MemoizedRefreshSkipsUnchangedConfigs)
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
     WorkloadSession session("synthetic", cfg, pool);
-    streamInputs(in,
-                 [&](const ocl::ApiCallRecord &c) {
-                     session.observeCall(c);
-                 },
-                 [&](uint64_t d) {
-                     session.addDispatch(in.profiles[d],
-                                         in.timings[d]);
-                 });
+    feedRows(session, in, 0, in.profiles.size());
     session.refresh();
     SessionStats after_first = session.stats();
     EXPECT_EQ(after_first.reclustered, cfg.selections.size());
@@ -554,11 +547,21 @@ TEST(ServeService, ConcurrentTenantsAgreeBitwise)
     service.drain();
     service.refreshAll();
 
+    // Single flight: one replay, every other submit attached to it
+    // or hit the published artifact.
     ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.replays + stats.artifactHits, (uint64_t)tenants);
-    EXPECT_GE(stats.artifactHits, 1u);
+    EXPECT_EQ(stats.replays, 1u);
+    EXPECT_EQ(stats.artifactHits, (uint64_t)tenants - 1);
 
     WorkloadSession &first = service.session(ids[0], 0);
+    TraceDatabase db = first.sealDatabase();
+    for (size_t c = 0; c < cfg.selections.size(); ++c) {
+        const SelectionConfig &sc = cfg.selections[c];
+        expectSameSelection(first.selection(c),
+                            core::selectSubset(db, sc.scheme, sc.feature,
+                                               cfg.cluster,
+                                               cfg.targetInstrs));
+    }
     for (unsigned t = 1; t < tenants; ++t) {
         WorkloadSession &other = service.session(ids[t], 0);
         EXPECT_EQ(other.numDispatches(), first.numDispatches());
@@ -566,6 +569,42 @@ TEST(ServeService, ConcurrentTenantsAgreeBitwise)
             expectSameSelection(other.selection(c),
                                 first.selection(c));
     }
+}
+
+TEST(ServeService, FailedReplayLeavesNoEntry)
+{
+    // The recording replays in full, then its last call fails
+    // cfl::replay's argument check, so a concurrent identical submit
+    // has time to attach to the pending entry.
+    cfl::Recording bad = gaussianApp().recording;
+    ocl::ApiCallRecord truncated;
+    truncated.id = ocl::ApiCallId::ReleaseKernel;
+    bad.calls.push_back(truncated);
+
+    sched::ThreadPool pool(4);
+    ServiceConfig cfg;
+    cfg.pool = &pool;
+    ProfilingService service(cfg);
+    auto tenant = service.openTenant("t0");
+    std::vector<std::thread> submitters;
+    for (int i = 0; i < 2; ++i) {
+        submitters.emplace_back(
+            [&] { service.submit(tenant, "bad", bad); });
+    }
+    for (std::thread &t : submitters)
+        t.join();
+    EXPECT_THROW(service.drain(), FatalError);
+    ServiceStats stats = service.stats();
+    EXPECT_GE(stats.replays, 1u);
+    EXPECT_EQ(stats.replays + stats.artifactHits, 2u);
+
+    // No entry was left behind: a third submit replays again.
+    service.submit(tenant, "bad", bad);
+    EXPECT_THROW(service.drain(), FatalError);
+    EXPECT_EQ(service.stats().replays, stats.replays + 1);
+    EXPECT_EQ(service.memoryFootprint().artifactBytes, 0u);
+    for (ProfilingService::WorkloadId w = 0; w < 3; ++w)
+        EXPECT_EQ(service.session(tenant, w).numDispatches(), 0u);
 }
 
 // ---------------------------------------------------------------
@@ -661,36 +700,30 @@ evictDir(const std::string &tag)
 TEST(ServeEviction, EvictRehydrateMatchesNeverEvicted)
 {
     // 250 = three evictions at 80/160/240, each followed by late
-    // dispatches that force a rehydrate mid-stream.
-    Inputs in = makeInputs(250);
+    // rows that force a rehydrate mid-stream. The session is fed one
+    // row at a time; the never-evicted oracle takes every row in one
+    // bulk feed, as the service feeds a replay artifact.
+    const size_t n = 250;
+    Inputs in = makeInputs(n);
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
     WorkloadSession session("synthetic", cfg, pool);
     WorkloadSession oracle("synthetic", cfg, pool);
+    feedRows(oracle, in, 0, n);
     SessionArchive archive(evictDir("rehydrate"));
     std::string path = archive.pathFor(0, 0, "synthetic");
 
-    uint64_t fed = 0;
-    uint64_t resident_before_evict = 0;
-    streamInputs(
-        in,
-        [&](const ocl::ApiCallRecord &c) {
-            session.observeCall(c);
-            oracle.observeCall(c);
-        },
-        [&](uint64_t d) {
-            session.addDispatch(in.profiles[d], in.timings[d]);
-            oracle.addDispatch(in.profiles[d], in.timings[d]);
-            if (++fed % 80 != 0)
-                return;
-            resident_before_evict = session.memoryBytes();
-            session.evict(path);
-            archive.record("synthetic", path, fed);
-            EXPECT_TRUE(session.isEvicted());
-            // Eviction reclaims the builder/feature/interval state.
-            EXPECT_LT(session.memoryBytes(),
-                      resident_before_evict / 4);
-        });
+    for (size_t d = 0; d < n; ++d) {
+        feedRows(session, in, d, d + 1);
+        if ((d + 1) % 80 != 0)
+            continue;
+        uint64_t resident_before_evict = session.memoryBytes();
+        session.evict(path);
+        archive.record("synthetic", path, d + 1);
+        EXPECT_TRUE(session.isEvicted());
+        // Eviction reclaims the builder/feature/interval state.
+        EXPECT_LT(session.memoryBytes(), resident_before_evict / 4);
+    }
 
     // The late dispatches after the last eviction rehydrated.
     EXPECT_FALSE(session.isEvicted());
@@ -721,14 +754,7 @@ TEST(ServeEviction, EvictedSessionAnswersFromMemo)
     sched::ThreadPool pool(1);
     ServiceConfig cfg;
     WorkloadSession session("synthetic", cfg, pool);
-    streamInputs(in,
-                 [&](const ocl::ApiCallRecord &c) {
-                     session.observeCall(c);
-                 },
-                 [&](uint64_t d) {
-                     session.addDispatch(in.profiles[d],
-                                         in.timings[d]);
-                 });
+    feedRows(session, in, 0, in.profiles.size());
     session.refresh();
     std::vector<core::SubsetSelection> before;
     for (size_t c = 0; c < cfg.selections.size(); ++c)
@@ -851,7 +877,8 @@ TEST(ServeEviction, ConcurrentSubmitWhileEvicting)
 
     ServiceStats stats = service.stats();
     EXPECT_EQ(stats.workloads, threads * 2u);
-    EXPECT_EQ(stats.replays + stats.artifactHits, threads * 2u);
+    EXPECT_EQ(stats.replays, 1u);
+    EXPECT_EQ(stats.artifactHits, threads * 2u - 1);
     EXPECT_GT(stats.sessions.evictions, 0u);
 
     WorkloadSession &first = service.session(ids[0], 0);
@@ -897,8 +924,8 @@ TEST(ServeEviction, FootprintStaysBoundedUnderByteBudget)
 
     // A ~1.5-session budget: resident session bytes stay bounded no
     // matter how many workloads accumulate (evicted sessions keep
-    // only their tiny memo/walk residue, allow one session of
-    // slack for it and the in-flight feed).
+    // only their tiny memo residue, allow one session of slack for
+    // it and the in-flight feed).
     ServiceConfig cfg;
     cfg.maxResidentBytes = one_session + one_session / 2;
     cfg.archiveDir = evictDir("budget");
