@@ -242,7 +242,7 @@ main(int argc, char **argv)
                  "legacy): "
               << fixed(geomean.value(), 1) << "x\n";
 
-    bench::BenchReport report("BENCH_detailed.json");
+    bench::BenchReport report("BENCH_detailed.json", smoke);
     for (const Row &r : rows) {
         report.addRow()
             .field("app", r.app)

@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "common/logging.hh"
 
@@ -133,9 +134,14 @@ render(T value)
 
 } // anonymous namespace
 
-BenchReport::BenchReport(std::string file_name)
+BenchReport::BenchReport(std::string file_name, bool smoke)
     : file(std::move(file_name))
 {
+    if (smoke)
+        file = file.substr(0, file.rfind(".json")) + ".smoke.json";
+    scalars.emplace_back("mode", smoke ? "\"smoke\"" : "\"full\"");
+    scalars.emplace_back("nproc",
+                         render(std::thread::hardware_concurrency()));
 }
 
 void

@@ -111,8 +111,15 @@ class CaptureReporter : public benchmark::ConsoleReporter
 class BenchReport
 {
   public:
-    /** @param file_name e.g. "BENCH_gang.json" (cwd-relative). */
-    explicit BenchReport(std::string file_name);
+    /**
+     * @param file_name e.g. "BENCH_gang.json" (cwd-relative).
+     * @param smoke whether this is a --smoke run: finish() then
+     *        writes "<stem>.smoke.json" instead, so a smoke run never
+     *        overwrites the committed full-run file. Every report
+     *        records its "mode" ("full" or "smoke") and the host's
+     *        "nproc".
+     */
+    explicit BenchReport(std::string file_name, bool smoke = false);
 
     /** One object in the "benchmarks" array. */
     class Row

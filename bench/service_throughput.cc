@@ -25,7 +25,7 @@
  * scales) and last tenants' selections with a one-shot
  * selectSubset() over a sealed database and asserts bitwise identity
  * — and a pool-width sweep at widths {1, 4} repeats the oracle check
- * for evicted-on-drain services plus a direct evict-mid-stream /
+ * for zero-byte-budget services plus a direct evict-mid-stream /
  * rehydrate session, pinning the service's central contract in the
  * same binary that reports its speed.
  *
@@ -33,7 +33,8 @@
  *
  * Pass --smoke for the {1,64}-tenant CI variant (the 256-tenant
  * point and the 16-tenant curve fill are skipped; every gate is
- * kept). Results land in BENCH_service.json.
+ * kept). Results land in BENCH_service.json, or in
+ * BENCH_service.smoke.json under --smoke.
  */
 
 #include <chrono>
@@ -256,8 +257,9 @@ runScale(unsigned tenant_count,
  * Selection determinism across pool widths, covering the evicted
  * and rehydrated lifecycles the scale runs only sample:
  *
- *  - an evict-on-drain service (every session answers from a memo
- *    sealed at eviction, databases reopen from the archive);
+ *  - a zero-byte-budget service, which evicts every session as it
+ *    drains (every session answers from a memo sealed at eviction,
+ *    databases reopen from the archive);
  *  - a direct session evicted mid-stream whose tail rows force a
  *    rehydrate before the final refresh.
  *
@@ -275,7 +277,7 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
         sched::ThreadPool pool(width);
         serve::ServiceConfig cfg;
         cfg.pool = &pool;
-        cfg.evictOnDrain = true;
+        cfg.maxResidentBytes = 0;
         cfg.archiveDir =
             benchArchiveDir("w" + std::to_string(width));
 
@@ -288,7 +290,7 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
             service.refreshAll();
             GT_ASSERT(service.stats().sessions.evictions ==
                           recordings.size(),
-                      "evict-on-drain sweep left sessions resident");
+                      "zero-budget sweep left sessions resident");
 
             std::vector<core::SubsetSelection> sels;
             for (size_t w = 0; w < recordings.size(); ++w) {
@@ -451,7 +453,7 @@ main(int argc, char **argv)
             resident_bounded = false;
     }
 
-    bench::BenchReport report("BENCH_service.json");
+    bench::BenchReport report("BENCH_service.json", smoke);
     for (const ScaleResult &r : results) {
         report.addRow()
             .field("tenants", (uint64_t)r.tenants)

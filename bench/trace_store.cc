@@ -234,7 +234,7 @@ main(int argc, char **argv)
               << "build: mem " << fixed(mem_build_s, 3)
               << " s, columnar " << fixed(col_build_s, 3) << " s\n";
 
-    bench::BenchReport report("BENCH_tracedb.json");
+    bench::BenchReport report("BENCH_tracedb.json", smoke);
     report.scalar("dispatches", n);
     report.scalar("mem_resident_bytes", fm.residentBytes);
     report.scalar("columnar_resident_bytes", fc.residentBytes);

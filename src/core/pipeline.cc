@@ -10,11 +10,10 @@ namespace gt::core
 InstrumentedStack::InstrumentedStack(const gpu::DeviceConfig &device,
                                      const gpu::TrialConfig &trial,
                                      bool record,
-                                     gpu::SharedPlanCache *plans,
-                                     gpu::SharedCheckpointCache *ckpts)
+                                     gpu::SharedPlanCache *plans)
     : driver(device, jit, trial), runtime(driver)
 {
-    driver.setSharedCaches(plans, ckpts);
+    driver.executor().setSharedPlanCache(plans);
     pin.addTool(&profileTool);
     pin.addTool(&bbTool);
     pin.addTool(&mixTool);

@@ -76,15 +76,15 @@ struct ProfiledApp
  * Instrumentation load shifts kernels' relative SPI, so only replays
  * carrying exactly the profiling run's tools validate its selections
  * without bias; a same-trial replay is bitwise equal to the profile.
- * The shared caches may be null and must outlive the stack. Members
- * are in construction order, so GtPin detaches before the driver dies.
+ * The shared plan cache may be null and must outlive the stack.
+ * Members are in construction order, so GtPin detaches before the
+ * driver dies.
  */
 struct InstrumentedStack
 {
     InstrumentedStack(const gpu::DeviceConfig &device,
                       const gpu::TrialConfig &trial, bool record = false,
-                      gpu::SharedPlanCache *plans = nullptr,
-                      gpu::SharedCheckpointCache *ckpts = nullptr);
+                      gpu::SharedPlanCache *plans = nullptr);
 
     /** The run's outcome so far: moves the profiles, call stream
      * and timings out and walks the epochs once. */

@@ -29,31 +29,13 @@ CheckpointStore::get(Executor &exec, const Dispatch &dispatch,
 
     auto it = table.find(key);
     if (it != table.end()) {
-        hitCount.fetch_add(1, std::memory_order_relaxed);
+        ++hitCount;
         return it->second;
     }
-    buildCount.fetch_add(1, std::memory_order_relaxed);
+    ++buildCount;
     return table
         .emplace(key, exec.checkpoint(dispatch, trace_cap))
         .first->second;
-}
-
-const DetailedCheckpoint *
-CheckpointStore::findWarm(const Dispatch &dispatch, uint32_t kernel_id,
-                          uint64_t trace_cap) const
-{
-    Key key;
-    key.kernel = kernel_id;
-    key.globalSize = dispatch.globalSize;
-    key.simdWidth = dispatch.simdWidth;
-    key.argsHash = dispatchArgsHash(dispatch.args);
-    key.traceCap = trace_cap;
-
-    auto it = table.find(key);
-    if (it == table.end())
-        return nullptr;
-    hitCount.fetch_add(1, std::memory_order_relaxed);
-    return &it->second;
 }
 
 } // namespace gt::gpu

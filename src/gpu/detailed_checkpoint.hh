@@ -19,21 +19,15 @@
  * (kernel id, ND-range, SIMD width, argument hash) that the driver
  * exposes (GpuDriver::checkpoint) so figure benches and the
  * DetailedValidator share one functional pre-pass per distinct
- * dispatch. Its thread-safety contract is the "fully built ⇒ const,
- * shareable" rule: get() builds through the (stateful) executor and
- * must run single-threaded — callers populate the store from one
- * thread — but once a checkpoint is in the table it is never
- * mutated, so the warm store is safely shared. findWarm() is the
- * concurrent read path (const, no executor, no insertion) the
- * machine layer's parallel fan-out and the profiling service use
- * after warm-up; the hit/build counters are atomic so stats stay
- * exact when warm lookups race.
+ * dispatch. get() builds through the (stateful) executor, so the
+ * store belongs to one driver and is used from one thread at a time;
+ * callers populate it before fanning replay cells out, and the
+ * checkpoints it hands out are never mutated afterwards.
  */
 
 #ifndef GT_GPU_DETAILED_CHECKPOINT_HH
 #define GT_GPU_DETAILED_CHECKPOINT_HH
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -91,34 +85,14 @@ class CheckpointStore
                                   uint32_t kernel_id,
                                   uint64_t trace_cap = 4'000'000);
 
-    /**
-     * Concurrent read path: the memoized checkpoint for the dispatch
-     * identity, or null if it has not been built. Never builds and
-     * never mutates the table, so any number of threads may call it
-     * while no thread is inside get() — the contract the service's
-     * TSan tests pin down.
-     */
-    const DetailedCheckpoint *findWarm(const Dispatch &dispatch,
-                                       uint32_t kernel_id,
-                                       uint64_t trace_cap =
-                                           4'000'000) const;
-
     /** Distinct checkpoints built so far. */
     size_t size() const { return table.size(); }
 
     /** Functional pre-passes actually executed. */
-    uint64_t
-    builds() const
-    {
-        return buildCount.load(std::memory_order_relaxed);
-    }
+    uint64_t builds() const { return buildCount; }
 
     /** Requests served from the memo table. */
-    uint64_t
-    hits() const
-    {
-        return hitCount.load(std::memory_order_relaxed);
-    }
+    uint64_t hits() const { return hitCount; }
 
     void clear() { table.clear(); }
 
@@ -147,8 +121,8 @@ class CheckpointStore
     };
 
     std::map<Key, DetailedCheckpoint> table;
-    std::atomic<uint64_t> buildCount{0};
-    mutable std::atomic<uint64_t> hitCount{0};
+    uint64_t buildCount = 0;
+    uint64_t hitCount = 0;
 };
 
 /** FNV-1a over argument words (the KN-ARGS identity). */

@@ -11,8 +11,9 @@
  * exposes those same two hook points through DriverObserver.
  *
  * The driver owns the device: its memory, its functional executor,
- * its trace buffer, and the timing model that stands in for the
- * silicon's clock.
+ * its trace buffer, its checkpoint store, and the timing model that
+ * stands in for the silicon's clock. The one thing drivers share is
+ * an optional gpu::SharedPlanCache, attached through executor().
  */
 
 #ifndef GT_OCL_DRIVER_HH
@@ -129,17 +130,6 @@ class GpuDriver
     /** The checkpoint memo table (hit/build stats, clearing). */
     gpu::CheckpointStore &checkpoints() { return ckpts; }
 
-    /**
-     * Attach cross-driver caches (either may be null). The plan
-     * cache is forwarded to the executor, which adopts published
-     * execution plans by binary content hash; the checkpoint cache
-     * is consulted by checkpoint() before the local store, so
-     * tenants sharing kernels pay one functional pre-pass between
-     * them. Both caches must outlive the driver.
-     */
-    void setSharedCaches(gpu::SharedPlanCache *plan_cache,
-                         gpu::SharedCheckpointCache *ckpt_cache);
-
     /** Functional execution mode (Fast by default). */
     void setExecMode(gpu::Executor::Mode mode) { execMode = mode; }
 
@@ -182,7 +172,6 @@ class GpuDriver
     gpu::Executor::Mode execMode = gpu::Executor::Mode::Fast;
     gpu::MemBatchFn memBatch;
     gpu::CheckpointStore ckpts;
-    gpu::SharedCheckpointCache *sharedCkpts = nullptr;
     std::vector<KernelEntry> kernels;
     uint64_t nextSeq = 0;
     double busySeconds = 0.0;

@@ -237,87 +237,4 @@ ThreadPool::global()
     return pool;
 }
 
-namespace
-{
-
-/** Admission slots the current thread holds, per handle. A flat
- * vector because a thread holds slots of at most a couple of handles
- * at a time. */
-struct HeldSlot
-{
-    const PoolHandle *handle;
-    unsigned depth;
-};
-
-thread_local std::vector<HeldSlot> heldSlots;
-
-void
-noteAcquired(const PoolHandle *handle)
-{
-    for (HeldSlot &held : heldSlots) {
-        if (held.handle == handle) {
-            ++held.depth;
-            return;
-        }
-    }
-    heldSlots.push_back({handle, 1});
-}
-
-void
-noteReleased(const PoolHandle *handle)
-{
-    for (size_t i = 0; i < heldSlots.size(); ++i) {
-        if (heldSlots[i].handle != handle)
-            continue;
-        if (--heldSlots[i].depth == 0) {
-            heldSlots[i] = heldSlots.back();
-            heldSlots.pop_back();
-        }
-        return;
-    }
-}
-
-bool
-threadHoldsSlot(const PoolHandle *handle)
-{
-    for (const HeldSlot &held : heldSlots) {
-        if (held.handle == handle)
-            return true;
-    }
-    return false;
-}
-
-} // anonymous namespace
-
-PoolHandle::Slot
-PoolHandle::acquire()
-{
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        freed.wait(lock, [this] { return running < cap; });
-        ++running;
-    }
-    noteAcquired(this);
-    return Slot(this);
-}
-
-PoolHandle::Slot
-PoolHandle::acquireReentrant()
-{
-    if (threadHoldsSlot(this))
-        return Slot(nullptr);
-    return acquire();
-}
-
-void
-PoolHandle::release()
-{
-    noteReleased(this);
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        --running;
-    }
-    freed.notify_one();
-}
-
 } // namespace gt::sched

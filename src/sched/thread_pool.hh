@@ -32,6 +32,13 @@
  * submissions land in a shared injector queue, and an idle worker
  * that finds both empty steals FIFO from a sibling. stealCount()
  * exposes the steal counter for tests.
+ *
+ * Layers that run many independent jobs (the profiling service's
+ * replays) thread one shared pool through their options instead of
+ * sizing pools of their own. That alone bounds oversubscription:
+ * pool tasks run only on the pool's workers, and a blocking loop's
+ * caller claims chunks of its own loop only, so no admission cap is
+ * layered on top.
  */
 
 #ifndef GT_SCHED_THREAD_POOL_HH
@@ -182,98 +189,6 @@ class ThreadPool
     std::atomic<bool> stopping{false};
     std::atomic<uint64_t> steals{0};
     std::atomic<uint64_t> pendingTasks{0};
-};
-
-/**
- * Non-owning view of a shared pool with a width cap: the
- * oversubscription guard for layers that replay many independent
- * jobs concurrently (the profiling service's tenants). Without it,
- * each job is tempted to size its own pool from GT_THREADS, so N
- * jobs stack N x GT_THREADS runnable threads on the same cores; with
- * it, every job threads the *same* pool through its options (nested
- * parallelFor work executes cooperatively there) and the handle
- * admits at most width() top-level jobs at a time via RAII slots.
- *
- * Admission order does not affect results: everything a job computes
- * is deterministic for any schedule (see the pool's determinism
- * contract), so the cap changes wall clock and footprint only.
- */
-class PoolHandle
-{
-  public:
-    /** @param width top-level job cap; 0 = the pool's thread count. */
-    explicit PoolHandle(ThreadPool &shared_pool, unsigned width = 0)
-        : target(shared_pool),
-          cap(width ? width : shared_pool.threadCount())
-    {
-    }
-
-    PoolHandle(const PoolHandle &) = delete;
-    PoolHandle &operator=(const PoolHandle &) = delete;
-
-    /** The shared pool every admitted job must run its work on. */
-    ThreadPool &pool() const { return target; }
-
-    /** Maximum concurrently admitted jobs. */
-    unsigned width() const { return cap; }
-
-    /** Jobs currently admitted (for tests and stats). */
-    unsigned
-    active() const
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        return running;
-    }
-
-    /** An admission slot; holding one is the license to run a job. */
-    class Slot
-    {
-      public:
-        Slot(Slot &&other) noexcept : owner(other.owner)
-        {
-            other.owner = nullptr;
-        }
-
-        Slot(const Slot &) = delete;
-        Slot &operator=(const Slot &) = delete;
-        Slot &operator=(Slot &&) = delete;
-
-        ~Slot()
-        {
-            if (owner)
-                owner->release();
-        }
-
-      private:
-        friend class PoolHandle;
-        explicit Slot(PoolHandle *handle) : owner(handle) {}
-        PoolHandle *owner;
-    };
-
-    /** Block until a slot is free, then take it. */
-    Slot acquire();
-
-    /**
-     * Like acquire(), but if the *calling thread* already holds one
-     * of this handle's slots, return an empty slot immediately
-     * instead of blocking. This is how work that can start either
-     * standalone or from inside an admitted job (the service's
-     * session rehydration) throttles the standalone case without
-     * deadlocking the nested one — a thread waiting on its own
-     * admission would wait forever at width 1. Slots taken through
-     * either entry point must be released on the acquiring thread
-     * (they are RAII locals in practice).
-     */
-    Slot acquireReentrant();
-
-  private:
-    void release();
-
-    ThreadPool &target;
-    unsigned cap;
-    mutable std::mutex mutex;
-    std::condition_variable freed;
-    unsigned running = 0;
 };
 
 } // namespace gt::sched

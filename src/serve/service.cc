@@ -331,7 +331,7 @@ WorkloadSession::stats() const
 ProfilingService::ProfilingService(ServiceConfig config)
     : cfg(resolveConfig(std::move(config))),
       pool(cfg.pool ? *cfg.pool : sched::ThreadPool::global()),
-      admission(pool, cfg.replayWidth), plans(cfg.device),
+      plans(cfg.device),
       archiveRoot(cfg.archiveDir)
 {
 }
@@ -391,27 +391,28 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
     std::future<void> done;
     bool replay = false;
     {
-        ArtifactShard &shard = artifactShards[gpu::cacheShardOf(key)];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto [it, inserted] = shard.map.try_emplace(key);
+        std::lock_guard<std::mutex> lock(artifacts.mu);
+        auto [it, inserted] = artifacts.map.try_emplace(key);
         ArtifactEntry &entry = it->second;
         if (inserted) {
             entry.recording = recording;
             replay = true;
-        } else if (entry.artifact) {
-            artifact = entry.artifact;
+            ++artifacts.replays;
         } else {
-            entry.waiters.push_back({wl, {}});
-            done = entry.waiters.back().fed.get_future();
+            ++artifacts.hits;
+            if (entry.artifact) {
+                artifact = entry.artifact;
+            } else {
+                entry.waiters.push_back({wl, {}});
+                done = entry.waiters.back().fed.get_future();
+            }
         }
     }
 
     if (artifact) {
-        // The warm admission fast path: no replay, no admission
-        // slot, and no pool hop — the cached rows bulk-append on the
-        // calling thread, so warm submission cost is O(rows) and
-        // independent of replay cost.
-        artifactHitCount.fetch_add(1, std::memory_order_relaxed);
+        // The warm admission fast path: no replay and no pool hop —
+        // the cached rows bulk-append on the calling thread, so warm
+        // submission cost is O(rows) and independent of replay cost.
         feed(*wl, *artifact);
         return id;
     }
@@ -419,8 +420,6 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
         // Schedule outside every lock: on a 1-thread pool submit()
         // runs the replay inline.
         done = pool.submit([this, wl, key] { runReplay(*wl, key); });
-    } else {
-        artifactHitCount.fetch_add(1, std::memory_order_relaxed);
     }
     std::lock_guard<std::mutex> lock(mutex);
     pendingReplays.push_back(std::move(done));
@@ -499,36 +498,30 @@ ProfilingService::stats() const
             }
         }
     }
-    st.replays = replayCount.load();
-    st.artifactHits = artifactHitCount.load();
+    {
+        std::lock_guard<std::mutex> lock(artifacts.mu);
+        st.replays = artifacts.replays;
+        st.artifactHits = artifacts.hits;
+    }
     st.planCache = plans.stats();
-    st.checkpointCache = ckpts.stats();
     return st;
 }
 
 void
 ProfilingService::runReplay(Workload &workload, uint64_t key)
 {
-    ArtifactShard &shard = artifactShards[gpu::cacheShardOf(key)];
     ArtifactEntry *entry = nullptr;
     {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        entry = &shard.map.at(key);
+        std::lock_guard<std::mutex> lock(artifacts.mu);
+        entry = &artifacts.map.at(key);
     }
     std::shared_ptr<const core::ReplayArtifact> artifact;
     std::vector<Waiter> waiters;
     try {
-        // The oversubscription guard: every replay runs on the one
-        // shared pool, and at most admission.width() run
-        // concurrently. Re-entrant: a replay submitted from inside
-        // an already-admitted task (inline execution on a 1-thread
-        // pool) must not wait on its own slot.
-        sched::PoolHandle::Slot slot = admission.acquireReentrant();
-        replayCount.fetch_add(1, std::memory_order_relaxed);
         core::InstrumentedStack stack(cfg.device, cfg.trial,
-                                      /*record=*/false, &plans, &ckpts);
+                                      /*record=*/false, &plans);
         // Only this task writes a pending entry's recording, so it
-        // reads it without the shard lock.
+        // reads it without the cache lock.
         cfl::replay(entry->recording, stack.runtime);
         artifact = std::make_shared<const core::ReplayArtifact>(
             stack.takeArtifact());
@@ -536,17 +529,17 @@ ProfilingService::runReplay(Workload &workload, uint64_t key)
         // Leave no entry behind, so a later submit replays again;
         // every attached submitter sees this failure from drain().
         {
-            std::lock_guard<std::mutex> lock(shard.mu);
+            std::lock_guard<std::mutex> lock(artifacts.mu);
             waiters = std::move(entry->waiters);
-            shard.map.erase(key);
+            artifacts.map.erase(key);
         }
         for (Waiter &w : waiters)
             w.fed.set_exception(std::current_exception());
         throw;
     }
     {
-        cfl::Recording replayed; // freed outside the shard lock
-        std::lock_guard<std::mutex> lock(shard.mu);
+        cfl::Recording replayed; // freed outside the cache lock
+        std::lock_guard<std::mutex> lock(artifacts.mu);
         entry->artifact = artifact;
         replayed = std::move(entry->recording);
         waiters = std::move(entry->waiters);
@@ -582,8 +575,7 @@ ProfilingService::archiveCatalog()
 void
 ProfilingService::enforceBudget()
 {
-    if (cfg.maxResidentSessions == SIZE_MAX &&
-        cfg.maxResidentBytes == UINT64_MAX && !cfg.evictOnDrain)
+    if (cfg.maxResidentBytes == UINT64_MAX)
         return;
 
     // Snapshot resident state under the service lock; the sessions
@@ -597,7 +589,7 @@ ProfilingService::enforceBudget()
     };
     std::vector<Candidate> evictable;
     uint64_t residentBytes = 0;
-    size_t residentCount = 0;
+    size_t residentCount = 0; // for the log line only
     {
         std::lock_guard<std::mutex> lock(mutex);
         for (const auto &t : tenants) {
@@ -622,9 +614,7 @@ ProfilingService::enforceBudget()
               });
 
     for (const Candidate &cand : evictable) {
-        bool over = residentCount > cfg.maxResidentSessions ||
-                    residentBytes > cfg.maxResidentBytes;
-        if (!cfg.evictOnDrain && !over)
+        if (residentBytes <= cfg.maxResidentBytes)
             break;
         Workload &wl = *cand.workload;
         SessionArchive &catalog = archiveCatalog();
@@ -662,10 +652,9 @@ ProfilingService::memoryFootprint() const
         }
     }
     fp.planCacheBytes = plans.memoryBytes();
-    fp.checkpointCacheBytes = ckpts.memoryBytes();
-    for (const ArtifactShard &shard : artifactShards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto &[key, entry] : shard.map) {
+    {
+        std::lock_guard<std::mutex> lock(artifacts.mu);
+        for (const auto &[key, entry] : artifacts.map) {
             (void)key;
             if (entry.artifact)
                 fp.artifactBytes += entry.artifact->memoryBytes();
@@ -676,8 +665,7 @@ ProfilingService::memoryFootprint() const
     fp.traceCacheBytes = core::trace_store::threadCacheResidentBytes();
     fp.totalBytes = fp.sessionBytes + fp.evictedResidueBytes +
                     fp.memoBytes + fp.planCacheBytes +
-                    fp.checkpointCacheBytes + fp.artifactBytes +
-                    fp.traceCacheBytes;
+                    fp.artifactBytes + fp.traceCacheBytes;
     return fp;
 }
 

@@ -19,8 +19,6 @@
  *  - gpu::SharedPlanCache — kernel execution plans (decoded uop
  *    programs, block cycle tables, gang verdicts) keyed on
  *    isa::contentHash, shared by every tenant driver;
- *  - gpu::SharedCheckpointCache — detailed-mode warm checkpoints
- *    keyed on (binary hash, dispatch shape);
  *  - the replay-artifact cache here — core::ReplayArtifact outcomes
  *    (call stream, dispatch profiles, timings, epochs) keyed on
  *    cfl::recordingContentHash. The cache is single-flight: an entry
@@ -53,14 +51,17 @@
  * dispatches since the last refresh; untouched configurations are
  * answered from the memoized selection.
  *
- * At hundreds of tenants the remaining scaling hazards are resident
- * session state (every drained workload used to keep its joined
- * records, feature columns, and interval state in memory forever)
- * and global cache mutexes. Three mechanisms close them:
+ * Both caches are sized to the service's traffic — one submitting
+ * thread plus the pool's workers — so each is one mutex over one
+ * map, with exact counters; replays need no admission cap of their
+ * own, because they run on the one shared pool (see
+ * sched/thread_pool.hh).
  *
- *  - **Session eviction.** When a workload drains — or the
- *    configured resident-session / resident-byte budget is exceeded
- *    (LRU order) — its session is *evicted*: selections are
+ * Two mechanisms keep a long-running service small and fast:
+ *
+ *  - **Session eviction.** A drained workload's session is
+ *    *evicted* (LRU order) while resident session bytes exceed the
+ *    one budget, ServiceConfig::maxResidentBytes: selections are
  *    memoized, the joined rows are written to a named columnar
  *    archive file under a small catalog (serve/archive.hh), and the
  *    builder, feature cache, and interval state are dropped. While
@@ -68,26 +69,20 @@
  *    near-zero cost; late rows (or a non-memo refresh) *rehydrate*
  *    the session by re-feeding the archived rows, after which every
  *    selection is bitwise identical to a never-evicted session's
- *    (the eviction differential tests pin this across budget
- *    thresholds).
+ *    (the eviction differential tests pin this across budgets).
  *  - **Warm admission.** A submit() whose recording content hash
  *    already has a complete replay artifact skips replay scheduling
  *    entirely: the cached rows bulk-append into the new session
  *    through WorkloadSession::addDispatches() using the artifact's
- *    precomputed epoch assignments — one lock, no admission slot, no
- *    pool hop. Warm submission is an O(rows) append on the calling
- *    thread, which is what the warm-vs-cold latency gate in
- *    bench/service_throughput measures.
- *  - **Sharded caches.** The plan, checkpoint (gpu/plan_cache.hh),
- *    and replay-artifact caches are striped by content hash, so
- *    tenants contend per stripe, never on one global mutex; stats
- *    remain exact.
+ *    precomputed epoch assignments — one lock, no pool hop. Warm
+ *    submission is an O(rows) append on the calling thread, which is
+ *    what the warm-vs-cold latency gate in bench/service_throughput
+ *    measures.
  */
 
 #ifndef GT_SERVE_SERVICE_HH
 #define GT_SERVE_SERVICE_HH
 
-#include <array>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -139,39 +134,20 @@ struct ServiceConfig
      * total, see buildIntervals()). */
     uint64_t targetInstrs = 0;
 
-    /**
-     * Concurrent-replay admission cap (0 = the pool's thread
-     * count). This is the oversubscription guard: every tenant
-     * replay runs on the one shared pool below, and at most this
-     * many run at a time — no per-tenant pools sized from
-     * GT_THREADS.
-     */
-    unsigned replayWidth = 0;
-
     /** Shared pool for replays and refresh clustering (null = the
-     * process-wide pool). */
+     * process-wide pool). Every tenant replay runs on it; there are
+     * no per-tenant pools. */
     sched::ThreadPool *pool = nullptr;
-
-    /**
-     * Resident-session cap: when more than this many sessions hold
-     * live builder/feature state, drained sessions are evicted to
-     * the archive in LRU order. SIZE_MAX = never evict by count;
-     * 0 = evict every drained session.
-     */
-    size_t maxResidentSessions = SIZE_MAX;
 
     /**
      * Resident-byte budget over the summed per-session state
      * (builders, feature caches, interval/point state — see
      * WorkloadSession::memoryBytes). Exceeding it evicts drained
-     * sessions LRU-first until back under. UINT64_MAX = unbounded.
+     * sessions LRU-first until back under. UINT64_MAX = unbounded;
+     * 0 = evict every session the moment it drains (a resident
+     * session's memoryBytes() is never 0).
      */
     uint64_t maxResidentBytes = UINT64_MAX;
-
-    /** Evict every workload the moment its replay drains (the
-     * most aggressive setting; selections stay answerable from the
-     * memo). */
-    bool evictOnDrain = false;
 
     /** Directory for session archives and their catalog. Empty =
      * GT_SERVE_ARCHIVE_DIR, else TMPDIR (or /tmp) +
@@ -340,7 +316,6 @@ struct ServiceStats
     uint64_t artifactHits = 0; //!< recordings served from the cache
     SessionStats sessions;     //!< summed over every session
     gpu::SharedCacheStats planCache;
-    gpu::SharedCacheStats checkpointCache;
 };
 
 /** Where the service's resident bytes live (approximate,
@@ -361,8 +336,7 @@ struct ServiceFootprint
      * this grows with workload count — but by O(selected intervals)
      * per workload, not O(dispatches). */
     uint64_t memoBytes = 0;
-    uint64_t planCacheBytes = 0;       //!< shared execution plans
-    uint64_t checkpointCacheBytes = 0; //!< adopted checkpoints
+    uint64_t planCacheBytes = 0; //!< shared execution plans
     /** Replay-artifact cache: complete outcomes, plus the
      * recordings pending entries hold until their replay ends. */
     uint64_t artifactBytes = 0;
@@ -423,15 +397,13 @@ class ProfilingService
 
     gpu::SharedPlanCache &planCache() { return plans; }
 
-    gpu::SharedCheckpointCache &checkpointCache() { return ckpts; }
-
     const ServiceConfig &config() const { return cfg; }
 
     ServiceStats stats() const;
 
     /**
      * Approximate resident bytes of the service: every session's
-     * state (WorkloadSession::memoryBytes) plus the three shared
+     * state (WorkloadSession::memoryBytes) plus the two shared
      * caches and the calling thread's trace-store decode cache.
      * Logged at eviction decisions; the eviction tests assert it
      * stays bounded as tenants accumulate.
@@ -473,16 +445,14 @@ class ProfilingService
      * use. */
     SessionArchive &archiveCatalog();
 
-    /** Evict drained sessions (LRU-first) until the resident-session
-     * and resident-byte budgets hold; no-op when unbounded. Called
-     * after every workload drains. */
+    /** Evict drained sessions (LRU-first) until the resident-byte
+     * budget holds; no-op when unbounded. Called after every
+     * workload drains. */
     void enforceBudget();
 
     ServiceConfig cfg;
     sched::ThreadPool &pool;
-    sched::PoolHandle admission;
     gpu::SharedPlanCache plans;
-    gpu::SharedCheckpointCache ckpts;
 
     /** A workload attached to a pending entry, and the promise
      * drain() waits on for its feed. */
@@ -502,15 +472,16 @@ class ProfilingService
         std::vector<Waiter> waiters;
     };
 
-    /** Replay-artifact cache, striped like the gpu caches. */
-    struct ArtifactShard
+    /** Replay-artifact cache by recording content hash; the
+     * counters are updated under its lock. Entries are nodes, so a
+     * replay holds a pointer to its own across unlocks. */
+    struct ArtifactCache
     {
         mutable std::mutex mu;
         std::unordered_map<uint64_t, ArtifactEntry> map;
-    };
-    std::array<ArtifactShard, gpu::numCacheShards> artifactShards;
-    std::atomic<uint64_t> replayCount{0};
-    std::atomic<uint64_t> artifactHitCount{0};
+        uint64_t replays = 0;
+        uint64_t hits = 0;
+    } artifacts;
 
     std::string archiveRoot;
     std::mutex archiveMutex;

@@ -198,59 +198,6 @@ TEST(ThreadPool, SurvivesOversubscription)
     EXPECT_EQ(ran.load(), 2000);
 }
 
-TEST(PoolHandle, AcquireBlocksAtWidthAndReleases)
-{
-    ThreadPool pool(2);
-    PoolHandle handle(pool, 1);
-    EXPECT_EQ(handle.width(), 1u);
-    EXPECT_EQ(handle.active(), 0u);
-    {
-        PoolHandle::Slot slot = handle.acquire();
-        EXPECT_EQ(handle.active(), 1u);
-    }
-    EXPECT_EQ(handle.active(), 0u);
-
-    // A contending thread is admitted once the holder releases.
-    std::atomic<bool> admitted{false};
-    PoolHandle::Slot held = handle.acquire();
-    std::thread waiter([&]() {
-        PoolHandle::Slot slot = handle.acquire();
-        admitted.store(true);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_FALSE(admitted.load());
-    { PoolHandle::Slot drop = std::move(held); }
-    waiter.join();
-    EXPECT_TRUE(admitted.load());
-    EXPECT_EQ(handle.active(), 0u);
-}
-
-TEST(PoolHandle, AcquireReentrantDoesNotSelfDeadlock)
-{
-    // Width 1: a thread that already holds the handle's only slot
-    // must get an empty slot back instead of waiting on itself
-    // (the service's rehydrate-inside-replay path).
-    ThreadPool pool(1);
-    PoolHandle handle(pool, 1);
-    {
-        PoolHandle::Slot outer = handle.acquireReentrant();
-        EXPECT_EQ(handle.active(), 1u);
-        {
-            PoolHandle::Slot inner = handle.acquireReentrant();
-            PoolHandle::Slot deeper = handle.acquireReentrant();
-            EXPECT_EQ(handle.active(), 1u);
-        }
-        // Releasing the empty nested slots must not release the
-        // real admission.
-        EXPECT_EQ(handle.active(), 1u);
-    }
-    EXPECT_EQ(handle.active(), 0u);
-
-    // With no slot held, acquireReentrant admits like acquire().
-    PoolHandle::Slot fresh = handle.acquireReentrant();
-    EXPECT_EQ(handle.active(), 1u);
-}
-
 TEST(TaskGraph, RespectsDependencyEdges)
 {
     ThreadPool pool(4);

@@ -614,12 +614,11 @@ TEST(ServeCaches, PlanCacheSharesAcrossDrivers)
 {
     const core::ProfiledApp &app = gaussianApp();
     gpu::SharedPlanCache plans(gpu::DeviceConfig::hd4000());
-    gpu::SharedCheckpointCache ckpts;
 
-    auto replayWithSharedCaches = [&]() {
+    auto replayWithSharedPlans = [&]() {
         workloads::TemplateJit jit;
         ocl::GpuDriver driver(gpu::DeviceConfig::hd4000(), jit, {});
-        driver.setSharedCaches(&plans, &ckpts);
+        driver.executor().setSharedPlanCache(&plans);
         gtpin::KernelProfileTool profile_tool;
         gtpin::GtPin pin;
         pin.addTool(&profile_tool);
@@ -630,12 +629,12 @@ TEST(ServeCaches, PlanCacheSharesAcrossDrivers)
         return profile_tool.takeProfiles();
     };
 
-    auto first = replayWithSharedCaches();
+    auto first = replayWithSharedPlans();
     gpu::SharedCacheStats cold = plans.stats();
     EXPECT_GT(cold.builds, 0u);
     EXPECT_GT(cold.misses, 0u);
 
-    auto second = replayWithSharedCaches();
+    auto second = replayWithSharedPlans();
     gpu::SharedCacheStats warm = plans.stats();
     // Same kernels: the second driver builds nothing and hits for
     // every plan the first one published.
@@ -695,6 +694,22 @@ evictDir(const std::string &tag)
 {
     return ::testing::TempDir() + "gt-serve-test-" +
            std::to_string((long)::getpid()) + "-" + tag;
+}
+
+/** The resident bytes of one drained, refreshed session of @p app,
+ * and the footprint of the service holding it — the unit the
+ * byte-budget tests size their budgets from. */
+std::pair<uint64_t, ServiceFootprint>
+probeOneSession(const core::ProfiledApp &app)
+{
+    ProfilingService probe;
+    auto tenant = probe.openTenant("probe");
+    probe.submit(tenant, app.name, app.recording);
+    probe.drain();
+    probe.refreshAll();
+    uint64_t bytes = probe.session(tenant, 0).memoryBytes();
+    EXPECT_GT(bytes, 0u);
+    return {bytes, probe.memoryFootprint()};
 }
 
 TEST(ServeEviction, EvictRehydrateMatchesNeverEvicted)
@@ -786,19 +801,18 @@ TEST(ServeEviction, EvictedSessionAnswersFromMemo)
 TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
 {
     const core::ProfiledApp &app = gaussianApp();
+    const uint64_t one_session = probeOneSession(app).first;
     struct Budget
     {
         const char *tag;
-        size_t sessions;
         uint64_t bytes;
-        bool onDrain;
         bool evicts;
     };
     const Budget budgets[] = {
-        {"unbounded", SIZE_MAX, UINT64_MAX, false, false},
-        {"one-session", 1, UINT64_MAX, false, true},
-        {"zero-bytes", SIZE_MAX, 0, false, true},
-        {"on-drain", SIZE_MAX, UINT64_MAX, true, true},
+        {"unbounded", UINT64_MAX, false},
+        {"one-and-a-half-sessions", one_session + one_session / 2,
+         true},
+        {"zero-bytes", 0, true},
     };
     const unsigned tenants = 3;
 
@@ -807,9 +821,7 @@ TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
     std::vector<std::vector<core::SubsetSelection>> want;
     for (const Budget &budget : budgets) {
         ServiceConfig cfg;
-        cfg.maxResidentSessions = budget.sessions;
         cfg.maxResidentBytes = budget.bytes;
-        cfg.evictOnDrain = budget.onDrain;
         cfg.archiveDir = evictDir(budget.tag);
         ProfilingService service(cfg);
 
@@ -850,46 +862,56 @@ TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
 TEST(ServeEviction, ConcurrentSubmitWhileEvicting)
 {
     const core::ProfiledApp &app = gaussianApp();
-    sched::ThreadPool pool(4);
-    ServiceConfig cfg;
-    cfg.pool = &pool;
-    cfg.evictOnDrain = true;
-    cfg.archiveDir = evictDir("concurrent");
-    ProfilingService service(cfg);
+    // At width 1 the replay runs inline on whichever submitting
+    // thread inserts the entry, so the submitters replay, attach and
+    // feed with nothing serialising them; width 4 hands the replay to
+    // a pool worker.
+    for (unsigned width : {1u, 4u}) {
+        SCOPED_TRACE("pool width " + std::to_string(width));
+        sched::ThreadPool pool(width);
+        ServiceConfig cfg;
+        cfg.pool = &pool;
+        cfg.maxResidentBytes = 0; // evict every session on drain
+        cfg.archiveDir =
+            evictDir("concurrent-w" + std::to_string(width));
+        ProfilingService service(cfg);
 
-    // Warm submissions feed inline on the submitting thread while
-    // earlier drains evict — the TSan-covered interleaving.
-    const unsigned threads = 4;
-    std::vector<ProfilingService::TenantId> ids;
-    for (unsigned t = 0; t < threads; ++t)
-        ids.push_back(service.openTenant("t" + std::to_string(t)));
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&service, &app, &ids, t]() {
-            service.submit(ids[t], app.name, app.recording);
-            service.submit(ids[t], app.name, app.recording);
-        });
-    }
-    for (std::thread &w : workers)
-        w.join();
-    service.drain();
-    service.refreshAll();
+        // Warm submissions feed inline on the submitting thread while
+        // earlier drains evict — the TSan-covered interleaving.
+        const unsigned threads = 4;
+        std::vector<ProfilingService::TenantId> ids;
+        for (unsigned t = 0; t < threads; ++t)
+            ids.push_back(service.openTenant("t" + std::to_string(t)));
+        std::vector<std::thread> workers;
+        for (unsigned t = 0; t < threads; ++t) {
+            workers.emplace_back([&service, &app, &ids, t]() {
+                service.submit(ids[t], app.name, app.recording);
+                service.submit(ids[t], app.name, app.recording);
+            });
+        }
+        for (std::thread &w : workers)
+            w.join();
+        service.drain();
+        service.refreshAll();
 
-    ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.workloads, threads * 2u);
-    EXPECT_EQ(stats.replays, 1u);
-    EXPECT_EQ(stats.artifactHits, threads * 2u - 1);
-    EXPECT_GT(stats.sessions.evictions, 0u);
+        ServiceStats stats = service.stats();
+        EXPECT_EQ(stats.workloads, threads * 2u);
+        EXPECT_EQ(stats.replays, 1u);
+        EXPECT_EQ(stats.artifactHits, threads * 2u - 1);
+        // Every session was evicted as it drained.
+        EXPECT_EQ(stats.sessions.evictions, threads * 2u);
 
-    WorkloadSession &first = service.session(ids[0], 0);
-    for (unsigned t = 0; t < threads; ++t) {
-        for (ProfilingService::WorkloadId w = 0; w < 2; ++w) {
-            WorkloadSession &other = service.session(ids[t], w);
-            EXPECT_EQ(other.numDispatches(),
-                      first.numDispatches());
-            for (size_t c = 0; c < cfg.selections.size(); ++c)
-                expectSameSelection(other.selection(c),
-                                    first.selection(c));
+        WorkloadSession &first = service.session(ids[0], 0);
+        for (unsigned t = 0; t < threads; ++t) {
+            for (ProfilingService::WorkloadId w = 0; w < 2; ++w) {
+                WorkloadSession &other = service.session(ids[t], w);
+                EXPECT_TRUE(other.isEvicted());
+                EXPECT_EQ(other.numDispatches(),
+                          first.numDispatches());
+                for (size_t c = 0; c < cfg.selections.size(); ++c)
+                    expectSameSelection(other.selection(c),
+                                        first.selection(c));
+            }
         }
     }
 }
@@ -899,28 +921,16 @@ TEST(ServeEviction, FootprintStaysBoundedUnderByteBudget)
     const core::ProfiledApp &app = gaussianApp();
 
     // Measure one resident session to size the budget.
-    uint64_t one_session = 0;
-    {
-        ProfilingService probe;
-        auto tenant = probe.openTenant("probe");
-        probe.submit(tenant, app.name, app.recording);
-        probe.drain();
-        probe.refreshAll();
-        one_session = probe.session(tenant, 0).memoryBytes();
-        ASSERT_GT(one_session, 0u);
-
-        ServiceFootprint fp = probe.memoryFootprint();
-        EXPECT_GE(fp.sessionBytes, one_session);
-        EXPECT_GT(fp.memoBytes, 0u); // refreshed selections
-        EXPECT_EQ(fp.evictedResidueBytes, 0u); // nothing evicted
-        EXPECT_EQ(fp.totalBytes,
-                  fp.sessionBytes + fp.evictedResidueBytes +
-                      fp.memoBytes + fp.planCacheBytes +
-                      fp.checkpointCacheBytes + fp.artifactBytes +
-                      fp.traceCacheBytes);
-        EXPECT_GT(fp.planCacheBytes, 0u);
-        EXPECT_GT(fp.artifactBytes, 0u);
-    }
+    auto [one_session, fp] = probeOneSession(app);
+    EXPECT_GE(fp.sessionBytes, one_session);
+    EXPECT_GT(fp.memoBytes, 0u); // refreshed selections
+    EXPECT_EQ(fp.evictedResidueBytes, 0u); // nothing evicted
+    EXPECT_EQ(fp.totalBytes,
+              fp.sessionBytes + fp.evictedResidueBytes + fp.memoBytes +
+                  fp.planCacheBytes + fp.artifactBytes +
+                  fp.traceCacheBytes);
+    EXPECT_GT(fp.planCacheBytes, 0u);
+    EXPECT_GT(fp.artifactBytes, 0u);
 
     // A ~1.5-session budget: resident session bytes stay bounded no
     // matter how many workloads accumulate (evicted sessions keep
@@ -934,8 +944,7 @@ TEST(ServeEviction, FootprintStaysBoundedUnderByteBudget)
     for (unsigned i = 0; i < 6; ++i) {
         service.submit(tenant, app.name, app.recording);
         service.drain();
-        ServiceFootprint fp = service.memoryFootprint();
-        EXPECT_LE(fp.sessionBytes,
+        EXPECT_LE(service.memoryFootprint().sessionBytes,
                   cfg.maxResidentBytes + one_session);
     }
     service.refreshAll();
@@ -984,47 +993,6 @@ TEST(ServeArchive, CatalogRoundTripsAcrossInstances)
         EXPECT_EQ(again[i].workload, rows[i].workload);
     }
     EXPECT_EQ(SessionArchive::readCatalog(dir).size(), rows.size());
-}
-
-TEST(ServeCaches, CheckpointCacheConcurrentLookupsAreExact)
-{
-    gpu::SharedCheckpointCache cache;
-    isa::KernelBinary binary;
-    binary.name = "ckpt_test_kernel";
-
-    const unsigned threads = 4;
-    const uint64_t keys = 8, iters = 200;
-    std::vector<std::thread> workers;
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&]() {
-            for (uint64_t i = 0; i < iters; ++i) {
-                gpu::SharedCheckpointCache::Key key;
-                key.binaryHash = 0x1234;
-                key.globalSize = 64 << (i % keys);
-                key.simdWidth = 16;
-                auto ckpt = cache.find(key);
-                if (!ckpt) {
-                    gpu::DetailedCheckpoint built;
-                    built.numThreads = key.globalSize / 16;
-                    built.truncation = 1.0;
-                    ckpt = cache.insert(key, built, binary);
-                }
-                ASSERT_EQ(ckpt->numThreads, key.globalSize / 16);
-                // The stored copy points at the cache's interned
-                // clone, never at tenant-owned state.
-                ASSERT_NE(ckpt->binary, nullptr);
-                ASSERT_NE(ckpt->binary, &binary);
-                EXPECT_EQ(ckpt->binary->name, binary.name);
-            }
-        });
-    }
-    for (std::thread &w : workers)
-        w.join();
-
-    gpu::SharedCacheStats stats = cache.stats();
-    EXPECT_EQ(cache.size(), keys);
-    EXPECT_EQ(stats.builds, keys);
-    EXPECT_EQ(stats.hits + stats.misses, threads * iters);
 }
 
 } // anonymous namespace
