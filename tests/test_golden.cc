@@ -1,0 +1,225 @@
+/**
+ * @file
+ * Golden digests of the profiling outputs.
+ *
+ * Profiles four applications chosen to cover the executor's and
+ * GT-Pin's branches — many kernels (cb-graphics-provence), big
+ * kernels (sonyvegas-proj-r7), and both the sampled and the explicit
+ * thread-weight paths (cb-vision-facedetect, cb-histogram-image) —
+ * then replays each once at another trial. Every DispatchProfile
+ * field, every AppCharacterization field and the trace-database
+ * columns are hashed (FNV-1a; doubles by their bits) and compared
+ * with tests/golden/profile_digests.txt.
+ *
+ * The file pins results across refactors: a change that claims to
+ * keep outputs bitwise identical must pass it unchanged. A change
+ * that alters results on purpose regenerates it — each failing case
+ * writes its actual lines to golden_<app>.actual in the test's
+ * working directory — and says so in CHANGES.md.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <fstream>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "core/pipeline.hh"
+
+namespace gt::core
+{
+namespace
+{
+
+class Fnv
+{
+  public:
+    void
+    bytes(const void *data, size_t n)
+    {
+        const unsigned char *p = static_cast<const unsigned char *>(data);
+        for (size_t i = 0; i < n; ++i) {
+            h ^= p[i];
+            h *= 0x100000001b3ULL;
+        }
+    }
+
+    void u64(uint64_t v) { bytes(&v, sizeof(v)); }
+
+    void
+    f64(double v)
+    {
+        uint64_t bits;
+        std::memcpy(&bits, &v, sizeof(bits));
+        u64(bits);
+    }
+
+    void
+    str(const std::string &s)
+    {
+        u64(s.size());
+        bytes(s.data(), s.size());
+    }
+
+    template <class T>
+    void
+    vec(const std::vector<T> &v)
+    {
+        u64(v.size());
+        for (const T &x : v)
+            u64((uint64_t)x);
+    }
+
+    std::string
+    hex() const
+    {
+        char buf[17];
+        std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)h);
+        return buf;
+    }
+
+  private:
+    uint64_t h = 0xcbf29ce484222325ULL;
+};
+
+std::string
+statsDigest(const AppCharacterization &st)
+{
+    Fnv d;
+    d.u64(st.totalApiCalls);
+    d.f64(st.fracKernel);
+    d.f64(st.fracSync);
+    d.f64(st.fracOther);
+    d.u64(st.uniqueKernels);
+    d.u64(st.uniqueBlocks);
+    d.u64(st.kernelInvocations);
+    d.u64(st.blockExecs);
+    d.u64(st.dynInstrs);
+    for (uint64_t c : st.classCounts)
+        d.u64(c);
+    for (uint64_t c : st.simdCounts)
+        d.u64(c);
+    d.u64(st.bytesRead);
+    d.u64(st.bytesWritten);
+    return d.hex();
+}
+
+/** Every DispatchProfile field of every row, in dispatch order. */
+std::string
+profilesDigest(const TraceDatabase &db)
+{
+    Fnv d;
+    d.u64(db.numDispatches());
+    for (uint64_t i = 0; i < db.numDispatches(); ++i) {
+        const gtpin::DispatchProfile &p = db.profileAt(i);
+        d.u64(p.seq);
+        d.u64(p.kernelId);
+        d.str(p.kernelName);
+        d.u64(p.globalWorkSize);
+        d.u64(p.argsHash);
+        d.vec(p.args);
+        d.u64(p.instrs);
+        d.vec(p.blockCounts);
+        d.vec(p.blockLens);
+        d.vec(p.blockReadBytes);
+        d.vec(p.blockWriteBytes);
+        d.u64(p.bytesRead);
+        d.u64(p.bytesWritten);
+    }
+    return d.hex();
+}
+
+/** The timing and epoch columns plus the database totals. */
+std::string
+columnsDigest(const TraceDatabase &db)
+{
+    Fnv d;
+    for (uint64_t i = 0; i < db.numDispatches(); ++i) {
+        d.f64(db.seconds(i));
+        d.u64(db.syncEpoch(i));
+    }
+    d.u64(db.totalInstrs());
+    d.f64(db.totalSeconds());
+    d.u64(db.numSyncEpochs());
+    d.f64(db.measuredSpi());
+    return d.hex();
+}
+
+/** key ("<app> <part>") -> digest, from the committed file. */
+std::map<std::string, std::string>
+loadGolden()
+{
+    std::map<std::string, std::string> out;
+    std::ifstream in(GT_GOLDEN_DIR "/profile_digests.txt");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        size_t sp = line.rfind(' ');
+        if (sp != std::string::npos)
+            out[line.substr(0, sp)] = line.substr(sp + 1);
+    }
+    return out;
+}
+
+class GoldenProfile : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(GoldenProfile, MatchesCommittedDigests)
+{
+    const std::string &name = GetParam();
+    const workloads::Workload *w = workloads::findWorkload(name);
+    ASSERT_NE(w, nullptr) << name;
+
+    ProfiledApp app = profileApp(*w);
+    gpu::TrialConfig other;
+    other.noiseSeed = 2;
+    TraceDatabase replay = replayTrial(
+        app.recording, gpu::DeviceConfig::hd4000(), other);
+
+    const std::vector<std::pair<std::string, std::string>> actual = {
+        {name + " profile.stats", statsDigest(app.stats)},
+        {name + " profile.dispatches", profilesDigest(app.db)},
+        {name + " profile.columns", columnsDigest(app.db)},
+        {name + " replay.dispatches", profilesDigest(replay)},
+        {name + " replay.columns", columnsDigest(replay)},
+    };
+
+    const auto golden = loadGolden();
+    bool all_match = true;
+    for (const auto &[key, hex] : actual) {
+        auto it = golden.find(key);
+        if (it == golden.end()) {
+            ADD_FAILURE() << "no golden digest for '" << key << "'";
+            all_match = false;
+        } else if (it->second != hex) {
+            ADD_FAILURE() << key << ": digest " << hex
+                          << " != golden " << it->second;
+            all_match = false;
+        }
+    }
+    if (!all_match) {
+        std::ofstream out("golden_" + name + ".actual");
+        for (const auto &[key, hex] : actual)
+            out << key << ' ' << hex << '\n';
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PinnedApps, GoldenProfile,
+    ::testing::Values("cb-graphics-provence", "sonyvegas-proj-r7",
+                      "cb-vision-facedetect", "cb-histogram-image"),
+    [](const auto &info) {
+        std::string s = info.param;
+        for (char &c : s) {
+            if (c == '-')
+                c = '_';
+        }
+        return s;
+    });
+
+} // anonymous namespace
+} // namespace gt::core
