@@ -112,7 +112,7 @@ class BenchReport
 {
   public:
     /**
-     * @param file_name e.g. "BENCH_gang.json" (cwd-relative).
+     * @param file_name e.g. "BENCH_interp.json" (cwd-relative).
      * @param smoke whether this is a --smoke run: finish() then
      *        writes "<stem>.smoke.json" instead, so a smoke run never
      *        overwrites the committed full-run file. Every report

@@ -67,12 +67,14 @@ class HotBlockTool : public gtpin::GtPinTool
                        const gtpin::SlotReader &slots) override
     {
         KernelData &kd = kernels.at(result.kernelId);
-        for (size_t b = 0; b < kd.weights.size(); ++b) {
-            uint64_t execs = slots(kd.firstSlot + (uint32_t)b);
-            kd.weights[b] += execs * kd.lens[b];
-            kd.memBytes += execs * kd.bytes[b];
-            kd.instrs += execs * kd.lens[b];
-        }
+        // Only the blocks this dispatch executed: the reader hands
+        // over the slots it touched, not every slot the tool owns.
+        slots.forRange(kd.firstSlot, (uint32_t)kd.weights.size(),
+                       [&](uint32_t b, uint64_t execs) {
+                           kd.weights[b] += execs * kd.lens[b];
+                           kd.memBytes += execs * kd.bytes[b];
+                           kd.instrs += execs * kd.lens[b];
+                       });
     }
 
     void

@@ -63,10 +63,54 @@ issueCycles(const isa::Instruction &ins, uint32_t fpu_lanes)
     }
 }
 
-void
-ExecProfile::deriveFromBlocks(const isa::KernelBinary &bin)
+uint64_t
+KernelSummary::memoryBytes() const
 {
-    GT_ASSERT(blockCounts.size() == bin.blocks.size(),
+    return blocks.size() * sizeof(BlockSummary) +
+           opcodes.size() * sizeof(OpcodeCount);
+}
+
+KernelSummary
+summarizeKernel(const isa::KernelBinary &bin)
+{
+    KernelSummary out;
+    out.blocks.resize(bin.blocks.size());
+    std::array<uint32_t, isa::numOpcodes> ops;
+    for (const auto &block : bin.blocks) {
+        BlockSummary &bs = out.blocks[block.id];
+        ops.fill(0);
+        for (const auto &ins : block.instrs) {
+            isa::OpClass cls = ins.cls();
+            if (cls == isa::OpClass::Instrumentation) {
+                ++bs.instrumentationInstrs;
+                continue;
+            }
+            ++bs.appInstrs;
+            ++ops[(int)ins.op];
+            ++bs.classes[(int)cls];
+            ++bs.simd[simdBin(ins.simdWidth)];
+            if (ins.op == isa::Opcode::Send) {
+                uint64_t bytes =
+                    (uint64_t)ins.send.bytesPerLane * ins.simdWidth;
+                (ins.send.isWrite ? bs.writeBytes : bs.readBytes) +=
+                    bytes;
+                ++bs.sends;
+            }
+        }
+        bs.opBegin = (uint32_t)out.opcodes.size();
+        for (int op = 0; op < isa::numOpcodes; ++op) {
+            if (ops[op])
+                out.opcodes.push_back({(uint16_t)op, ops[op]});
+        }
+        bs.opEnd = (uint32_t)out.opcodes.size();
+    }
+    return out;
+}
+
+void
+ExecProfile::deriveFromBlocks(const KernelSummary &summary)
+{
+    GT_ASSERT(blockCounts.size() == summary.blocks.size(),
               "block count vector does not match binary");
 
     dynInstrs = 0;
@@ -78,29 +122,25 @@ ExecProfile::deriveFromBlocks(const isa::KernelBinary &bin)
     classCounts.fill(0);
     simdCounts.fill(0);
 
-    for (const auto &block : bin.blocks) {
-        uint64_t execs = blockCounts[block.id];
+    for (size_t b = 0; b < blockCounts.size(); ++b) {
+        uint64_t execs = blockCounts[b];
         if (execs == 0)
             continue;
-        for (const auto &ins : block.instrs) {
-            isa::OpClass cls = ins.cls();
-            if (cls == isa::OpClass::Instrumentation) {
-                instrumentationInstrs += execs;
-                continue;
-            }
-            dynInstrs += execs;
-            opcodeCounts[(int)ins.op] += execs;
-            classCounts[(int)cls] += execs;
-            simdCounts[simdBin(ins.simdWidth)] += execs;
-            if (ins.op == isa::Opcode::Send) {
-                uint64_t bytes = (uint64_t)ins.send.bytesPerLane *
-                    ins.simdWidth * execs;
-                if (ins.send.isWrite)
-                    bytesWritten += bytes;
-                else
-                    bytesRead += bytes;
-                sendCount += execs;
-            }
+        const BlockSummary &bs = summary.blocks[b];
+        dynInstrs += execs * bs.appInstrs;
+        instrumentationInstrs += execs * bs.instrumentationInstrs;
+        for (uint32_t i = bs.opBegin; i < bs.opEnd; ++i) {
+            const OpcodeCount &oc = summary.opcodes[i];
+            opcodeCounts[oc.op] += execs * oc.count;
+        }
+        for (int c = 0; c < isa::numOpClasses; ++c)
+            classCounts[c] += execs * bs.classes[c];
+        for (int w = 0; w < numSimdBins; ++w)
+            simdCounts[w] += execs * bs.simd[w];
+        if (bs.sends) {
+            bytesRead += execs * bs.readBytes;
+            bytesWritten += execs * bs.writeBytes;
+            sendCount += execs * bs.sends;
         }
     }
 }

@@ -8,7 +8,10 @@
  * kernel dispatch aggregated across all hardware threads — the same
  * aggregation convention the paper uses for data below kernel
  * granularity. Everything except the block counts and cycles is
- * derived exactly from blockCounts x static block contents.
+ * derived exactly from blockCounts x static block contents, which
+ * KernelSummary precomputes once per binary: deriving a profile then
+ * costs one multiply-add per executed block and nonzero bin, not a
+ * walk over the block's instructions.
  */
 
 #ifndef GT_GPU_EXEC_PROFILE_HH
@@ -31,6 +34,48 @@ int simdBin(uint8_t width);
 
 /** @return the SIMD width for a histogram bin (0->1 ... 4->16). */
 uint8_t simdBinWidth(int bin);
+
+/** One opcode's static count within a block (KernelSummary). */
+struct OpcodeCount
+{
+    uint16_t op = 0;
+    uint32_t count = 0;
+};
+
+/**
+ * Static per-execution totals of one basic block: what one execution
+ * of the block adds to a profile.
+ */
+struct BlockSummary
+{
+    uint32_t appInstrs = 0;
+    uint32_t instrumentationInstrs = 0;
+    uint32_t sends = 0;
+    /** Send bytes per execution (bytesPerLane x width, summed). */
+    uint64_t readBytes = 0;
+    uint64_t writeBytes = 0;
+    /** Application instructions per class and SIMD width bin. */
+    std::array<uint32_t, isa::numOpClasses> classes{};
+    std::array<uint32_t, numSimdBins> simd{};
+    /** The block's opcodes: KernelSummary::opcodes[opBegin, opEnd),
+     * ascending, one entry per distinct application opcode. */
+    uint32_t opBegin = 0;
+    uint32_t opEnd = 0;
+};
+
+/** Per-block static totals of one binary, indexed by block id. */
+struct KernelSummary
+{
+    std::vector<BlockSummary> blocks;
+    /** Sparse per-block opcode lists, flattened. */
+    std::vector<OpcodeCount> opcodes;
+
+    /** Heap bytes of the two arrays (plan footprint accounting). */
+    uint64_t memoryBytes() const;
+};
+
+/** Summarize every block of @p bin (instrumentation included). */
+KernelSummary summarizeKernel(const isa::KernelBinary &bin);
 
 /** Execution statistics for one kernel dispatch. */
 struct ExecProfile
@@ -71,10 +116,12 @@ struct ExecProfile
 
     /**
      * Fill the derived fields (opcode/class/SIMD counts, bytes,
-     * dynInstrs, threadCycles) from blockCounts and the static
-     * contents of @p bin. blockCounts must already be populated.
+     * sends, dynInstrs, instrumentationInstrs) from blockCounts and
+     * the binary's block summaries. blockCounts must already be
+     * populated. Integer sums regroup exactly mod 2^64, so the result
+     * equals a per-instruction walk bit for bit.
      */
-    void deriveFromBlocks(const isa::KernelBinary &bin);
+    void deriveFromBlocks(const KernelSummary &summary);
 
     /** Accumulate another profile (e.g. across dispatches). */
     void accumulate(const ExecProfile &other);

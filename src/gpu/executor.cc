@@ -181,20 +181,6 @@ struct Executor::ThreadCtx
 };
 
 /**
- * One deferred memory-trace record of a gang slot. Gang execution
- * interleaves threads uop by uop, but the trace consumer must see each
- * thread's records contiguously and in thread order (bitwise parity
- * with scalar execution), so sends buffer per-slot records and the
- * gang drains them into the sink after the whole gang finishes.
- */
-struct GangMemRec
-{
-    uint64_t addr;
-    /** bytesPerLane | isWrite << 31. */
-    uint32_t meta;
-};
-
-/**
  * Interpreter state threaded through uop handlers. Holds raw views
  * into the ThreadCtx plus the control-transfer cell: `next` starts at
  * the superblock's defaultNext and transfer uops overwrite it
@@ -208,10 +194,6 @@ struct UopSt
     std::vector<uint32_t> *callStack;
     DeviceMemory *memory;
     MemTraceSink *memSink;
-    /** When set (scalar continuation of a retired gang slot), trace
-     * records append here instead of memSink so the gang can drain
-     * them in thread order. */
-    std::vector<GangMemRec> *memVec;
     uint64_t *deltas;
     size_t numDeltas;
     /** Trace slots whose scratch delta became nonzero (see
@@ -498,14 +480,10 @@ uopSend(const Uop *up, UopSt &st)
             } else {
                 st.regs[u.dst][l] = st.memory->read32(addr);
             }
-            // Trace delivery: batched SoA append, or the per-slot gang
-            // record buffer. Local sends never reach the trace.
-            if (st.memSink) {
+            // Batched SoA trace delivery; local sends never reach
+            // the trace.
+            if (st.memSink)
                 st.memSink->append(addr, bytes, IsWrite);
-            } else if (st.memVec) {
-                st.memVec->push_back(
-                    {addr, bytes | (IsWrite ? 0x80000000u : 0u)});
-            }
         }
     }
     return chainNext<C>(up, st);
@@ -789,639 +767,7 @@ buildTable()
 
 const UopTable uopTables[2] = {buildTable<false>(), buildTable<true>()};
 
-/*
- * Gang-lockstep execution (uop backend, Full-mode explicit threads).
- *
- * Up to gangSize threads (slots) share one SoA context: register r of
- * slot s lane l lives at gangRegs[r][s * maxSimdWidth + l], so every
- * data uop is a single dense loop over gangLanes contiguous words
- * instead of gangSize separate chain walks — that loop is what the
- * compiler vectorizes. Data uops run over *all* slots (retired slots'
- * live registers are zeroed at retirement, so the dead lanes compute
- * on harmless zeros); uops with side effects outside the SoA block
- * (sends, call/ret, instrumentation) iterate active slots only.
- * Control uops record a per-slot `next`, and the gang's run loop
- * retires slots whose next leaves the consensus superblock onto the
- * scalar path. Per-lane results are elementwise identical to scalar
- * execution — same shared float helpers, no reassociation.
- */
-struct GangSt
-{
-    static constexpr int slots = Executor::gangSize;
-    static constexpr int lanes = slots * isa::maxSimdWidth;
-
-    uint32_t (*regs)[lanes];
-    uint8_t (*flags)[lanes];
-    /** slots private local blocks, or null for local-free kernels. */
-    uint8_t *locals;
-    std::vector<uint32_t> *callStacks;
-    std::vector<GangMemRec> *memRecs;
-    DeviceMemory *memory;
-    uint64_t *deltas;
-    size_t numDeltas;
-    std::vector<uint32_t> *dirtyDeltas;
-    const KernelBinary *bin;
-    double *issueCycles;
-    double *lastTimer;
-    uint32_t next[slots];
-    uint8_t activeMask;
-    /** Buffer per-slot trace records (a sink consumes them later)? */
-    bool traceRecs;
-    bool terminated;
-};
-
-using GangFn = const Uop *(*)(const Uop *, GangSt &);
-using GangTable = std::array<GangFn, isa::numUopKinds>;
-
-extern const GangTable gangTable;
-
-template <bool Imm>
-inline uint32_t
-gangSrc(uint32_t s, const GangSt &st, int i)
-{
-    if constexpr (Imm)
-        return s;
-    else
-        return st.regs[s][i];
-}
-
-/**
- * Run @p body over every gang lane of an instruction of @p width.
- * Width 16 is one flat constant-trip loop over all gangLanes; width 8
- * is a constant-trip inner loop per slot.
- *
- * The loops are marked ivdep: gang lane loops have no loop-carried
- * dependences by construction. Register rows either coincide exactly
- * or not at all (elementwise d[i] = f(a[i], b[i]) is order-free
- * either way), and colliding store lanes only occur in kernels the
- * safety proof admitted via the equal-value route, where every
- * colliding lane writes identical bytes.
- */
-template <class Body>
-inline void
-gangForLanes(int width, Body body)
-{
-    if (width == isa::maxSimdWidth) {
-#pragma GCC ivdep
-        for (int i = 0; i < GangSt::lanes; ++i)
-            body(i);
-    } else if (width == 8) {
-        for (int s = 0; s < GangSt::slots; ++s) {
-            const int base = s * isa::maxSimdWidth;
-#pragma GCC ivdep
-            for (int l = 0; l < 8; ++l)
-                body(base + l);
-        }
-    } else {
-        for (int s = 0; s < GangSt::slots; ++s) {
-            const int base = s * isa::maxSimdWidth;
-#pragma GCC ivdep
-            for (int l = 0; l < width; ++l)
-                body(base + l);
-        }
-    }
-}
-
-/**
- * A source operand with its register row resolved *before* the lane
- * loop. Reading `u`/`st` inside the loop body defeats vectorization:
- * the d[i] stores might alias them as far as the compiler can prove,
- * forcing a reload of the field and the row base every iteration.
- * Hoisting the row pointer into a non-escaping local removes the
- * dependence and lets the lane loops vectorize.
- */
-template <bool Imm>
-struct GangSrcRow
-{
-    uint32_t v;
-    const uint32_t *row;
-
-    GangSrcRow(uint32_t s, const GangSt &st)
-        : v(s), row(Imm ? nullptr : st.regs[s])
-    {
-    }
-
-    uint32_t
-    at(int i) const
-    {
-        if constexpr (Imm)
-            return v;
-        else
-            return row[i];
-    }
-};
-
-inline const Uop *
-gangChainNext(const Uop *u, GangSt &st)
-{
-    const Uop *n = u + 1;
-    return gangTable[n->kind](n, st);
-}
-
-template <class F, bool I0>
-const Uop *
-gangUnary(const Uop *up, GangSt &st)
-{
-    const Uop &u = *up;
-    uint32_t *d = st.regs[u.dst];
-    const GangSrcRow<I0> s0(u.s0, st);
-    gangForLanes(u.width, [&](int i) { d[i] = F::apply(s0.at(i)); });
-    return gangChainNext(up, st);
-}
-
-template <class F, bool I0, bool I1>
-const Uop *
-gangBinary(const Uop *up, GangSt &st)
-{
-    const Uop &u = *up;
-    uint32_t *d = st.regs[u.dst];
-    const GangSrcRow<I0> s0(u.s0, st);
-    const GangSrcRow<I1> s1(u.s1, st);
-    gangForLanes(u.width, [&](int i) {
-        d[i] = F::apply(s0.at(i), s1.at(i));
-    });
-    return gangChainNext(up, st);
-}
-
-template <class F, bool I0, bool I1, bool I2>
-const Uop *
-gangTernary(const Uop *up, GangSt &st)
-{
-    const Uop &u = *up;
-    uint32_t *d = st.regs[u.dst];
-    const GangSrcRow<I0> s0(u.s0, st);
-    const GangSrcRow<I1> s1(u.s1, st);
-    const GangSrcRow<I2> s2(u.s2, st);
-    gangForLanes(u.width, [&](int i) {
-        d[i] = F::apply(s0.at(i), s1.at(i), s2.at(i));
-    });
-    return gangChainNext(up, st);
-}
-
-template <bool I0, bool I1>
-const Uop *
-gangSel(const Uop *up, GangSt &st)
-{
-    const Uop &u = *up;
-    uint32_t *d = st.regs[u.dst];
-    const uint8_t *f = st.flags[u.flag];
-    const GangSrcRow<I0> s0(u.s0, st);
-    const GangSrcRow<I1> s1(u.s1, st);
-    gangForLanes(u.width, [&](int i) {
-        d[i] = f[i] ? s0.at(i) : s1.at(i);
-    });
-    return gangChainNext(up, st);
-}
-
-template <CmpOp Op, bool I0, bool I1>
-const Uop *
-gangCmp(const Uop *up, GangSt &st)
-{
-    const Uop &u = *up;
-    uint8_t *f = st.flags[u.flag];
-    const GangSrcRow<I0> s0(u.s0, st);
-    const GangSrcRow<I1> s1(u.s1, st);
-    gangForLanes(u.width, [&](int i) {
-        f[i] = isa::evalCmp(Op, s0.at(i), s1.at(i));
-    });
-    return gangChainNext(up, st);
-}
-
-template <bool I0, bool I1>
-const Uop *
-gangDp4(const Uop *up, GangSt &st)
-{
-    const Uop &u = *up;
-    uint32_t *d = st.regs[u.dst];
-    // The 4-lane groups never straddle a slot: slot stride is
-    // maxSimdWidth, a multiple of 4.
-    const GangSrcRow<I0> s0(u.s0, st);
-    const GangSrcRow<I1> s1(u.s1, st);
-    for (int s = 0; s < GangSt::slots; ++s) {
-        const int sb = s * isa::maxSimdWidth;
-        for (int l = 0; l < u.width; ++l) {
-            int base = sb + (l & ~3);
-            float acc = 0.0f;
-            for (int k = 0; k < 4; ++k) {
-                acc = dp4Step(acc, s0.at(base + k), s1.at(base + k));
-            }
-            d[sb + l] = asBits(acc);
-        }
-    }
-    return gangChainNext(up, st);
-}
-
-template <bool IsWrite, bool IsLocal, bool I0>
-const Uop *
-gangSend(const Uop *up, GangSt &st)
-{
-    const Uop &u = *up;
-    const uint32_t *addr_reg = st.regs[u.s1];
-    const int64_t offset = (int64_t)(int32_t)u.aux;
-    const uint32_t bytes = u.aux16;
-    constexpr int W = isa::maxSimdWidth;
-
-    if constexpr (IsLocal) {
-        // Each slot owns a private local block, exactly like a scalar
-        // thread; local sends are never traced.
-        for (int s = 0; s < GangSt::slots; ++s) {
-            if (!(st.activeMask >> s & 1))
-                continue;
-            uint8_t *local = st.locals + (size_t)s * localMemBytes;
-            for (int l = 0; l < u.width; ++l) {
-                uint64_t addr =
-                    (uint64_t)addr_reg[s * W + l] + offset;
-                uint64_t off = addr % (localMemBytes - 4);
-                if constexpr (IsWrite) {
-                    uint32_t v = gangSrc<I0>(u.s0, st, s * W + l);
-                    std::memcpy(local + off, &v, 4);
-                } else {
-                    uint32_t v;
-                    std::memcpy(&v, local + off, 4);
-                    st.regs[u.dst][s * W + l] = v;
-                }
-            }
-        }
-        return gangChainNext(up, st);
-    }
-
-    // Global send. Fast path: with every slot live, OR-reduce the
-    // lane addresses — each address is <= the OR, so one range check
-    // covers the whole gang and the data loop runs unchecked (and
-    // vectorized) over raw memory. Any retired slot (garbage lane
-    // addresses) or a failed bound falls back to the per-lane checked
-    // path, which reproduces the scalar backend's range panics.
-    bool fast_done = false;
-    if (st.activeMask == 0xff && offset >= 0) {
-        uint32_t or_acc = 0;
-        gangForLanes(u.width, [&](int i) { or_acc |= addr_reg[i]; });
-        const uint64_t span = IsWrite
-            ? (bytes <= 4 ? 4 : ((uint64_t)bytes + 3) / 4 * 4)
-            : 4;
-        if ((uint64_t)or_acc + (uint64_t)offset + span <=
-            st.memory->size()) {
-            uint8_t *mem = st.memory->data();
-            if constexpr (IsWrite) {
-                const GangSrcRow<I0> val(u.s0, st);
-                gangForLanes(u.width, [&](int i) {
-                    uint64_t addr = (uint64_t)addr_reg[i] + offset;
-                    uint32_t v = val.at(i);
-                    for (uint32_t b = 0; b < bytes; b += 4)
-                        std::memcpy(mem + addr + b, &v, 4);
-                });
-            } else {
-                uint32_t *d = st.regs[u.dst];
-                gangForLanes(u.width, [&](int i) {
-                    uint64_t addr = (uint64_t)addr_reg[i] + offset;
-                    std::memcpy(&d[i], mem + addr, 4);
-                });
-            }
-            fast_done = true;
-        }
-    }
-    if (!fast_done) {
-        for (int s = 0; s < GangSt::slots; ++s) {
-            if (!(st.activeMask >> s & 1))
-                continue;
-            for (int l = 0; l < u.width; ++l) {
-                uint64_t addr =
-                    (uint64_t)addr_reg[s * W + l] + offset;
-                if constexpr (IsWrite) {
-                    uint32_t v = gangSrc<I0>(u.s0, st, s * W + l);
-                    for (uint32_t b = 0; b < bytes; b += 4)
-                        st.memory->write32(addr + b, v);
-                } else {
-                    st.regs[u.dst][s * W + l] =
-                        st.memory->read32(addr);
-                }
-            }
-        }
-    }
-    if (st.traceRecs) {
-        const uint32_t meta =
-            bytes | (IsWrite ? 0x80000000u : 0u);
-        for (int s = 0; s < GangSt::slots; ++s) {
-            if (!(st.activeMask >> s & 1))
-                continue;
-            auto &recs = st.memRecs[s];
-            for (int l = 0; l < u.width; ++l) {
-                recs.push_back(
-                    {(uint64_t)addr_reg[s * W + l] + offset, meta});
-            }
-        }
-    }
-    return gangChainNext(up, st);
-}
-
-const Uop *
-gangJmp(const Uop *up, GangSt &st)
-{
-    for (int s = 0; s < GangSt::slots; ++s)
-        st.next[s] = up->aux;
-    return gangChainNext(up, st);
-}
-
-template <bool Negate, FlagMode M>
-const Uop *
-gangBranch(const Uop *up, GangSt &st)
-{
-    const Uop &u = *up;
-    const uint8_t *f = st.flags[u.flag];
-    // Evaluated for every slot; retired slots' garbage flags yield
-    // garbage nexts that nothing reads.
-    for (int s = 0; s < GangSt::slots; ++s) {
-        const uint8_t *fs = f + s * isa::maxSimdWidth;
-        bool cond;
-        if constexpr (M == FlagMode::Lane0) {
-            cond = fs[0];
-        } else if constexpr (M == FlagMode::Any) {
-            cond = false;
-            for (int l = 0; l < u.width; ++l)
-                cond = cond || fs[l];
-        } else {
-            cond = true;
-            for (int l = 0; l < u.width; ++l)
-                cond = cond && fs[l];
-        }
-        if constexpr (Negate)
-            cond = !cond;
-        if (cond)
-            st.next[s] = u.aux;
-    }
-    return gangChainNext(up, st);
-}
-
-const Uop *
-gangCall(const Uop *up, GangSt &st)
-{
-    // Active slots only: a retired slot's stack must not grow (its
-    // scalar continuation owns a copy taken at retirement).
-    for (int s = 0; s < GangSt::slots; ++s) {
-        if (!(st.activeMask >> s & 1))
-            continue;
-        GT_ASSERT(st.callStacks[s].size() < maxCallDepth,
-                  st.bin->name, ": call stack overflow");
-        st.callStacks[s].push_back(up->aux2);
-        st.next[s] = up->aux;
-    }
-    return gangChainNext(up, st);
-}
-
-const Uop *
-gangRet(const Uop *up, GangSt &st)
-{
-    (void)up;
-    for (int s = 0; s < GangSt::slots; ++s) {
-        if (!(st.activeMask >> s & 1))
-            continue;
-        GT_ASSERT(!st.callStacks[s].empty(),
-                  st.bin->name, ": ret with empty call stack");
-        st.next[s] = st.callStacks[s].back();
-        st.callStacks[s].pop_back();
-    }
-    return gangChainNext(up, st);
-}
-
-const Uop *
-gangHalt(const Uop *, GangSt &st)
-{
-    // All active slots executed the same superblock prefix, so every
-    // one of them halts here — the whole gang terminates.
-    st.terminated = true;
-    return nullptr;
-}
-
-const Uop *
-gangDoStop(const Uop *, GangSt &)
-{
-    return nullptr;
-}
-
-/** Gang counterpart of uopProfAccum: one aggregated add per uop. */
-inline void
-gangProfAccum(const Uop &u, GangSt &st, uint64_t delta)
-{
-    GT_ASSERT(st.numDeltas != 0,
-              st.bin->name, ": instrumented binary executed without "
-              "a trace buffer");
-    GT_ASSERT(u.aux < st.numDeltas,
-              st.bin->name, ": trace slot out of range");
-    uint64_t &slot = st.deltas[u.aux];
-    if (slot == 0 && delta != 0)
-        st.dirtyDeltas->push_back(u.aux);
-    slot += delta;
-}
-
-const Uop *
-gangProfCount(const Uop *up, GangSt &st)
-{
-    gangProfAccum(*up, st, (uint64_t)up->aux2 *
-                               std::popcount(st.activeMask));
-    return gangChainNext(up, st);
-}
-
-template <bool I0>
-const Uop *
-gangProfAdd(const Uop *up, GangSt &st)
-{
-    // Slot accumulation is a commutative uint64 sum, so adding the
-    // gang's subtotal once equals the scalar per-thread adds exactly.
-    uint64_t sum = 0;
-    for (int s = 0; s < GangSt::slots; ++s) {
-        if (!(st.activeMask >> s & 1))
-            continue;
-        sum += gangSrc<I0>(up->s0, st, s * isa::maxSimdWidth);
-    }
-    gangProfAccum(*up, st, sum);
-    return gangChainNext(up, st);
-}
-
-const Uop *
-gangProfTimer(const Uop *up, GangSt &st)
-{
-    // All active slots share one issue clock and one timer history
-    // (identical superblock paths), so each slot's scalar delta is
-    // the same value.
-    double now = *st.issueCycles;
-    uint64_t delta = (uint64_t)(now - *st.lastTimer);
-    gangProfAccum(*up, st, delta * std::popcount(st.activeMask));
-    *st.lastTimer = now;
-    return gangChainNext(up, st);
-}
-
-const Uop *
-gangDoTrapAbsent(const Uop *, GangSt &st)
-{
-    panic(st.bin->name, ": read of absent operand");
-}
-
-const Uop *
-gangDoTrapBadOpcode(const Uop *up, GangSt &st)
-{
-    panic(st.bin->name, ": unimplemented opcode ",
-          isa::opcodeName((Opcode)up->aux));
-}
-
-const Uop *
-gangDoTrapBadFlagMode(const Uop *, GangSt &)
-{
-    panic("invalid flag mode");
-}
-
-const Uop *
-gangUnregistered(const Uop *up, GangSt &st)
-{
-    panic(st.bin->name, ": uop kind ", up->kind, " has no handler");
-}
-
-template <class F>
-void
-gangRegUnary(GangTable &t, Opcode op)
-{
-    t[isa::uopKind(op, 0)] = &gangUnary<F, false>;
-    t[isa::uopKind(op, 1)] = &gangUnary<F, true>;
-}
-
-template <class F>
-void
-gangRegBinary(GangTable &t, Opcode op)
-{
-    t[isa::uopKind(op, 0)] = &gangBinary<F, false, false>;
-    t[isa::uopKind(op, 1)] = &gangBinary<F, true, false>;
-    t[isa::uopKind(op, 2)] = &gangBinary<F, false, true>;
-    t[isa::uopKind(op, 3)] = &gangBinary<F, true, true>;
-}
-
-template <class F>
-void
-gangRegTernary(GangTable &t, Opcode op)
-{
-    t[isa::uopKind(op, 0)] = &gangTernary<F, false, false, false>;
-    t[isa::uopKind(op, 1)] = &gangTernary<F, true, false, false>;
-    t[isa::uopKind(op, 2)] = &gangTernary<F, false, true, false>;
-    t[isa::uopKind(op, 3)] = &gangTernary<F, true, true, false>;
-    t[isa::uopKind(op, 4)] = &gangTernary<F, false, false, true>;
-    t[isa::uopKind(op, 5)] = &gangTernary<F, true, false, true>;
-    t[isa::uopKind(op, 6)] = &gangTernary<F, false, true, true>;
-    t[isa::uopKind(op, 7)] = &gangTernary<F, true, true, true>;
-}
-
-template <CmpOp Op>
-void
-gangRegCmp(GangTable &t)
-{
-    const int base = (int)Op << 2;
-    t[isa::uopKind(Opcode::Cmp, base | 0)] = &gangCmp<Op, false, false>;
-    t[isa::uopKind(Opcode::Cmp, base | 1)] = &gangCmp<Op, true, false>;
-    t[isa::uopKind(Opcode::Cmp, base | 2)] = &gangCmp<Op, false, true>;
-    t[isa::uopKind(Opcode::Cmp, base | 3)] = &gangCmp<Op, true, true>;
-}
-
-template <bool Negate>
-void
-gangRegBranch(GangTable &t, Opcode op)
-{
-    t[isa::uopKind(op, 0)] = &gangBranch<Negate, FlagMode::Lane0>;
-    t[isa::uopKind(op, 1)] = &gangBranch<Negate, FlagMode::Any>;
-    t[isa::uopKind(op, 2)] = &gangBranch<Negate, FlagMode::All>;
-}
-
-GangTable
-buildGangTable()
-{
-    GangTable t;
-    t.fill(&gangUnregistered);
-
-    gangRegUnary<OpMov>(t, Opcode::Mov);
-    gangRegUnary<OpNot>(t, Opcode::Not);
-    gangRegUnary<OpFrc>(t, Opcode::Frc);
-    gangRegUnary<OpSqrt>(t, Opcode::Sqrt);
-    gangRegUnary<OpRsqrt>(t, Opcode::Rsqrt);
-    gangRegUnary<OpSin>(t, Opcode::Sin);
-    gangRegUnary<OpCos>(t, Opcode::Cos);
-    gangRegUnary<OpExp>(t, Opcode::Exp);
-    gangRegUnary<OpLog>(t, Opcode::Log);
-
-    gangRegBinary<OpAnd>(t, Opcode::And);
-    gangRegBinary<OpOr>(t, Opcode::Or);
-    gangRegBinary<OpXor>(t, Opcode::Xor);
-    gangRegBinary<OpShl>(t, Opcode::Shl);
-    gangRegBinary<OpShr>(t, Opcode::Shr);
-    gangRegBinary<OpAsr>(t, Opcode::Asr);
-    gangRegBinary<OpAdd>(t, Opcode::Add);
-    gangRegBinary<OpSub>(t, Opcode::Sub);
-    gangRegBinary<OpMul>(t, Opcode::Mul);
-    gangRegBinary<OpMin>(t, Opcode::Min);
-    gangRegBinary<OpMax>(t, Opcode::Max);
-    gangRegBinary<OpAvg>(t, Opcode::Avg);
-    gangRegBinary<OpFAdd>(t, Opcode::FAdd);
-    gangRegBinary<OpFMul>(t, Opcode::FMul);
-    gangRegBinary<OpFDiv>(t, Opcode::FDiv);
-
-    gangRegTernary<OpMad>(t, Opcode::Mad);
-    gangRegTernary<OpFMad>(t, Opcode::FMad);
-    gangRegTernary<OpLrp>(t, Opcode::Lrp);
-    gangRegTernary<OpPln>(t, Opcode::Pln);
-
-    t[isa::uopKind(Opcode::Sel, 0)] = &gangSel<false, false>;
-    t[isa::uopKind(Opcode::Sel, 1)] = &gangSel<true, false>;
-    t[isa::uopKind(Opcode::Sel, 2)] = &gangSel<false, true>;
-    t[isa::uopKind(Opcode::Sel, 3)] = &gangSel<true, true>;
-
-    gangRegCmp<CmpOp::Eq>(t);
-    gangRegCmp<CmpOp::Ne>(t);
-    gangRegCmp<CmpOp::Lt>(t);
-    gangRegCmp<CmpOp::Le>(t);
-    gangRegCmp<CmpOp::Gt>(t);
-    gangRegCmp<CmpOp::Ge>(t);
-
-    t[isa::uopKind(Opcode::Dp4, 0)] = &gangDp4<false, false>;
-    t[isa::uopKind(Opcode::Dp4, 1)] = &gangDp4<true, false>;
-    t[isa::uopKind(Opcode::Dp4, 2)] = &gangDp4<false, true>;
-    t[isa::uopKind(Opcode::Dp4, 3)] = &gangDp4<true, true>;
-
-    t[isa::uopKind(Opcode::Send, 0)] = &gangSend<false, false, false>;
-    t[isa::uopKind(Opcode::Send, 1)] = &gangSend<true, false, false>;
-    t[isa::uopKind(Opcode::Send, 2)] = &gangSend<false, true, false>;
-    t[isa::uopKind(Opcode::Send, 3)] = &gangSend<true, true, false>;
-    t[isa::uopKind(Opcode::Send, 5)] = &gangSend<true, false, true>;
-    t[isa::uopKind(Opcode::Send, 7)] = &gangSend<true, true, true>;
-
-    t[isa::uopKind(Opcode::Jmpi, 0)] = &gangJmp;
-    gangRegBranch<false>(t, Opcode::Brc);
-    gangRegBranch<true>(t, Opcode::Brnc);
-    t[isa::uopKind(Opcode::Call, 0)] = &gangCall;
-    t[isa::uopKind(Opcode::Ret, 0)] = &gangRet;
-    t[isa::uopKind(Opcode::Halt, 0)] = &gangHalt;
-
-    t[isa::uopKind(Opcode::ProfCount, 0)] = &gangProfCount;
-    t[isa::uopKind(Opcode::ProfMem, 0)] = &gangProfCount;
-    t[isa::uopKind(Opcode::ProfAdd, 0)] = &gangProfAdd<false>;
-    t[isa::uopKind(Opcode::ProfAdd, 1)] = &gangProfAdd<true>;
-    t[isa::uopKind(Opcode::ProfTimer, 0)] = &gangProfTimer;
-
-    t[isa::uopTrapAbsentOperand] = &gangDoTrapAbsent;
-    t[isa::uopTrapBadOpcode] = &gangDoTrapBadOpcode;
-    t[isa::uopTrapBadFlagMode] = &gangDoTrapBadFlagMode;
-    t[isa::uopStop] = &gangDoStop;
-    return t;
-}
-
-const GangTable gangTable = buildGangTable();
-
 } // anonymous namespace
-
-/** SoA architectural state of one gang (see GangSt). */
-struct Executor::GangCtx
-{
-    alignas(64) uint32_t regs[isa::numRegisters][GangSt::lanes];
-    alignas(64) uint8_t flags[isa::numFlags][GangSt::lanes];
-    /** gangSize private local blocks, sized lazily on first use by a
-     * local-memory kernel. */
-    std::vector<uint8_t> locals;
-    std::vector<uint32_t> callStacks[GangSt::slots];
-    std::vector<GangMemRec> memRecs[GangSt::slots];
-};
 
 Executor::Executor(const DeviceConfig &config_, DeviceMemory &memory_)
     : config(config_), memory(memory_)
@@ -1486,7 +832,7 @@ Executor::buildPlan(const KernelBinary &bin) const
     p.memberCycles.resize(p.prog.members.size());
     for (size_t i = 0; i < p.prog.members.size(); ++i)
         p.memberCycles[i] = p.blockCycles[p.prog.members[i]];
-    p.gang = isa::analyzeGangSafety(bin);
+    p.summary = summarizeKernel(bin);
     return p;
 }
 
@@ -1533,46 +879,6 @@ Executor::relevance(const KernelBinary *bin)
     return plan(bin).rel;
 }
 
-const isa::GangSafety &
-Executor::gangSafety(const KernelBinary *bin)
-{
-    return plan(bin).gang;
-}
-
-bool
-Executor::gangDispatchSafe(const Dispatch &dispatch, const Plan &p) const
-{
-    const isa::GangSafety &g = p.gang;
-    if (!g.regionForm)
-        return false;
-    // An id-delta collision proof at send width w needs distinct
-    // global ids across the gang, which a narrower dispatch breaks.
-    if (g.minSimdWidth > dispatch.simdWidth)
-        return false;
-    // Region intervals reason in untruncated arithmetic; a region
-    // wrapping the 32-bit address space would void them.
-    for (const auto &r : g.regions) {
-        uint64_t base = dispatch.args[r.baseArg];
-        if ((int64_t)base + r.lo < 0 ||
-            (int64_t)base + r.hi > (int64_t)1 << 32) {
-            return false;
-        }
-    }
-    // Cross-argument aliasing is a dispatch property: the kernel is
-    // safe iff the concrete buffers are disjoint.
-    for (const auto &c : g.checks) {
-        const auto &a = g.regions[c.a];
-        const auto &b = g.regions[c.b];
-        int64_t alo = (int64_t)dispatch.args[a.baseArg] + a.lo;
-        int64_t ahi = (int64_t)dispatch.args[a.baseArg] + a.hi;
-        int64_t blo = (int64_t)dispatch.args[b.baseArg] + b.lo;
-        int64_t bhi = (int64_t)dispatch.args[b.baseArg] + b.hi;
-        if (alo < bhi && blo < ahi)
-            return false;
-    }
-    return true;
-}
-
 ExecProfile
 Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
               const MemBatchFn &mem_batch)
@@ -1599,8 +905,22 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
     profile.numThreads = num_threads;
     profile.blockCounts.assign(bin.blocks.size(), 0);
 
-    traceDeltaBuf.assign(trace ? trace->size() : 0, 0);
-    std::vector<uint64_t> &trace_deltas = traceDeltaBuf;
+    // The slot-indexed delta accumulators persist across runs, only
+    // grow, and are all-zero between runs (each run re-zeroes exactly
+    // the entries it touched), so a run costs O(slots touched), not
+    // O(trace size). A run that panicked mid-thread left its touched
+    // entries listed; clear those first.
+    for (uint32_t s : dirtyDeltas)
+        scratchDeltas[s] = 0;
+    for (uint32_t s : dispatchSlots)
+        traceDeltaBuf[s] = 0;
+    dirtyDeltas.clear();
+    dispatchSlots.clear();
+    const uint32_t num_slots = trace ? trace->size() : 0;
+    if (scratchDeltas.size() < num_slots) {
+        scratchDeltas.resize(num_slots, 0);
+        traceDeltaBuf.resize(num_slots, 0);
+    }
 
     if (!ctxBuf)
         ctxBuf = std::make_unique<ThreadCtx>();
@@ -1609,9 +929,7 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
     const bool uops = backendSel == Backend::Uops;
     scratchCounts.assign(
         uops ? p.prog.supers.size() : bin.blocks.size(), 0);
-    scratchDeltas.assign(trace_deltas.size(), 0);
     dirtyCounts.clear();
-    dirtyDeltas.clear();
 
     MemTraceSink *sink = nullptr;
     if (mem_batch) {
@@ -1619,9 +937,9 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
         sink = &memSink;
     }
 
-    // Drain the thread's (or gang's) scratch accumulators into the
-    // profile and re-zero them, walking only the entries the run
-    // dirtied — O(blocks entered), not O(kernel size) per thread.
+    // Drain the thread's scratch accumulators into the profile and
+    // re-zero them, walking only the entries the run dirtied —
+    // O(blocks entered), not O(kernel size) per thread.
     auto flush_scratch = [&](uint64_t weight) {
         if (uops) {
             // One count per superblock entry; expand over members to
@@ -1643,7 +961,10 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
         }
         dirtyCounts.clear();
         for (uint32_t s : dirtyDeltas) {
-            trace_deltas[s] += scratchDeltas[s] * weight;
+            uint64_t &acc = traceDeltaBuf[s];
+            if (acc == 0)
+                dispatchSlots.push_back(s);
+            acc += scratchDeltas[s] * weight;
             scratchDeltas[s] = 0;
         }
         dirtyDeltas.clear();
@@ -1652,20 +973,14 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
     auto run_scaled = [&](uint64_t thread_idx, uint64_t weight) {
         double cycles = uops
             ? runThreadUops(dispatch, thread_idx, fast, p, ctx,
-                            scratchCounts, dirtyCounts,
-                            scratchDeltas, dirtyDeltas, sink)
+                            scratchCounts, dirtyCounts, scratchDeltas,
+                            num_slots, dirtyDeltas, sink)
             : runThread(dispatch, thread_idx, fast, p, ctx,
-                        scratchCounts, dirtyCounts,
-                        scratchDeltas, dirtyDeltas, sink);
+                        scratchCounts, dirtyCounts, scratchDeltas,
+                        num_slots, dirtyDeltas, sink);
         flush_scratch(weight);
         profile.threadCycles += cycles * (double)weight;
     };
-
-    // Gang execution covers Full-mode explicit threads on the uop
-    // backend when the plan's gang-safety verdict holds for this
-    // dispatch's arguments.
-    const bool gang_ok = uops && !fast && gangDispatchSafe(dispatch, p);
-    lastGanged = false;
 
     if (fast && !p.rel.threadDependent) {
         // Every thread behaves identically: run one, scale exactly.
@@ -1685,25 +1000,6 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
                                         (end - begin);
             run_scaled(pick, end - begin);
         }
-    } else if (gang_ok) {
-        double slot_cycles[gangSize];
-        for (uint64_t t = 0; t < num_threads; t += gangSize) {
-            int count = (int)std::min<uint64_t>(
-                gangSize, num_threads - t);
-            if (count == 1) {
-                // A lone tail thread gains nothing from lockstep.
-                run_scaled(t, 1);
-                continue;
-            }
-            runGang(dispatch, t, count, p, scratchCounts, dirtyCounts,
-                    scratchDeltas, dirtyDeltas, sink, slot_cycles);
-            lastGanged = true;
-            flush_scratch(1);
-            // Ascending slot order = scalar thread order, so the
-            // double accumulation sequence is bitwise identical.
-            for (int s = 0; s < count; ++s)
-                profile.threadCycles += slot_cycles[s];
-        }
     } else {
         for (uint64_t t = 0; t < num_threads; ++t)
             run_scaled(t, 1);
@@ -1712,13 +1008,21 @@ Executor::run(const Dispatch &dispatch, Mode mode, TraceBuffer *trace,
     if (sink)
         sink->finish();
 
-    profile.deriveFromBlocks(bin);
+    profile.deriveFromBlocks(p.summary);
 
     if (trace) {
-        for (size_t s = 0; s < trace_deltas.size(); ++s) {
-            if (trace_deltas[s])
-                trace->add((uint32_t)s, trace_deltas[s]);
+        // Hand the dispatch's nonzero deltas over sparsely. A slot
+        // whose sum wrapped back to zero was listed again on its next
+        // touch; zeroing on emission skips the duplicate.
+        commitBuf.clear();
+        for (uint32_t s : dispatchSlots) {
+            if (traceDeltaBuf[s]) {
+                commitBuf.push_back({s, traceDeltaBuf[s]});
+                traceDeltaBuf[s] = 0;
+            }
         }
+        dispatchSlots.clear();
+        trace->commitDispatch(commitBuf);
     }
     return profile;
 }
@@ -1750,12 +1054,12 @@ Executor::blockTrace(const Dispatch &dispatch, uint64_t thread_idx,
     std::vector<uint32_t> trace;
     if (uops) {
         runThreadUops(dispatch, thread_idx, fast, p, *ctxBuf, counts,
-                      dirty_counts, deltas, dirty_deltas, nullptr,
-                      &trace, max_len);
+                      dirty_counts, deltas, deltas.size(),
+                      dirty_deltas, nullptr, &trace, max_len);
     } else {
         runThread(dispatch, thread_idx, fast, p, *ctxBuf, counts,
-                  dirty_counts, deltas, dirty_deltas, nullptr,
-                  &trace, max_len);
+                  dirty_counts, deltas, deltas.size(), dirty_deltas,
+                  nullptr, &trace, max_len);
     }
     return trace;
 }
@@ -1796,6 +1100,7 @@ Executor::runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
                         std::vector<uint64_t> &sb_counts,
                         std::vector<uint32_t> &dirty_counts,
                         std::vector<uint64_t> &trace_deltas,
+                        size_t num_deltas,
                         std::vector<uint32_t> &dirty_deltas,
                         MemTraceSink *mem_sink,
                         std::vector<uint32_t> *block_trace,
@@ -1812,9 +1117,8 @@ Executor::runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
     st.callStack = &ctx.callStack;
     st.memory = &memory;
     st.memSink = mem_sink;
-    st.memVec = nullptr;
     st.deltas = trace_deltas.data();
-    st.numDeltas = trace_deltas.size();
+    st.numDeltas = num_deltas;
     st.dirtyDeltas = &dirty_deltas;
     st.bin = &bin;
     st.issueCycles = &ctx.issueCycles;
@@ -1911,223 +1215,13 @@ Executor::uopRun(const Dispatch &dispatch, uint64_t thread_idx,
     }
 }
 
-void
-Executor::runGang(const Dispatch &dispatch, uint64_t first_thread,
-                  int count, const Plan &p,
-                  std::vector<uint64_t> &sb_counts,
-                  std::vector<uint32_t> &dirty_counts,
-                  std::vector<uint64_t> &trace_deltas,
-                  std::vector<uint32_t> &dirty_deltas,
-                  MemTraceSink *mem_sink, double *slot_cycles)
-{
-    const KernelBinary &bin = *dispatch.binary;
-    const UopProgram &prog = p.prog;
-    constexpr int W = isa::maxSimdWidth;
-
-    if (!gangBuf)
-        gangBuf = std::make_unique<GangCtx>();
-    GangCtx &g = *gangBuf;
-
-    // Reset, mirroring ThreadCtx::reset slot by slot. The register
-    // and flag clears span all slots, so a short gang's unused slots
-    // start on zeros too (their lanes are computed but never
-    // observed).
-    if (p.clearRegs > 0)
-        std::memset(g.regs, 0, sizeof(g.regs[0]) * p.clearRegs);
-    std::memset(g.flags, 0, sizeof(g.flags));
-    if (p.usesLocal)
-        g.locals.assign((size_t)gangSize * localMemBytes, 0);
-    for (int s = 0; s < gangSize; ++s) {
-        g.callStacks[s].clear();
-        g.memRecs[s].clear();
-    }
-    for (int s = 0; s < count; ++s) {
-        uint64_t t = first_thread + (uint64_t)s;
-        uint64_t base = t * dispatch.simdWidth;
-        for (int lane = 0; lane < W; ++lane)
-            g.regs[0][s * W + lane] = (uint32_t)(base + (uint64_t)lane);
-        g.regs[1][s * W + 0] = (uint32_t)t;
-        g.regs[1][s * W + 1] = (uint32_t)dispatch.globalSize;
-        g.regs[1][s * W + 2] = dispatch.simdWidth;
-        for (size_t a = 0; a < dispatch.args.size(); ++a) {
-            for (int lane = 0; lane < W; ++lane)
-                g.regs[2 + a][s * W + lane] = dispatch.args[a];
-        }
-    }
-
-    double issue_cycles = 0.0;
-    double last_timer = 0.0;
-    uint64_t instrs = 0;
-
-    GangSt st;
-    st.regs = g.regs;
-    st.flags = g.flags;
-    st.locals = p.usesLocal ? g.locals.data() : nullptr;
-    st.callStacks = g.callStacks;
-    st.memRecs = g.memRecs;
-    st.memory = &memory;
-    st.deltas = trace_deltas.data();
-    st.numDeltas = trace_deltas.size();
-    st.dirtyDeltas = &dirty_deltas;
-    st.bin = &bin;
-    st.issueCycles = &issue_cycles;
-    st.lastTimer = &last_timer;
-    st.activeMask = (uint8_t)((1u << count) - 1);
-    st.traceRecs = mem_sink != nullptr;
-    st.terminated = false;
-
-    // Retire slot s onto the scalar path: copy its lanes out into the
-    // shared ThreadCtx and run it to completion with uopRun. Its
-    // trace records keep appending to the slot's buffer so the drain
-    // below still emits them in thread order.
-    auto retire = [&](int s, uint32_t next_super) {
-        ThreadCtx &ctx = *ctxBuf;
-        for (uint16_t r = 0; r < p.clearRegs; ++r) {
-            std::memcpy(ctx.regs[r], &g.regs[r][s * W],
-                        sizeof(uint32_t) * W);
-        }
-        for (int f = 0; f < isa::numFlags; ++f) {
-            std::memcpy(ctx.flags[f], &g.flags[f][s * W],
-                        sizeof(uint8_t) * W);
-        }
-        if (p.usesLocal) {
-            std::memcpy(ctx.local.data(),
-                        g.locals.data() + (size_t)s * localMemBytes,
-                        localMemBytes);
-        }
-        ctx.callStack = g.callStacks[s];
-        ctx.issueCycles = issue_cycles;
-        ctx.lastTimer = last_timer;
-        ctx.instrsExecuted = instrs;
-
-        UopSt sst;
-        sst.regs = ctx.regs;
-        sst.flags = ctx.flags;
-        sst.local = ctx.local.data();
-        sst.callStack = &ctx.callStack;
-        sst.memory = &memory;
-        sst.memSink = nullptr;
-        sst.memVec = st.traceRecs ? &g.memRecs[s] : nullptr;
-        sst.deltas = trace_deltas.data();
-        sst.numDeltas = trace_deltas.size();
-        sst.dirtyDeltas = &dirty_deltas;
-        sst.bin = &bin;
-        sst.issueCycles = &ctx.issueCycles;
-        sst.lastTimer = &ctx.lastTimer;
-        sst.next = 0;
-        sst.terminated = false;
-
-        GT_ASSERT(next_super != UopProgram::invalidSuper,
-                  bin.name, ": fell off the end of the kernel");
-        slot_cycles[s] = uopRun(dispatch, first_thread + (uint64_t)s,
-                                /*fast=*/false, p, ctx, sst,
-                                next_super, sb_counts, dirty_counts);
-
-        // Zero the dead slot's live registers so the full-gang data
-        // loops keep computing on harmless zeros (no NaN/denormal
-        // buildup in lanes nothing reads).
-        for (uint16_t r = 0; r < p.clearRegs; ++r)
-            std::memset(&g.regs[r][s * W], 0, sizeof(uint32_t) * W);
-        st.activeMask &= (uint8_t)~(1u << s);
-    };
-
-    uint32_t cur = prog.superOf[0];
-    const Uop *stream = prog.uops.data();
-
-    while (true) {
-        const UopProgram::Superblock &sb = prog.supers[cur];
-        int active_count = std::popcount(st.activeMask);
-        if (sb_counts[cur] == 0)
-            dirty_counts.push_back(cur);
-        sb_counts[cur] += (uint64_t)active_count;
-        // One shared clock: every active slot accrues the same member
-        // cycles in the same order a scalar thread would.
-        const double *mc = p.memberCycles.data() + sb.memberBegin;
-        for (uint32_t j = 0; j < sb.memberCount; ++j)
-            issue_cycles += mc[j];
-        instrs += sb.instrs;
-        if (instrs > threadInstrLimit) {
-            panic(bin.name, ": thread ",
-                  first_thread +
-                      (uint64_t)std::countr_zero(st.activeMask),
-                  " exceeded the ", threadInstrLimit,
-                  "-instruction runaway limit");
-        }
-
-        for (int s = 0; s < gangSize; ++s)
-            st.next[s] = sb.defaultNext;
-        st.terminated = false;
-        const Uop *u = stream + sb.firstUop;
-        gangTable[u->kind](u, st);
-        if (st.terminated)
-            break;
-
-        // Consensus: the most common next among active slots (lowest
-        // id on ties) continues in lockstep; everyone else retires.
-        uint8_t active = st.activeMask;
-        int lead = std::countr_zero(active);
-        uint32_t next = st.next[lead];
-        bool uniform = true;
-        for (int s = lead + 1; s < gangSize; ++s) {
-            if ((active >> s & 1) && st.next[s] != next) {
-                uniform = false;
-                break;
-            }
-        }
-        if (!uniform) {
-            uint32_t best = 0;
-            int best_votes = -1;
-            for (int s = 0; s < gangSize; ++s) {
-                if (!(active >> s & 1))
-                    continue;
-                uint32_t n = st.next[s];
-                int votes = 0;
-                for (int r = 0; r < gangSize; ++r) {
-                    if ((active >> r & 1) && st.next[r] == n)
-                        ++votes;
-                }
-                if (votes > best_votes ||
-                    (votes == best_votes && n < best)) {
-                    best = n;
-                    best_votes = votes;
-                }
-            }
-            next = best;
-            for (int s = 0; s < gangSize; ++s) {
-                if ((active >> s & 1) && st.next[s] != next)
-                    retire(s, st.next[s]);
-            }
-        }
-        GT_ASSERT(next != UopProgram::invalidSuper,
-                  bin.name, ": fell off the end of the kernel");
-        cur = next;
-    }
-
-    // Slots still in lockstep at the gang-wide Halt share the clock.
-    for (int s = 0; s < gangSize; ++s) {
-        if (st.activeMask >> s & 1)
-            slot_cycles[s] = issue_cycles;
-    }
-
-    // Drain buffered trace records slot-ascending — thread order,
-    // each thread's records in its own program order — so the sink
-    // sees the exact scalar sequence, chunk boundaries included.
-    if (mem_sink) {
-        for (int s = 0; s < count; ++s) {
-            for (const GangMemRec &rec : g.memRecs[s]) {
-                mem_sink->append(rec.addr, rec.meta & 0x7fffffffu,
-                                 rec.meta >> 31);
-            }
-        }
-    }
-}
-
 double
 Executor::runThread(const Dispatch &dispatch, uint64_t thread_idx,
                     bool fast, const Plan &p, ThreadCtx &ctx,
                     std::vector<uint64_t> &block_counts,
                     std::vector<uint32_t> &dirty_counts,
                     std::vector<uint64_t> &trace_deltas,
+                    size_t num_deltas,
                     std::vector<uint32_t> &dirty_deltas,
                     MemTraceSink *mem_sink,
                     std::vector<uint32_t> *block_trace,
@@ -2136,7 +1230,11 @@ Executor::runThread(const Dispatch &dispatch, uint64_t thread_idx,
     const KernelBinary &bin = *dispatch.binary;
     ctx.reset(dispatch, thread_idx, p.clearRegs, p.usesLocal);
 
-    auto read_lane = [&](const Operand &opnd, int lane) -> uint32_t {
+    // Forced inline: it runs per lane of every operand, and GCC's
+    // size heuristics otherwise outline it from this large function.
+    auto read_lane = [&](const Operand &opnd,
+                         int lane) __attribute__((always_inline))
+        -> uint32_t {
         switch (opnd.kind) {
           case Operand::Kind::Imm:
             return opnd.imm;
@@ -2148,10 +1246,10 @@ Executor::runThread(const Dispatch &dispatch, uint64_t thread_idx,
     };
 
     auto prof_accum = [&](const Instruction &ins, uint64_t delta) {
-        GT_ASSERT(!trace_deltas.empty(),
+        GT_ASSERT(num_deltas != 0,
                   bin.name, ": instrumented binary executed without "
                   "a trace buffer");
-        GT_ASSERT(ins.profSlot < trace_deltas.size(),
+        GT_ASSERT(ins.profSlot < num_deltas,
                   bin.name, ": trace slot out of range");
         uint64_t &slot = trace_deltas[ins.profSlot];
         if (slot == 0 && delta != 0)

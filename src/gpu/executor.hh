@@ -30,17 +30,12 @@
  * execute in both modes, accumulating into the TraceBuffer, so
  * profiles are produced identically regardless of mode.
  *
- * The uop backend also gangs threads: when Full mode runs threads
- * explicitly, up to gangSize threads are reset into one
- * structure-of-arrays context and driven through the shared uop
- * stream in lockstep, so each handler invocation is a single
- * vectorizable loop over all gang lanes instead of one short loop per
- * thread. Threads whose control flow leaves the gang's consensus
- * superblock retire and finish on the scalar path; kernels whose
- * stores the plan-time gang-safety proof (isa::analyzeGangSafety)
- * cannot show to be order-invisible run scalar. Either way every
- * observable — profiles, trace deltas, memory, trace-record order —
- * is bitwise identical to the switch backend, which never gangs.
+ * Per dispatch, everything after interpretation costs work in
+ * proportion to what the dispatch executed: trace-buffer deltas are
+ * accumulated in slot-indexed scratch that only touched entries are
+ * cleared from, and handed to the TraceBuffer as a sparse list
+ * (TraceBuffer::lastDispatch); the profile's derived fields come from
+ * the plan's per-block summaries times the block counts.
  */
 
 #ifndef GT_GPU_EXECUTOR_HH
@@ -94,9 +89,6 @@ class Executor
     /** Interpreter implementation (see the file comment). */
     enum class Backend { Switch, Uops };
 
-    /** Threads ganged into one lockstep SoA context. */
-    static constexpr int gangSize = 8;
-
     Executor(const DeviceConfig &config, DeviceMemory &memory);
     ~Executor();
 
@@ -147,17 +139,6 @@ class Executor
     /** Relevance analysis for @p bin, computed once and cached. */
     const isa::Relevance &relevance(const isa::KernelBinary *bin);
 
-    /** Gang-safety analysis for @p bin, computed once and cached. */
-    const isa::GangSafety &gangSafety(const isa::KernelBinary *bin);
-
-    /**
-     * Diagnostic: did the most recent run() drive threads through the
-     * gang path (as opposed to scalar execution or representative/
-     * sampled Fast mode)? Lets tests assert that gang coverage is
-     * real rather than silently falling back.
-     */
-    bool lastRunGanged() const { return lastGanged; }
-
     /**
      * Record the basic-block sequence executed by one thread of
      * @p dispatch (Fast mode), up to @p max_len entries. Used by the
@@ -201,7 +182,6 @@ class Executor
 
   private:
     struct ThreadCtx;
-    struct GangCtx;
 
     /** Per-binary execution plan (shared across drivers; see
      * gpu/plan_cache.hh). */
@@ -221,7 +201,9 @@ class Executor
     ExecPlan buildPlan(const isa::KernelBinary &bin) const;
 
     /**
-     * Run one hardware thread (switch backend).
+     * Run one hardware thread (switch backend). Trace slots at or
+     * past @p num_deltas are out of range; @p trace_deltas may be
+     * longer (the executor's scratch only grows).
      * @return issue cycles consumed by the thread.
      */
     double runThread(const Dispatch &dispatch, uint64_t thread_idx,
@@ -229,6 +211,7 @@ class Executor
                      std::vector<uint64_t> &block_counts,
                      std::vector<uint32_t> &dirty_counts,
                      std::vector<uint64_t> &trace_deltas,
+                     size_t num_deltas,
                      std::vector<uint32_t> &dirty_deltas,
                      MemTraceSink *mem_sink,
                      std::vector<uint32_t> *block_trace = nullptr,
@@ -238,7 +221,7 @@ class Executor
      * Run one hardware thread (uop backend). @p sb_counts is indexed
      * by superblock, one increment per superblock entry; the caller
      * expands entries over superblock members to recover exact
-     * per-block counts.
+     * per-block counts. @p num_deltas as for runThread().
      * @return issue cycles consumed by the thread.
      */
     double runThreadUops(const Dispatch &dispatch, uint64_t thread_idx,
@@ -246,6 +229,7 @@ class Executor
                          std::vector<uint64_t> &sb_counts,
                          std::vector<uint32_t> &dirty_counts,
                          std::vector<uint64_t> &trace_deltas,
+                         size_t num_deltas,
                          std::vector<uint32_t> &dirty_deltas,
                          MemTraceSink *mem_sink,
                          std::vector<uint32_t> *block_trace = nullptr,
@@ -253,9 +237,7 @@ class Executor
 
     /**
      * Threaded superblock walk of the uop backend starting at
-     * superblock @p cur, with @p ctx / @p st already wired. Shared by
-     * runThreadUops (whole threads) and runGang (scalar continuation
-     * of a slot retired from its gang on divergence).
+     * superblock @p cur, with @p ctx / @p st already wired.
      * @return final issue-cycle count of the thread.
      */
     double uopRun(const Dispatch &dispatch, uint64_t thread_idx,
@@ -264,36 +246,10 @@ class Executor
                   std::vector<uint64_t> &sb_counts,
                   std::vector<uint32_t> &dirty_counts);
 
-    /**
-     * @return whether @p dispatch's concrete argument values satisfy
-     * the plan's gang-safety verdict (region form proven, SIMD width
-     * acceptable, no address wrap, dispatch-time region checks
-     * disjoint).
-     */
-    bool gangDispatchSafe(const Dispatch &dispatch, const Plan &p) const;
-
-    /**
-     * Run @p count consecutive threads (first_thread ...) through the
-     * uop stream in SoA lockstep, retiring divergent slots onto the
-     * scalar path. Accumulates into the same scratch counters as the
-     * scalar runners; per-slot memory-trace records are drained into
-     * @p mem_sink in thread order afterwards so the record stream is
-     * bitwise identical to scalar execution. @p slot_cycles receives
-     * each slot's final issue-cycle count.
-     */
-    void runGang(const Dispatch &dispatch, uint64_t first_thread,
-                 int count, const Plan &plan,
-                 std::vector<uint64_t> &sb_counts,
-                 std::vector<uint32_t> &dirty_counts,
-                 std::vector<uint64_t> &trace_deltas,
-                 std::vector<uint32_t> &dirty_deltas,
-                 MemTraceSink *mem_sink, double *slot_cycles);
-
     const DeviceConfig config;
     DeviceMemory &memory;
     uint64_t threadInstrLimit = 200'000'000;
     uint64_t maxExplicitThreads = 1024;
-    bool lastGanged = false;
     Backend backendSel = Backend::Uops;
     std::unordered_map<const isa::KernelBinary *, LocalPlan> plans;
     SharedPlanCache *sharedPlans = nullptr;
@@ -302,16 +258,21 @@ class Executor
      * the per-thread count/delta accumulators, hoisted out of the
      * per-simulated-thread loop. */
     std::unique_ptr<ThreadCtx> ctxBuf;
-    std::unique_ptr<GangCtx> gangBuf;
     std::vector<uint64_t> scratchCounts;
     std::vector<uint64_t> scratchDeltas;
     /** Indices of scratchCounts / scratchDeltas entries touched by the
-     * current thread (or gang), so the per-thread flush and clear are
+     * current thread, so the per-thread flush and clear are
      * proportional to blocks entered rather than kernel size. */
     std::vector<uint32_t> dirtyCounts;
     std::vector<uint32_t> dirtyDeltas;
-    /** Per-dispatch trace-delta accumulator (reused across runs). */
+    /** Per-dispatch trace-delta accumulator, slot-indexed and
+     * all-zero between runs, and the slots the current run made
+     * nonzero. */
     std::vector<uint64_t> traceDeltaBuf;
+    std::vector<uint32_t> dispatchSlots;
+    /** Sparse deltas handed to TraceBuffer::commitDispatch (storage
+     * swapped with the buffer's previous list). */
+    std::vector<SlotDelta> commitBuf;
 
     /** SoA memory-trace buffer, armed per dispatch when run() is
      * given a batch consumer. Storage persists across dispatches. */

@@ -61,11 +61,14 @@ TraceBuffer::reserveSlots(uint32_t num_slots)
 }
 
 void
-TraceBuffer::add(uint32_t slot, uint64_t delta)
+TraceBuffer::commitDispatch(std::vector<SlotDelta> &deltas)
 {
-    GT_ASSERT(slot < slots.size(), "trace buffer slot ", slot,
-              " out of range (", slots.size(), " slots)");
-    slots[slot] += delta;
+    for (const SlotDelta &d : deltas) {
+        GT_ASSERT(d.slot < slots.size(), "trace buffer slot ", d.slot,
+                  " out of range (", slots.size(), " slots)");
+        slots[d.slot] += d.delta;
+    }
+    last.swap(deltas);
 }
 
 uint64_t

@@ -80,14 +80,6 @@ class DeviceMemory
         std::memcpy(bytes.get() + addr, &value, 4);
     }
 
-    /**
-     * Raw storage access for bulk fast paths that hoist one bounds
-     * check over a whole batch (the gang executor's send loops);
-     * callers are responsible for staying within size().
-     */
-    uint8_t *data() { return bytes.get(); }
-    const uint8_t *data() const { return bytes.get(); }
-
     /** Bulk host<->device transfer helpers. */
     void copyIn(uint64_t addr, const void *src, uint64_t size);
     void copyOut(uint64_t addr, void *dst, uint64_t size) const;
@@ -112,10 +104,22 @@ class DeviceMemory
     uint64_t bumpPtr = 0;
 };
 
+/** What one dispatch added to one trace-buffer slot. */
+struct SlotDelta
+{
+    uint32_t slot = 0;
+    uint64_t delta = 0;
+};
+
 /**
  * The GT-Pin profiling buffer: an array of 64-bit accumulator slots
  * shared between the modeled GPU (instrumentation instructions add to
  * slots) and the host (tools read slots during post-processing).
+ *
+ * The executor commits each dispatch's contribution as a sparse list
+ * of the slots it changed; the buffer keeps that list as
+ * lastDispatch(), so post-processing reads only what the dispatch
+ * touched instead of diffing every slot.
  */
 class TraceBuffer
 {
@@ -129,7 +133,16 @@ class TraceBuffer
     /** Grow (never shrink) to hold at least @p num_slots slots. */
     void reserveSlots(uint32_t num_slots);
 
-    void add(uint32_t slot, uint64_t delta);
+    /**
+     * Add one dispatch's deltas (nonzero, at most one entry per slot,
+     * any order) to the buffer and keep them as lastDispatch(). The
+     * storage is swapped, not copied: @p deltas comes back holding
+     * the previous dispatch's list, for the caller to reuse.
+     */
+    void commitDispatch(std::vector<SlotDelta> &deltas);
+
+    /** The deltas of the most recently committed dispatch. */
+    const std::vector<SlotDelta> &lastDispatch() const { return last; }
 
     uint64_t read(uint32_t slot) const;
 
@@ -139,6 +152,7 @@ class TraceBuffer
 
   private:
     std::vector<uint64_t> slots;
+    std::vector<SlotDelta> last;
 };
 
 } // namespace gt::gpu

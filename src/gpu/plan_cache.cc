@@ -34,6 +34,7 @@ ExecPlan::memoryBytes() const
     bytes += vecBytes(relevantIdx);
     for (const auto &row : relevantIdx)
         bytes += vecBytes(row);
+    bytes += summary.memoryBytes();
     return bytes;
 }
 

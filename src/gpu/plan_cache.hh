@@ -3,9 +3,9 @@
  * Content-addressed cross-driver cache for execution plans.
  *
  * Every GpuDriver owns an Executor, and every Executor derives the
- * same expensive per-binary artifacts before it can run a kernel:
- * the relevance slice, the predecoded uop program, per-block issue
- * cycles, and the gang-safety verdict — collectively an ExecPlan.
+ * same per-binary artifacts before it can run a kernel: the
+ * relevance slice, the predecoded uop program, per-block issue cycles
+ * and per-block static summaries — collectively an ExecPlan.
  * Within one driver those are memoized per binary address; across
  * drivers (the profiling service runs one driver per tenant) the
  * memoization restarts from zero even though tenants overwhelmingly
@@ -42,6 +42,7 @@
 #include <unordered_map>
 
 #include "gpu/device_config.hh"
+#include "gpu/exec_profile.hh"
 #include "isa/slice.hh"
 #include "isa/uop.hh"
 
@@ -51,9 +52,10 @@ namespace gt::gpu
 /**
  * Everything an executor derives from one kernel binary before
  * running it: the uop lowering, the relevance slice, issue-cycle
- * tables, and the gang verdict. Immutable once built (the executor
- * builds it fully, then publishes). Shape fields double as a
- * belt-and-braces check against content-hash collisions.
+ * tables, and the per-block summaries profiles are derived from.
+ * Immutable once built (the executor builds it fully, then
+ * publishes). Shape fields double as a belt-and-braces check against
+ * content-hash collisions.
  */
 struct ExecPlan
 {
@@ -79,8 +81,8 @@ struct ExecPlan
     /** Kernel touches shared-local memory, so reset must clear
      * the 16 KB local block; provably untouched => skipped. */
     bool usesLocal = false;
-    /** Gang-safety verdict (see isa/slice.hh). */
-    isa::GangSafety gang;
+    /** Static per-block totals (ExecProfile::deriveFromBlocks). */
+    KernelSummary summary;
 
     /** @return whether this plan matches @p bin's shape. */
     bool

@@ -27,10 +27,6 @@ GtPin::attach(ocl::GpuDriver &driver)
     // attached this throws and we remain cleanly detached.
     driver.setObserver(this);
     drv = &driver;
-    // Baseline the snapshot on this device's current trace buffer:
-    // a fresh device starts from zero, and re-attaching to a device
-    // with history must not report that history as a delta.
-    snapshot = driver.traceBuffer().raw();
 
     inform("GT-Pin attached (", tools.size(), " tool",
            tools.size() == 1 ? "" : "s", ")");
@@ -86,20 +82,9 @@ void
 GtPin::onDispatchComplete(const ocl::DispatchResult &result,
                           gpu::TraceBuffer &trace)
 {
-    // CPU post-processing: diff the trace buffer against the last
-    // snapshot to obtain this dispatch's contribution.
-    const std::vector<uint64_t> &raw = trace.raw();
-    if (snapshot.size() < raw.size())
-        snapshot.resize(raw.size(), 0);
-    deltas.assign(raw.size(), 0);
-    for (size_t s = 0; s < raw.size(); ++s) {
-        GT_ASSERT(raw[s] >= snapshot[s],
-                  "trace buffer slot went backwards");
-        deltas[s] = raw[s] - snapshot[s];
-        snapshot[s] = raw[s];
-    }
-
-    SlotReader reader(deltas);
+    // CPU post-processing reads only the slots this dispatch changed;
+    // history from before attach() is never a delta.
+    SlotReader reader(trace.lastDispatch());
     for (GtPinTool *tool : tools)
         tool->onDispatchComplete(result, reader);
 }

@@ -6,11 +6,11 @@
  * attached to a GPU driver it (1) allocates the CPU/GPU-shared trace
  * buffer, (2) diverts every JIT-compiled kernel binary through the
  * binary rewriter, letting each registered tool inject the profiling
- * instructions it needs, and (3) after every dispatch, reads the
- * trace buffer's per-dispatch deltas on the CPU and hands them to
- * the tools for post-processing. No application source changes or
- * recompilation are involved, and the injected instructions do not
- * perturb the application's architectural state.
+ * instructions it needs, and (3) after every dispatch, hands the
+ * tools the trace-buffer slots that dispatch changed (the executor
+ * commits them sparsely) for CPU post-processing. No application
+ * source changes or recompilation are involved, and the injected
+ * instructions do not perturb the application's architectural state.
  *
  * Users write tools against the GtPinTool interface, exactly like
  * the paper's users write custom tools that collect only the
@@ -31,23 +31,53 @@
 namespace gt::gtpin
 {
 
-/** Read-only view of one dispatch's trace-buffer deltas. */
+/**
+ * Read-only view of one dispatch's trace-buffer deltas: the slots the
+ * dispatch changed, as the executor committed them (sparse, any
+ * order). Tools iterate touched() to pay per slot the dispatch ran,
+ * not per slot they own.
+ */
 class SlotReader
 {
   public:
-    explicit SlotReader(const std::vector<uint64_t> &deltas)
+    explicit SlotReader(const std::vector<gpu::SlotDelta> &deltas)
         : data(deltas)
     {}
 
-    /** @return the value slot @p slot accumulated this dispatch. */
+    /** The dispatch's nonzero deltas, one entry per changed slot. */
+    const std::vector<gpu::SlotDelta> &touched() const { return data; }
+
+    /**
+     * Call @p fn(index, delta) for every touched slot in
+     * [@p first, @p first + @p count), index relative to @p first:
+     * the per-block counter read of a tool owning one slot per block.
+     */
+    template <class Fn>
+    void
+    forRange(uint32_t first, uint32_t count, Fn fn) const
+    {
+        for (const gpu::SlotDelta &d : data) {
+            uint32_t i = d.slot - first; // wraps below first
+            if (i < count)
+                fn(i, d.delta);
+        }
+    }
+
+    /** @return the value slot @p slot accumulated this dispatch
+     * (0 if untouched). A scan of touched(): for tools reading a
+     * handful of fixed slots. */
     uint64_t
     operator()(uint32_t slot) const
     {
-        return slot < data.size() ? data[slot] : 0;
+        for (const gpu::SlotDelta &d : data) {
+            if (d.slot == slot)
+                return d.delta;
+        }
+        return 0;
     }
 
   private:
-    const std::vector<uint64_t> &data;
+    const std::vector<gpu::SlotDelta> &data;
 };
 
 /** Base class for GT-Pin profiling tools. */
@@ -155,8 +185,6 @@ class GtPin : public ocl::DriverObserver
      * delivery never re-scans the full tool list. */
     std::vector<GtPinTool *> addrTools;
     SlotAllocator slots;
-    std::vector<uint64_t> snapshot;
-    std::vector<uint64_t> deltas;
     uint64_t inserted = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "gtpin/kernel_profile.hh"
 
 #include "common/logging.hh"
+#include "gpu/exec_profile.hh"
 
 namespace gt::gtpin
 {
@@ -100,26 +101,17 @@ KernelProfileTool::onKernelBuild(uint32_t kernel_id,
     KernelInfo info;
     info.firstSlot =
         instrumenter.allocSlot((uint32_t)bin.blocks.size());
+    gpu::KernelSummary sum = gpu::summarizeKernel(bin);
     info.blockLens.resize(bin.blocks.size());
     info.blockReadBytes.resize(bin.blocks.size());
     info.blockWriteBytes.resize(bin.blocks.size());
     for (const auto &block : bin.blocks) {
         instrumenter.countBlockEntry(
             block.id, info.firstSlot + block.id, 1);
-        info.blockLens[block.id] = (uint32_t)block.appInstrCount();
-        uint32_t reads = 0, writes = 0;
-        for (const auto &ins : block.instrs) {
-            if (ins.op != isa::Opcode::Send)
-                continue;
-            uint32_t bytes =
-                (uint32_t)ins.send.bytesPerLane * ins.simdWidth;
-            if (ins.send.isWrite)
-                writes += bytes;
-            else
-                reads += bytes;
-        }
-        info.blockReadBytes[block.id] = reads;
-        info.blockWriteBytes[block.id] = writes;
+        const gpu::BlockSummary &bs = sum.blocks[block.id];
+        info.blockLens[block.id] = bs.appInstrs;
+        info.blockReadBytes[block.id] = (uint32_t)bs.readBytes;
+        info.blockWriteBytes[block.id] = (uint32_t)bs.writeBytes;
     }
     kernels[kernel_id] = std::move(info);
 }
@@ -145,13 +137,14 @@ KernelProfileTool::onDispatchComplete(
     rec.blockWriteBytes = info.blockWriteBytes;
     rec.blockCounts.resize(info.blockLens.size());
 
-    for (size_t b = 0; b < info.blockLens.size(); ++b) {
-        uint64_t count = slots(info.firstSlot + (uint32_t)b);
-        rec.blockCounts[b] = count;
-        rec.instrs += count * info.blockLens[b];
-        rec.bytesRead += count * info.blockReadBytes[b];
-        rec.bytesWritten += count * info.blockWriteBytes[b];
-    }
+    slots.forRange(info.firstSlot, (uint32_t)info.blockLens.size(),
+                   [&](uint32_t b, uint64_t count) {
+                       rec.blockCounts[b] = count;
+                       rec.instrs += count * info.blockLens[b];
+                       rec.bytesRead += count * info.blockReadBytes[b];
+                       rec.bytesWritten +=
+                           count * info.blockWriteBytes[b];
+                   });
 
     instrTotal += rec.instrs;
     records.push_back(std::move(rec));

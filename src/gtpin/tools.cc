@@ -40,12 +40,12 @@ BasicBlockCounterTool::onDispatchComplete(
 
     lastCounts.assign(info.blockLens.size(), 0);
     lastInstrs = 0;
-    for (size_t b = 0; b < info.blockLens.size(); ++b) {
-        uint64_t count = slots(info.firstSlot + (uint32_t)b);
-        lastCounts[b] = count;
-        dynBlocks += count;
-        lastInstrs += count * info.blockLens[b];
-    }
+    slots.forRange(info.firstSlot, (uint32_t)info.blockLens.size(),
+                   [&](uint32_t b, uint64_t count) {
+                       lastCounts[b] = count;
+                       dynBlocks += count;
+                       lastInstrs += count * info.blockLens[b];
+                   });
     dynInstrs += lastInstrs;
 }
 
@@ -82,18 +82,11 @@ OpcodeMixTool::onKernelBuild(uint32_t kernel_id,
     KernelInfo info;
     info.firstSlot =
         instrumenter.allocSlot((uint32_t)bin.blocks.size());
-    info.blocks.resize(bin.blocks.size());
     for (const auto &block : bin.blocks) {
         instrumenter.countBlockEntry(
             block.id, info.firstSlot + block.id, 1);
-        BlockMix &mix = info.blocks[block.id];
-        for (const auto &ins : block.instrs) {
-            if (ins.cls() == isa::OpClass::Instrumentation)
-                continue;
-            ++mix.opcodes[(int)ins.op];
-            ++mix.simd[gpu::simdBin(ins.simdWidth)];
-        }
     }
+    info.summary = gpu::summarizeKernel(bin);
     info.built = true;
     if (kernel_id >= kernels.size())
         kernels.resize(kernel_id + 1);
@@ -109,21 +102,20 @@ OpcodeMixTool::onDispatchComplete(const ocl::DispatchResult &result,
               "dispatch of a kernel opcodemix never instrumented");
     const KernelInfo &info = kernels[result.kernelId];
 
-    for (size_t b = 0; b < info.blocks.size(); ++b) {
-        uint64_t count = slots(info.firstSlot + (uint32_t)b);
-        if (count == 0)
-            continue;
-        const BlockMix &mix = info.blocks[b];
-        for (int op = 0; op < isa::numOpcodes; ++op) {
-            if (mix.opcodes[op]) {
-                uint64_t n = count * mix.opcodes[op];
-                dynOpcodes[op] += n;
-                dynClasses[(int)isa::opClass((isa::Opcode)op)] += n;
+    const gpu::KernelSummary &sum = info.summary;
+    slots.forRange(
+        info.firstSlot, (uint32_t)sum.blocks.size(),
+        [&](uint32_t b, uint64_t count) {
+            const gpu::BlockSummary &bs = sum.blocks[b];
+            for (uint32_t i = bs.opBegin; i < bs.opEnd; ++i) {
+                const gpu::OpcodeCount &oc = sum.opcodes[i];
+                dynOpcodes[oc.op] += count * oc.count;
             }
-        }
-        for (int s = 0; s < 5; ++s)
-            dynSimd[s] += count * mix.simd[s];
-    }
+            for (int c = 0; c < isa::numOpClasses; ++c)
+                dynClasses[c] += count * bs.classes[c];
+            for (int w = 0; w < gpu::numSimdBins; ++w)
+                dynSimd[w] += count * bs.simd[w];
+        });
 }
 
 uint64_t
@@ -198,21 +190,18 @@ SimdUtilizationTool::onKernelBuild(uint32_t kernel_id,
     KernelInfo info;
     info.firstSlot =
         instrumenter.allocSlot((uint32_t)bin.blocks.size());
+    gpu::KernelSummary sum = gpu::summarizeKernel(bin);
     info.blockLanes.resize(bin.blocks.size());
     info.blockLens.resize(bin.blocks.size());
     for (const auto &block : bin.blocks) {
         instrumenter.countBlockEntry(
             block.id, info.firstSlot + block.id, 1);
+        const gpu::BlockSummary &bs = sum.blocks[block.id];
         uint64_t lanes = 0;
-        uint32_t len = 0;
-        for (const auto &ins : block.instrs) {
-            if (ins.cls() == isa::OpClass::Instrumentation)
-                continue;
-            lanes += ins.simdWidth;
-            ++len;
-        }
+        for (int w = 0; w < gpu::numSimdBins; ++w)
+            lanes += (uint64_t)bs.simd[w] * gpu::simdBinWidth(w);
         info.blockLanes[block.id] = lanes;
-        info.blockLens[block.id] = len;
+        info.blockLens[block.id] = bs.appInstrs;
     }
     kernels[kernel_id] = std::move(info);
 }
@@ -225,17 +214,15 @@ SimdUtilizationTool::onDispatchComplete(
     GT_ASSERT(it != kernels.end(),
               "dispatch of a kernel simdutil never instrumented");
     KernelInfo &info = it->second;
-    for (size_t b = 0; b < info.blockLanes.size(); ++b) {
-        uint64_t count = slots(info.firstSlot + (uint32_t)b);
-        info.activeLanes += count * info.blockLanes[b];
-        info.instrs += count * info.blockLens[b];
-    }
-    totalActiveLanes = 0;
-    totalInstrs = 0;
-    for (const auto &[id, kd] : kernels) {
-        totalActiveLanes += kd.activeLanes;
-        totalInstrs += kd.instrs;
-    }
+    slots.forRange(info.firstSlot, (uint32_t)info.blockLanes.size(),
+                   [&](uint32_t b, uint64_t count) {
+                       uint64_t lanes = count * info.blockLanes[b];
+                       uint64_t instrs = count * info.blockLens[b];
+                       info.activeLanes += lanes;
+                       info.instrs += instrs;
+                       totalActiveLanes += lanes;
+                       totalInstrs += instrs;
+                   });
 }
 
 double

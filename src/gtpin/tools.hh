@@ -16,6 +16,7 @@
 #include <array>
 #include <map>
 
+#include "gpu/exec_profile.hh"
 #include "gtpin/gtpin.hh"
 
 namespace gt::gtpin
@@ -72,7 +73,8 @@ class BasicBlockCounterTool : public GtPinTool
 
 /**
  * Dynamic opcode-class and SIMD-width distributions (Figs. 4a/4b):
- * per-block counters plus static per-block histograms.
+ * per-block counters times the static per-block summaries
+ * (gpu::KernelSummary), for the blocks a dispatch executed.
  */
 class OpcodeMixTool : public GtPinTool
 {
@@ -107,17 +109,11 @@ class OpcodeMixTool : public GtPinTool
     uint64_t totalInstrs() const;
 
   private:
-    struct BlockMix
-    {
-        std::array<uint32_t, isa::numOpcodes> opcodes{};
-        std::array<uint32_t, 5> simd{};
-    };
-
     struct KernelInfo
     {
         uint32_t firstSlot = 0;
         bool built = false; //!< instrumented by onKernelBuild
-        std::vector<BlockMix> blocks;
+        gpu::KernelSummary summary; //!< static per-block bins
     };
 
     /** Indexed by kernel id (dense, see BasicBlockCounterTool). */

@@ -17,7 +17,7 @@
  * Cross-tenant sharing is content-addressed and immutable:
  *
  *  - gpu::SharedPlanCache — kernel execution plans (decoded uop
- *    programs, block cycle tables, gang verdicts) keyed on
+ *    programs, block cycle tables, block summaries) keyed on
  *    isa::contentHash, shared by every tenant driver;
  *  - the replay-artifact cache here — core::ReplayArtifact outcomes
  *    (call stream, dispatch profiles, timings, epochs) keyed on

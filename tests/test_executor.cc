@@ -16,6 +16,7 @@
 
 #include "common/logging.hh"
 #include "gpu/executor.hh"
+#include "gtpin/rewriter.hh"
 #include "isa/builder.hh"
 #include "ocl/driver.hh"
 #include "workloads/templates.hh"
@@ -516,6 +517,60 @@ TEST_F(ExecutorTest, RunawayKernelPanics)
     setLogQuiet(false);
 }
 
+TEST_F(ExecutorTest, TraceDeltasSurviveAbortedAndUntracedRuns)
+{
+    // The slot-indexed delta scratch persists across runs and only
+    // its touched entries are cleared: an untraced run and a run that
+    // panics mid-thread on a larger buffer must not leak into the
+    // next dispatch's deltas.
+    isa::KernelSource src;
+    src.name = "traced";
+    src.templateName = "blur";
+    KernelBinary plain = workloads::TemplateJit().compile(src);
+    gtpin::SlotAllocator slots;
+    gtpin::Instrumenter ins(plain, slots);
+    for (const auto &block : plain.blocks)
+        ins.countBlockEntry(block.id, ins.allocSlot());
+    KernelBinary bin = ins.apply();
+
+    Dispatch d;
+    d.binary = &bin;
+    d.globalSize = 16 * 8;
+    d.simdWidth = 16;
+    d.args.assign(bin.numArgs, (uint32_t)memory.allocate(1 << 16));
+    TraceBuffer first(slots.allocated());
+    ExecProfile p = exec.run(d, Executor::Mode::Fast, &first);
+    ASSERT_FALSE(first.lastDispatch().empty());
+
+    Dispatch untraced = d;
+    untraced.binary = &plain;
+    exec.run(untraced, Executor::Mode::Fast);
+
+    // Abort halfway through the representative thread, after some
+    // of its counters have been bumped.
+    setLogQuiet(true);
+    TraceBuffer big(slots.allocated() * 4);
+    exec.setThreadInstrLimit(
+        (p.dynInstrs + p.instrumentationInstrs) / p.numThreads / 2);
+    EXPECT_THROW(exec.run(d, Executor::Mode::Fast, &big), PanicError);
+    setLogQuiet(false);
+    exec.setThreadInstrLimit(200'000'000);
+
+    TraceBuffer again(slots.allocated());
+    exec.run(d, Executor::Mode::Fast, &again);
+    EXPECT_EQ(again.raw(), first.raw());
+    auto sorted = [](std::vector<SlotDelta> v) {
+        std::sort(v.begin(), v.end(), [](auto &a, auto &b) {
+            return a.slot < b.slot;
+        });
+        std::vector<std::pair<uint32_t, uint64_t>> out;
+        for (const SlotDelta &e : v)
+            out.emplace_back(e.slot, e.delta);
+        return out;
+    };
+    EXPECT_EQ(sorted(again.lastDispatch()), sorted(first.lastDispatch()));
+}
+
 TEST_F(ExecutorTest, MissingArgsPanics)
 {
     setLogQuiet(true);
@@ -620,6 +675,111 @@ TEST_F(ExecutorTest, IssueCyclesPositiveAndScaled)
 }
 
 // --- the device memory arena -------------------------------------------
+
+// --- per-block summaries vs an instruction walk ------------------------
+
+/**
+ * The oracle for ExecProfile::deriveFromBlocks: walk every
+ * instruction of every executed block, multiplying by its count.
+ */
+ExecProfile
+instructionWalk(const KernelBinary &bin,
+                const std::vector<uint64_t> &block_counts)
+{
+    ExecProfile p;
+    for (const auto &block : bin.blocks) {
+        uint64_t execs = block_counts[block.id];
+        for (const auto &ins : block.instrs) {
+            isa::OpClass cls = ins.cls();
+            if (cls == isa::OpClass::Instrumentation) {
+                p.instrumentationInstrs += execs;
+                continue;
+            }
+            p.dynInstrs += execs;
+            p.opcodeCounts[(int)ins.op] += execs;
+            p.classCounts[(int)cls] += execs;
+            p.simdCounts[simdBin(ins.simdWidth)] += execs;
+            if (ins.op == isa::Opcode::Send) {
+                uint64_t bytes = (uint64_t)ins.send.bytesPerLane *
+                    ins.simdWidth * execs;
+                (ins.send.isWrite ? p.bytesWritten : p.bytesRead) +=
+                    bytes;
+                p.sendCount += execs;
+            }
+        }
+    }
+    return p;
+}
+
+class SummaryDerivation : public ::testing::TestWithParam<std::string>
+{
+  protected:
+    /** Run @p bin in Fast mode (with a trace buffer of @p slots)
+     * and check the derived fields against the instruction walk. */
+    void
+    expectDerivationMatches(const KernelBinary &bin, uint32_t slots)
+    {
+        DeviceConfig config = DeviceConfig::hd4000();
+        DeviceMemory memory(16 << 20);
+        Executor exec(config, memory);
+        TraceBuffer trace(slots);
+        Dispatch d;
+        d.binary = &bin;
+        d.globalSize = 16 * 24;
+        d.simdWidth = 16;
+        d.args.assign(bin.numArgs, (uint32_t)memory.allocate(1 << 19));
+        ExecProfile got = exec.run(d, Executor::Mode::Fast,
+                                   slots ? &trace : nullptr);
+        ExecProfile want = instructionWalk(bin, got.blockCounts);
+        EXPECT_GT(got.sendCount, 0u) << GetParam();
+        EXPECT_EQ(got.dynInstrs, want.dynInstrs);
+        EXPECT_EQ(got.instrumentationInstrs, want.instrumentationInstrs);
+        EXPECT_EQ(got.opcodeCounts, want.opcodeCounts);
+        EXPECT_EQ(got.classCounts, want.classCounts);
+        EXPECT_EQ(got.simdCounts, want.simdCounts);
+        EXPECT_EQ(got.bytesRead, want.bytesRead);
+        EXPECT_EQ(got.bytesWritten, want.bytesWritten);
+        EXPECT_EQ(got.sendCount, want.sendCount);
+    }
+
+    KernelBinary
+    compile() const
+    {
+        isa::KernelSource src;
+        src.name = "sum_" + GetParam();
+        src.templateName = GetParam();
+        src.params = {8};
+        return workloads::TemplateJit().compile(src);
+    }
+};
+
+TEST_P(SummaryDerivation, PlainMatchesInstructionWalk)
+{
+    expectDerivationMatches(compile(), 0);
+}
+
+TEST_P(SummaryDerivation, InstrumentedMatchesInstructionWalk)
+{
+    KernelBinary bin = compile();
+    gtpin::SlotAllocator slots;
+    gtpin::Instrumenter ins(bin, slots);
+    for (const auto &block : bin.blocks) {
+        ins.countBlockEntry(block.id, ins.allocSlot(),
+                            (uint32_t)block.instrs.size());
+        for (uint32_t i = 0; i < block.instrs.size(); ++i) {
+            if (block.instrs[i].op == isa::Opcode::Send)
+                ins.recordSendBytes(block.id, i, ins.allocSlot());
+        }
+    }
+    ins.timeKernel(ins.allocSlot());
+    KernelBinary rewritten = ins.apply();
+    expectDerivationMatches(rewritten, slots.allocated());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllTemplates, SummaryDerivation,
+    ::testing::ValuesIn(workloads::builtinTemplates().templateNames()),
+    [](const auto &info) { return info.param; });
 
 TEST(DeviceMemoryArena, FreshArenaReadsZeroEverywhere)
 {

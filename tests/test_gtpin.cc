@@ -427,6 +427,218 @@ TEST_F(GtPinTest, ReattachBaselinesTheSnapshot)
     pin.detach();
 }
 
+// --- sparse delivery vs a dense snapshot diff ---------------------------
+
+/**
+ * The dense oracle: every slot of TraceBuffer::raw() diffed against
+ * the previous snapshot, zeros included. Registered first, it checks
+ * GT-Pin's sparse reader slot by slot and publishes the dense deltas
+ * for the Tee tools below.
+ */
+class DenseDiff : public GtPinTool
+{
+  public:
+    explicit DenseDiff(const gpu::TraceBuffer &trace) : trace(trace) {}
+
+    std::string name() const override { return "densediff"; }
+
+    void onKernelBuild(uint32_t, Instrumenter &) override {}
+
+    /** Re-baseline on the current buffer (at every attach). */
+    void baseline() { snapshot = trace.raw(); }
+
+    void
+    onDispatchComplete(const ocl::DispatchResult &,
+                       const SlotReader &slots) override
+    {
+        const std::vector<uint64_t> &raw = trace.raw();
+        snapshot.resize(raw.size(), 0);
+        deltas.clear();
+        size_t nonzero = 0;
+        for (uint32_t s = 0; s < raw.size(); ++s) {
+            uint64_t d = raw[s] - snapshot[s];
+            snapshot[s] = raw[s];
+            deltas.push_back({s, d});
+            nonzero += d != 0;
+            EXPECT_EQ(slots(s), d) << "slot " << s;
+        }
+        EXPECT_EQ(slots.touched().size(), nonzero);
+        ++dispatches;
+    }
+
+    std::vector<gpu::SlotDelta> deltas;
+    uint64_t dispatches = 0;
+
+  private:
+    const gpu::TraceBuffer &trace;
+    std::vector<uint64_t> snapshot;
+};
+
+/**
+ * Two copies of tool @p T owning the same slots: `live` reads GT-Pin's
+ * sparse deltas, `oracle` the dense diff of every slot.
+ */
+template <class T>
+class Tee : public GtPinTool
+{
+  public:
+    explicit Tee(const DenseDiff &dense) : dense(dense) {}
+
+    std::string name() const override { return live.name(); }
+
+    void
+    onKernelBuild(uint32_t kernel_id, Instrumenter &ins) override
+    {
+        // Replay the slot allocation on a shadow allocator at the same
+        // base; the oracle's insertion requests are discarded.
+        SlotAllocator shadow;
+        shadow.alloc(ins.allocSlot(0));
+        Instrumenter shadow_ins(ins.binary(), shadow);
+        oracle.onKernelBuild(kernel_id, shadow_ins);
+        live.onKernelBuild(kernel_id, ins);
+    }
+
+    void
+    onDispatchComplete(const ocl::DispatchResult &result,
+                       const SlotReader &slots) override
+    {
+        live.onDispatchComplete(result, slots);
+        oracle.onDispatchComplete(result, SlotReader(dense.deltas));
+    }
+
+    T live;
+    T oracle;
+
+  private:
+    const DenseDiff &dense;
+};
+
+void
+expectProfilesEqual(const DispatchProfile &a, const DispatchProfile &b)
+{
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.kernelId, b.kernelId);
+    EXPECT_EQ(a.kernelName, b.kernelName);
+    EXPECT_EQ(a.globalWorkSize, b.globalWorkSize);
+    EXPECT_EQ(a.argsHash, b.argsHash);
+    EXPECT_EQ(a.args, b.args);
+    EXPECT_EQ(a.instrs, b.instrs);
+    EXPECT_EQ(a.blockCounts, b.blockCounts);
+    EXPECT_EQ(a.blockLens, b.blockLens);
+    EXPECT_EQ(a.blockReadBytes, b.blockReadBytes);
+    EXPECT_EQ(a.blockWriteBytes, b.blockWriteBytes);
+    EXPECT_EQ(a.bytesRead, b.bytesRead);
+    EXPECT_EQ(a.bytesWritten, b.bytesWritten);
+}
+
+TEST_F(GtPinTest, SparseDeliveryMatchesDenseDiff)
+{
+    DenseDiff dense(driver.traceBuffer());
+    Tee<KernelProfileTool> prof(dense);
+    Tee<BasicBlockCounterTool> bb(dense);
+    Tee<OpcodeMixTool> mix(dense);
+    Tee<MemBytesTool> mem(dense);
+    Tee<SimdUtilizationTool> simd(dense);
+    Tee<KernelTimerTool> timer(dense);
+    GtPin pin;
+    pin.addTool(&dense);
+    pin.addTool(&prof);
+    pin.addTool(&bb);
+    pin.addTool(&mix);
+    pin.addTool(&mem);
+    pin.addTool(&simd);
+    pin.addTool(&timer);
+    pin.attach(driver);
+    dense.baseline();
+
+    ocl::Context ctx = rt.createContext();
+    ocl::CommandQueue q = rt.createCommandQueue(ctx);
+    ocl::Mem buf = rt.createBuffer(ctx, 1 << 20);
+    auto build = [&](const std::string &tname) {
+        isa::KernelSource src;
+        src.name = tname + "_k";
+        src.templateName = tname;
+        ocl::Program prog = rt.createProgramWithSource(ctx, {src});
+        rt.buildProgram(prog);
+        ocl::Kernel k = rt.createKernel(prog, src.name);
+        const isa::KernelBinary &bin =
+            driver.binary(driver.numKernels() - 1);
+        for (uint32_t a = 0; a < bin.numArgs; ++a)
+            rt.setKernelArg(k, a, buf);
+        return k;
+    };
+    auto expect_tools_agree = [&] {
+        ASSERT_EQ(prof.live.profiles().size(),
+                  prof.oracle.profiles().size());
+        expectProfilesEqual(prof.live.profiles().back(),
+                            prof.oracle.profiles().back());
+        EXPECT_EQ(bb.live.lastBlockCounts(), bb.oracle.lastBlockCounts());
+        EXPECT_EQ(bb.live.lastDynInstrs(), bb.oracle.lastDynInstrs());
+        EXPECT_EQ(bb.live.totalBlockExecs(), bb.oracle.totalBlockExecs());
+        EXPECT_EQ(mix.live.opcodeCounts(), mix.oracle.opcodeCounts());
+        EXPECT_EQ(mix.live.classCounts(), mix.oracle.classCounts());
+        EXPECT_EQ(mix.live.simdCounts(), mix.oracle.simdCounts());
+        EXPECT_EQ(timer.live.totalCycles(), timer.oracle.totalCycles());
+        EXPECT_EQ(simd.live.overallUtilization(),
+                  simd.oracle.overallUtilization());
+        for (uint32_t k = 0; k < driver.numKernels(); ++k) {
+            EXPECT_EQ(mem.live.kernelBytesRead(k),
+                      mem.oracle.kernelBytesRead(k));
+            EXPECT_EQ(mem.live.kernelBytesWritten(k),
+                      mem.oracle.kernelBytesWritten(k));
+            EXPECT_EQ(simd.live.kernelUtilization(k),
+                      simd.oracle.kernelUtilization(k));
+            EXPECT_EQ(timer.live.kernelCycles(k),
+                      timer.oracle.kernelCycles(k));
+        }
+    };
+    auto dispatch = [&](ocl::Kernel k, uint64_t gws) {
+        rt.enqueueNDRangeKernel(q, k, gws);
+        rt.finish(q);
+    };
+
+    // Two kernels interleaved; cascade's control depends on the
+    // thread, so its threads run explicitly.
+    ocl::Kernel blur = build("blur");
+    ocl::Kernel cascade = build("cascade");
+    for (uint64_t gws : {256, 512}) {
+        dispatch(blur, gws);
+        expect_tools_agree();
+        dispatch(cascade, gws);
+        expect_tools_agree();
+    }
+
+    // A kernel JIT-compiled after dispatches grows the buffer.
+    uint32_t slots_before = driver.traceBuffer().size();
+    ocl::Kernel aes = build("aes");
+    EXPECT_GT(driver.traceBuffer().size(), slots_before);
+    dispatch(aes, 256);
+    expect_tools_agree();
+    dispatch(blur, 256);
+    expect_tools_agree();
+
+    // Dispatches while detached still accumulate into the buffer but
+    // are never a delta after re-attaching.
+    pin.detach();
+    dispatch(cascade, 256);
+    dispatch(aes, 256);
+    pin.attach(driver);
+    dense.baseline();
+    dispatch(cascade, 512);
+    expect_tools_agree();
+    dispatch(aes, 256);
+    expect_tools_agree();
+    dispatch(blur, 256);
+    expect_tools_agree();
+
+    EXPECT_EQ(dense.dispatches, 9u);
+    ASSERT_EQ(prof.live.profiles().size(), 9u);
+    for (size_t i = 0; i < prof.live.profiles().size(); ++i)
+        expectProfilesEqual(prof.live.profiles()[i],
+                            prof.oracle.profiles()[i]);
+    pin.detach();
+}
+
 TEST_F(GtPinTest, OverheadIsSmallMultiple)
 {
     // Paper Section III-C: instrumented runs are a small multiple of

@@ -4,8 +4,8 @@
  * chunking contract, CacheModel's bulk consumer against the
  * per-access oracle, and end-to-end GT-Pin differentials — the
  * default chunked delivery must be bitwise identical to per-access
- * delivery (a one-record chunk on the switch interpreter, which never
- * gangs) at every thread count.
+ * delivery (a one-record chunk on the switch interpreter) at every
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -345,8 +345,8 @@ struct StackResult
 /** How one profiled stack delivers its memory trace. */
 enum class Delivery
 {
-    /** Reference: switch interpreter (never gangs), one-record
-     * chunks, and a cache tool consuming them per access. */
+    /** Reference: switch interpreter, one-record chunks, and a
+     * cache tool consuming them per access. */
     PerAccess,
     Chunked, //!< default uop executor, chunk size, bulk consumer
 };
