@@ -11,6 +11,12 @@
  * columns are hashed (FNV-1a; doubles by their bits) and compared
  * with tests/golden/profile_digests.txt.
  *
+ * GoldenDetailed pins the cycle-level layer the same way: the
+ * trial-1 error-minimising selection of two applications whose
+ * detailed error is not zero (cb-histogram-image, about 1.5%, and
+ * cb-throughput-juliaset, about 4.8%) is detail-validated at three
+ * design points, and every DetailedValidator::Report field is hashed.
+ *
  * The file pins results across refactors: a change that claims to
  * keep outputs bitwise identical must pass it unchanged. A change
  * that alters results on purpose regenerates it — each failing case
@@ -26,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "core/detailed_validator.hh"
+#include "core/explorer.hh"
 #include "core/pipeline.hh"
 
 namespace gt::core
@@ -164,6 +172,58 @@ loadGolden()
     return out;
 }
 
+/**
+ * Compare @p actual with the committed digests; on any mismatch write
+ * the actual lines to golden_<stem>.actual.
+ */
+void
+expectGolden(const std::string &stem,
+             const std::vector<std::pair<std::string, std::string>> &actual)
+{
+    const auto golden = loadGolden();
+    bool all_match = true;
+    for (const auto &[key, hex] : actual) {
+        auto it = golden.find(key);
+        if (it == golden.end()) {
+            ADD_FAILURE() << "no golden digest for '" << key << "'";
+            all_match = false;
+        } else if (it->second != hex) {
+            ADD_FAILURE() << key << ": digest " << hex
+                          << " != golden " << it->second;
+            all_match = false;
+        }
+    }
+    if (!all_match) {
+        std::ofstream out("golden_" + stem + ".actual");
+        for (const auto &[key, hex] : actual)
+            out << key << ' ' << hex << '\n';
+    }
+}
+
+/** Every DetailedValidator::Report field. */
+std::string
+reportDigest(const DetailedValidator::Report &r)
+{
+    Fnv d;
+    d.f64(r.fullSpi);
+    d.f64(r.projectedSpi);
+    d.f64(r.errorPct);
+    d.u64(r.fullWalked);
+    d.u64(r.subsetWalked);
+    return d.hex();
+}
+
+std::string
+testName(const ::testing::TestParamInfo<std::string> &info)
+{
+    std::string s = info.param;
+    for (char &c : s) {
+        if (c == '-')
+            c = '_';
+    }
+    return s;
+}
+
 class GoldenProfile : public ::testing::TestWithParam<std::string>
 {
 };
@@ -188,38 +248,47 @@ TEST_P(GoldenProfile, MatchesCommittedDigests)
         {name + " replay.columns", columnsDigest(replay)},
     };
 
-    const auto golden = loadGolden();
-    bool all_match = true;
-    for (const auto &[key, hex] : actual) {
-        auto it = golden.find(key);
-        if (it == golden.end()) {
-            ADD_FAILURE() << "no golden digest for '" << key << "'";
-            all_match = false;
-        } else if (it->second != hex) {
-            ADD_FAILURE() << key << ": digest " << hex
-                          << " != golden " << it->second;
-            all_match = false;
-        }
-    }
-    if (!all_match) {
-        std::ofstream out("golden_" + name + ".actual");
-        for (const auto &[key, hex] : actual)
-            out << key << ' ' << hex << '\n';
-    }
+    expectGolden(name, actual);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PinnedApps, GoldenProfile,
     ::testing::Values("cb-graphics-provence", "sonyvegas-proj-r7",
                       "cb-vision-facedetect", "cb-histogram-image"),
-    [](const auto &info) {
-        std::string s = info.param;
-        for (char &c : s) {
-            if (c == '-')
-                c = '_';
-        }
-        return s;
-    });
+    testName);
+
+class GoldenDetailed : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(GoldenDetailed, MatchesCommittedDigests)
+{
+    const std::string &name = GetParam();
+    const workloads::Workload *w = workloads::findWorkload(name);
+    ASSERT_NE(w, nullptr) << name;
+
+    ProfiledApp app = profileApp(*w);
+    const Exploration ex = exploreConfigs(app.db);
+    const SubsetSelection &sel = pickMinError(ex).selection;
+    DetailedValidator validator(app);
+
+    const std::vector<std::pair<std::string, DesignPoint>> points = {
+        {"hd4000_max", {gpu::DeviceConfig::hd4000(), 0.0}},
+        {"hd4000_350", {gpu::DeviceConfig::hd4000(), 350.0}},
+        {"hd4600_max", {gpu::DeviceConfig::hd4600(), 0.0}},
+    };
+    std::vector<std::pair<std::string, std::string>> actual;
+    for (const auto &[label, dp] : points) {
+        actual.emplace_back(name + " detailed." + label,
+                            reportDigest(validator.validate(sel, dp)));
+    }
+    expectGolden("detailed_" + name, actual);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PinnedApps, GoldenDetailed,
+    ::testing::Values("cb-histogram-image", "cb-throughput-juliaset"),
+    testName);
 
 } // anonymous namespace
 } // namespace gt::core
