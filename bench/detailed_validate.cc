@@ -13,10 +13,11 @@
  *    the functional pre-pass (block trace + Fast-mode profile)
  *    through the executor;
  *  - **serial**: core::DetailedValidator with the serial machine
- *    layer — one checkpoint per distinct dispatch, one replay cell
- *    per distinct dispatch, every selection served from the caches;
+ *    layer — one checkpoint and one replay cell per distinct
+ *    dispatch, one EU walk per distinct EU input, every selection
+ *    served from the caches;
  *  - **parallel**: the same validator with its default parallel
- *    machine layer, replay cells fanned across the thread pool.
+ *    machine layer, EU walks fanned across the thread pool.
  *
  * All three must agree bit for bit (the parallel backend is
  * additionally checked at 1, 4, and hardware-width pools), and the
@@ -155,7 +156,7 @@ main(int argc, char **argv)
     struct Row
     {
         std::string app;
-        uint64_t dispatches = 0, selections = 0;
+        uint64_t dispatches = 0, selections = 0, cells = 0, walks = 0;
         double legacyS = 0.0, serialS = 0.0, parallelS = 0.0;
     };
     std::vector<Row> rows;
@@ -187,6 +188,8 @@ main(int argc, char **argv)
         for (const core::ConfigResult &cr : ex.results)
             serial_reps.push_back(serial_v.validate(cr.selection));
         row.serialS = secondsSince(t0);
+        row.cells = serial_v.cellSims();
+        row.walks = serial_v.euWalks();
 
         // Checkpointed stack, parallel machine layer.
         t0 = std::chrono::steady_clock::now();
@@ -223,7 +226,8 @@ main(int argc, char **argv)
         rows.push_back(row);
         std::cout << name << ": " << row.selections
                   << " selections over " << row.dispatches
-                  << " dispatches\n"
+                  << " dispatches, " << row.cells << " replay cells, "
+                  << row.walks << " EU walks\n"
                   << "  legacy    " << fixed(row.legacyS, 3)
                   << " s\n"
                   << "  serial    " << fixed(row.serialS, 3)
@@ -248,6 +252,8 @@ main(int argc, char **argv)
             .field("app", r.app)
             .field("selections", r.selections)
             .field("dispatches", r.dispatches)
+            .field("cells", r.cells)
+            .field("eu_walks", r.walks)
             .field("legacy_s", r.legacyS)
             .field("serial_s", r.serialS)
             .field("parallel_s", r.parallelS)

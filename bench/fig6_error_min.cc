@@ -78,8 +78,8 @@ main()
     // detailed simulation of every dispatch. The validator's
     // checkpoint store runs the functional pre-pass once per
     // distinct dispatch (instead of once per simulate() call) and
-    // its parallel machine layer fans replay cells across the pool.
-    const std::string sample = "cb-gaussian-image";
+    // its parallel machine layer fans EU walks across the pool.
+    const std::string sample = "cb-histogram-image";
     std::cout << "Detailed-simulation cross-check (" << sample
               << ")...\n";
     const core::ProfiledApp &app = bench::profiledApp(sample);
@@ -102,7 +102,8 @@ main()
               << ", detailed-simulation work reduced "
               << fixed(rep.workReduction(), 0) << "x ("
               << validator.checkpointBuilds()
-              << " functional pre-passes for "
+              << " functional pre-passes, "
+              << validator.euWalks() << " EU walks for "
               << app.db.numDispatches() << " dispatches)\n";
     return 0;
 }

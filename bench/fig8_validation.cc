@@ -19,6 +19,13 @@
  * selection const-only — and the bench reports both wall clocks so
  * the serial-to-parallel trajectory lands in the BENCH record.
  *
+ * Two cycle-level checks follow: the trial-1 selection of
+ * cb-histogram-image detail-validated at three of the matrix's design
+ * points by the serial and the parallel machine layer (which must
+ * agree bit for bit), and the same check over all 25 apps, printed
+ * as a panel with each app's native Fig. 8 error beside its detailed
+ * error.
+ *
  * Paper: most errors below 3% in all three plots; the cross-
  * architecture worst case is gaussian-image at 11%; LuxMark scores
  * are 269 (HD4000) vs 351 (HD4600).
@@ -53,6 +60,8 @@ struct ReplayJob
 
 constexpr uint64_t firstTrial = 2, lastTrial = 10;
 const std::vector<double> freqSweep{1000, 850, 700, 550, 350};
+/** Trials, then the frequency sweep, then the next generation. */
+constexpr size_t jobsPerApp = 15;
 
 /** The 15 validation replays per app, in the paper's figure order. */
 std::vector<ReplayJob>
@@ -132,7 +141,6 @@ main()
     t0 = std::chrono::steady_clock::now();
     {
         sched::TaskGraph graph;
-        constexpr size_t jobs_per_app = 15;
         for (size_t a = 0; a < apps.size(); ++a) {
             sched::TaskGraph::TaskId sel_node = graph.add(
                 [&apps, a] {
@@ -141,8 +149,8 @@ main()
                     // per app, shared by its 15 replays).
                     bench::exploration(apps[a]);
                 });
-            for (size_t r = 0; r < jobs_per_app; ++r) {
-                ReplayJob &job = par_jobs[a * jobs_per_app + r];
+            for (size_t r = 0; r < jobsPerApp; ++r) {
+                ReplayJob &job = par_jobs[a * jobsPerApp + r];
                 graph.add([&job, &apps] { runJob(job, apps); },
                           {sel_node});
             }
@@ -227,26 +235,32 @@ main()
               << "x speedup, bit-identical errors)\n\n";
 
     // Cycle-level spot check of the same replay matrix: the trial-1
-    // error-minimizing selection of one small application is
-    // detail-validated at the matrix's distinct design points
-    // (profiling clock, a lowered clock, the next generation). The
-    // serial oracle and the parallel machine layer must agree bit
-    // for bit; the checkpoint store shares one functional pre-pass
-    // per dispatch across all design points of each validator.
-    const std::string sample = "cb-gaussian-image";
+    // error-minimizing selection of one small application whose
+    // detailed error is not zero is detail-validated at the matrix's
+    // distinct design points (profiling clock, the lowest clock, the
+    // next generation). The serial walks and the parallel machine
+    // layer must agree bit for bit; the checkpoint store shares one
+    // functional pre-pass per dispatch across all design points of
+    // each validator.
+    const std::vector<std::pair<std::string, core::DesignPoint>>
+        points{{"HD4000 @ max", {gpu::DeviceConfig::hd4000(), 0.0}},
+               {"HD4000 @ 350MHz",
+                {gpu::DeviceConfig::hd4000(), 350.0}},
+               {"HD4600 @ max", {gpu::DeviceConfig::hd4600(), 0.0}}};
+    const std::string sample = "cb-histogram-image";
     const core::ProfiledApp &app = bench::profiledApp(sample);
     const core::SubsetSelection &sel =
         core::pickMinError(bench::exploration(sample)).selection;
-    const std::vector<std::pair<std::string, core::DesignPoint>>
-        points{{"HD4000 @ max", {gpu::DeviceConfig::hd4000(), 0.0}},
-               {"HD4000 @ 550MHz",
-                {gpu::DeviceConfig::hd4000(), 550.0}},
-               {"HD4600 @ max", {gpu::DeviceConfig::hd4600(), 0.0}}};
 
     using Backend = core::DetailedValidator::Backend;
     core::DetailedValidator serial_v(app, Backend::Serial);
     core::DetailedValidator parallel_v(app, Backend::Parallel);
 
+    auto sci = [](double v) {
+        std::ostringstream os;
+        os << std::scientific << std::setprecision(3) << v;
+        return os.str();
+    };
     TextTable detail_table({"design point", "projected SPI",
                             "detailed SPI", "error"});
     t0 = std::chrono::steady_clock::now();
@@ -265,11 +279,6 @@ main()
                       r.subsetWalked == serial_reps[i].subsetWalked,
                   "detailed serial/parallel divergence at ",
                   points[i].first);
-        auto sci = [](double v) {
-            std::ostringstream os;
-            os << std::scientific << std::setprecision(3) << v;
-            return os.str();
-        };
         detail_table.addRow({points[i].first, sci(r.projectedSpi),
                              sci(r.fullSpi),
                              pct(r.errorPct / 100.0, 2)});
@@ -278,7 +287,7 @@ main()
 
     detail_table.print(std::cout,
                        "Detailed (cycle-level) validation of the "
-                       "trial-1 selection");
+                       "trial-1 selection (" + sample + ")");
     std::cout << "  serial " << fixed(detail_serial_s, 3)
               << " s, parallel " << fixed(detail_parallel_s, 3)
               << " s ("
@@ -286,6 +295,52 @@ main()
               << "x, bit-identical); "
               << serial_v.checkpointBuilds()
               << " functional pre-passes shared across "
-              << points.size() << " design points\n";
+              << points.size() << " design points; "
+              << serial_v.cellSims() << " replay cells, "
+              << serial_v.euWalks() << " EU walks\n\n";
+
+    // The whole-suite cycle-level panel: every app's trial-1
+    // selection at the same three design points, each detailed error
+    // next to the native Fig. 8 error of the matching cell (the mean
+    // over trials 2-10 at the profiling clock, the 350 MHz replay,
+    // the HD4600 replay).
+    TextTable panel({"application", "HD4000 max", "native",
+                     "350MHz", "native", "HD4600", "native"});
+    RunningStat panel_err;
+    uint64_t panel_cells = 0, panel_walks = 0;
+    t0 = std::chrono::steady_clock::now();
+    for (size_t a = 0; a < apps.size(); ++a) {
+        const std::string &name = apps[a];
+        core::DetailedValidator v(bench::profiledApp(name));
+        const core::SubsetSelection &app_sel =
+            core::pickMinError(bench::exploration(name)).selection;
+        const ReplayJob *jobs = &serial_jobs[a * jobsPerApp];
+        RunningStat trials;
+        for (size_t t = 0; t <= lastTrial - firstTrial; ++t)
+            trials.add(jobs[t].errorPct);
+        const double native[] = {trials.mean(),
+                                 jobs[9 + freqSweep.size() - 1].errorPct,
+                                 jobs[jobsPerApp - 1].errorPct};
+        std::vector<std::string> row{name};
+        for (size_t p = 0; p < points.size(); ++p) {
+            double e = v.validate(app_sel, points[p].second).errorPct;
+            panel_err.add(e);
+            row.push_back(pct(e / 100.0, 2));
+            row.push_back(pct(native[p] / 100.0, 2));
+        }
+        panel.addRow(row);
+        panel_cells += v.cellSims();
+        panel_walks += v.euWalks();
+    }
+    double panel_s = secondsSince(t0);
+    panel.print(std::cout,
+                "Cycle-level panel: detailed error of every app's "
+                "trial-1 selection, native Fig. 8 error beside it");
+    std::cout << "detailed average " << pct(panel_err.mean() / 100.0, 2)
+              << ", worst " << pct(panel_err.max() / 100.0, 2) << "; "
+              << apps.size() << " apps x " << points.size()
+              << " design points in " << fixed(panel_s, 3) << " s ("
+              << pool.threadCount() << " threads, " << panel_cells
+              << " replay cells, " << panel_walks << " EU walks)\n";
     return 0;
 }

@@ -71,13 +71,15 @@ DetailedValidator::cells(const DesignPoint &dp)
         cell_of[d] = it->second;
     }
 
-    // The machine layer: one replay cell per distinct dispatch,
-    // partitioned across the pool under the parallel backend, then
-    // scattered back to dispatch order.
+    // The machine layer: one replay cell per distinct dispatch, one
+    // EU walk per distinct EU input, then scattered back to dispatch
+    // order.
     gpu::DetailedSimulator sim(dp.config, dp.freqMhz);
+    uint64_t walks = 0;
     std::vector<gpu::DetailedResult> cell_results =
-        sim.simulateBatch(cps, backend, pool);
+        sim.simulateBatch(cps, backend, pool, &walks);
     cellCount += cps.size();
+    walkCount += walks;
     pc.results.resize(num);
     for (size_t d = 0; d < num; ++d)
         pc.results[d] = cell_results[cell_of[d]];
@@ -91,6 +93,11 @@ DetailedValidator::validate(const SubsetSelection &sel,
 {
     const uint64_t num = app.db.numDispatches();
     GT_ASSERT(num > 0, app.name, ": empty database");
+    GT_ASSERT(!sel.selected.empty(), app.name,
+              ": projection from empty selection");
+    GT_ASSERT(sel.selected.size() == sel.ratios.size(), app.name,
+              ": selection/ratio size mismatch (", sel.selected.size(),
+              " intervals, ", sel.ratios.size(), " ratios)");
     const PointCells &pc = cells(dp);
 
     Report r;
@@ -109,6 +116,9 @@ DetailedValidator::validate(const SubsetSelection &sel,
     // Selection-only detailed simulation + extrapolation (Eq. 1's
     // ratio-weighted sum over per-interval SPI).
     for (size_t c = 0; c < sel.selected.size(); ++c) {
+        GT_ASSERT(sel.selected[c] < sel.intervals.size(), app.name,
+                  ": selected interval ", sel.selected[c],
+                  " out of range");
         const Interval &iv = sel.intervals[sel.selected[c]];
         GT_ASSERT(iv.lastDispatch < num, app.name,
                   ": selection does not match this database");
@@ -120,6 +130,9 @@ DetailedValidator::validate(const SubsetSelection &sel,
             seconds += pc.results[d].seconds;
             r.subsetWalked += pc.results[d].simulatedInstrs;
         }
+        GT_ASSERT(instrs > 0, app.name, ": selected interval ",
+                  sel.selected[c], " (dispatches ", iv.firstDispatch,
+                  "-", iv.lastDispatch, ") has no instructions");
         r.projectedSpi += sel.ratios[c] * (seconds / (double)instrs);
     }
 

@@ -17,16 +17,18 @@
  *    functional pre-pass per *distinct dispatch*, shared by all
  *    design points via GpuDriver::checkpoint() — the fast-forward
  *    that replaces the old per-(config, dispatch) re-profiling;
- *  - **replay cells** (per design point): one cycle-level EU replay
- *    per (design point, dispatch), fanned out across the
- *    sched::ThreadPool (the default Parallel backend) and cached,
- *    so 30 selections over the same design point pay the machine
- *    layer once.
+ *  - **replay cells** (per design point): one cycle-level result
+ *    per (design point, distinct checkpoint), cached so 30
+ *    selections over the same design point pay the machine layer
+ *    once. Checkpoints that share an EU input share one EU walk
+ *    (DetailedSimulator::simulateBatch), fanned out across the
+ *    sched::ThreadPool under the default Parallel backend.
  *
- * The Serial backend, passed explicitly, is the reference. Both are
- * bitwise identical at any thread count: cells are pure functions of
- * (checkpoint, design point), cell results land in per-index slots,
- * and every aggregation walks dispatches in ascending order.
+ * The Serial backend, passed explicitly, runs the walks in order on
+ * the calling thread. Both are bitwise identical at any thread count:
+ * walks are pure functions of their input and design point, results
+ * land in per-index slots, and every aggregation walks dispatches in
+ * ascending order.
  */
 
 #ifndef GT_CORE_DETAILED_VALIDATOR_HH
@@ -99,6 +101,9 @@ class DetailedValidator
     /** Cycle-level replay cells executed across all validate()s. */
     uint64_t cellSims() const { return cellCount; }
 
+    /** Distinct EU walks those cells took (<= cellSims()). */
+    uint64_t euWalks() const { return walkCount; }
+
   private:
     /** Per-design-point cell cache, keyed by the machine parameters
      * the cycle model reads. */
@@ -124,6 +129,7 @@ class DetailedValidator
     std::unique_ptr<ocl::ClRuntime> runtime;
     std::map<PointKey, PointCells> pointCache;
     uint64_t cellCount = 0;
+    uint64_t walkCount = 0;
 };
 
 } // namespace gt::core

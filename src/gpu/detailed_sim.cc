@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <map>
 
 #include "common/logging.hh"
 #include "gpu/eu_pipeline.hh"
@@ -24,16 +26,9 @@ DetailedSimulator::simulate(Executor &executor,
     return simulate(executor.checkpoint(dispatch));
 }
 
-DetailedResult
-DetailedSimulator::simulate(const DetailedCheckpoint &cp) const
+EuParams
+DetailedSimulator::euParams() const
 {
-    GT_ASSERT(cp.binary, "checkpoint without binary");
-
-    // Simulate one EU with its SMT contexts; every context replays
-    // the same homogeneous trace.
-    uint32_t num_ctx = (uint32_t)std::min<uint64_t>(
-        config.threadsPerEu, cp.numThreads);
-
     double freq_hz = freq * 1e6;
     EuParams params;
     params.aluLatency = aluLatency;
@@ -42,15 +37,30 @@ DetailedSimulator::simulate(const DetailedCheckpoint &cp) const
     params.bwBytesPerCycle =
         config.memBandwidthGBs * 1e9 / (double)config.numEus / freq_hz;
     params.memLatCycles = config.memLatencyNs * 1e-9 * freq_hz;
+    return params;
+}
 
-    EuResult eu = simulateEu(*cp.binary, cp.trace, num_ctx, params);
+uint32_t
+DetailedSimulator::contexts(const DetailedCheckpoint &cp) const
+{
+    GT_ASSERT(cp.binary, "checkpoint without binary");
+    // Simulate one EU with its SMT contexts; every context replays
+    // the same homogeneous trace.
+    return (uint32_t)std::min<uint64_t>(config.threadsPerEu,
+                                        cp.numThreads);
+}
 
+DetailedResult
+DetailedSimulator::scale(const DetailedCheckpoint &cp,
+                         const EuResult &eu) const
+{
     // Scale one EU's cycles to the whole dispatch.
     double threads_per_wave =
-        (double)num_ctx * (double)config.numEus;
+        (double)contexts(cp) * (double)config.numEus;
     double waves = std::ceil((double)cp.numThreads /
                              threads_per_wave);
 
+    double freq_hz = freq * 1e6;
     DetailedResult result;
     result.simulatedInstrs = eu.issued;
     result.cycles = eu.cycles * waves * cp.truncation;
@@ -61,27 +71,75 @@ DetailedSimulator::simulate(const DetailedCheckpoint &cp) const
     return result;
 }
 
+DetailedResult
+DetailedSimulator::simulate(const DetailedCheckpoint &cp) const
+{
+    return scale(cp, simulateEu(*cp.binary, cp.trace, contexts(cp),
+                                euParams()));
+}
+
 std::vector<DetailedResult>
 DetailedSimulator::simulateBatch(
     const std::vector<const DetailedCheckpoint *> &cells,
-    Backend backend, sched::ThreadPool *pool) const
+    Backend backend, sched::ThreadPool *pool,
+    uint64_t *eu_walks) const
 {
-    std::vector<DetailedResult> results(cells.size());
-    auto cell = [&](size_t i) {
-        if (cells[i])
-            results[i] = simulate(*cells[i]);
+    // Group the cells by EU input. simulateEu() is a pure function of
+    // (binary, trace, contexts) at this design point, so cells whose
+    // inputs match share one walk; each cell then applies its own
+    // waves, truncation, overhead and instruction count.
+    struct WalkKey
+    {
+        uint32_t contexts;
+        const DetailedCheckpoint *cp;
+
+        bool
+        operator<(const WalkKey &o) const
+        {
+            if (contexts != o.contexts)
+                return contexts < o.contexts;
+            if (cp->binary != o.cp->binary)
+                return std::less<>()(cp->binary, o.cp->binary);
+            return cp->trace < o.cp->trace;
+        }
+    };
+    std::map<WalkKey, size_t> walkIds;
+    std::vector<const DetailedCheckpoint *> firstCell;
+    std::vector<size_t> walkOf(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (!cells[i])
+            continue;
+        WalkKey key{contexts(*cells[i]), cells[i]};
+        auto [it, fresh] = walkIds.emplace(key, firstCell.size());
+        if (fresh)
+            firstCell.push_back(cells[i]);
+        walkOf[i] = it->second;
+    }
+
+    const EuParams params = euParams();
+    std::vector<EuResult> walks(firstCell.size());
+    auto walk = [&](size_t w) {
+        const DetailedCheckpoint &cp = *firstCell[w];
+        walks[w] = simulateEu(*cp.binary, cp.trace, contexts(cp), params);
     };
     if (backend == Backend::Serial) {
-        for (size_t i = 0; i < cells.size(); ++i)
-            cell(i);
-        return results;
+        for (size_t w = 0; w < walks.size(); ++w)
+            walk(w);
+    } else {
+        // Distinct walks are the machine's partition grain; per-index
+        // slots keep the outcome independent of the worker count.
+        sched::ThreadPool &p =
+            pool ? *pool : sched::ThreadPool::global();
+        p.parallelFor(walks.size(), walk, 1);
     }
-    // Each replay cell is an EU-homogeneous wave replay, so cells
-    // are the machine's partition grain; per-index slots keep the
-    // outcome independent of the worker count.
-    sched::ThreadPool &p =
-        pool ? *pool : sched::ThreadPool::global();
-    p.parallelFor(cells.size(), cell, 1);
+
+    std::vector<DetailedResult> results(cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (cells[i])
+            results[i] = scale(*cells[i], walks[walkOf[i]]);
+    }
+    if (eu_walks)
+        *eu_walks = walks.size();
     return results;
 }
 

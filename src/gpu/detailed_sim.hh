@@ -21,22 +21,21 @@
  *    bandwidth pipeline, a pure function of (binary, trace, contexts,
  *    machine parameters);
  *  - **machine layer** (this file): wave scaling and frequency
- *    conversion per replay cell, and the partitioning of independent
- *    replay cells — (design point, interval, dispatch) units, each an
- *    EU-homogeneous wave replay — across the sched::ThreadPool.
+ *    conversion per replay cell — a (design point, dispatch) unit —
+ *    and the fan-out of EU walks across the sched::ThreadPool.
  *
  * The model simulates one EU's SMT thread contexts explicitly (they
  * replay the dispatch's recorded control-flow trace) and scales to
  * the full machine by waves, which is sound because dispatch threads
- * are homogeneous in our workloads and EUs are identical. That same
- * homogeneity makes the replay *cell* the parallel partition grain:
- * every EU/sub-slice of a cell computes identical cycles, so
- * partitioning cells across workers covers the machine's EUs with no
- * redundant work. simulateBatch() runs cells in parallel by default;
- * Backend::Serial, passed explicitly, is the bitwise reference —
- * cells are pure functions of their checkpoint and design point, and
- * aggregation order is fixed, so results are identical at any thread
- * count.
+ * are homogeneous in our workloads and EUs are identical. A cell's
+ * EU walk is a pure function of (binary, trace, context count) at a
+ * design point, and checkpoints that differ only in buffer addresses
+ * or grid size share it, so simulateBatch() walks each distinct
+ * input once and lets every cell scale that walk by its own waves,
+ * truncation and instruction count. Walks run in parallel by default;
+ * Backend::Serial, passed explicitly, runs them in order on the
+ * calling thread. Walks land in per-index slots and cells are scaled
+ * in index order, so results are identical at any thread count.
  */
 
 #ifndef GT_GPU_DETAILED_SIM_HH
@@ -54,12 +53,16 @@ class ThreadPool;
 namespace gt::gpu
 {
 
+struct EuParams;
+struct EuResult;
+
 /** Outcome of detail-simulating one dispatch. */
 struct DetailedResult
 {
     double cycles = 0.0;           //!< modeled GPU cycles, full dispatch
     double seconds = 0.0;          //!< modeled wall time
-    uint64_t simulatedInstrs = 0;  //!< dynamic instructions walked
+    uint64_t simulatedInstrs = 0;  //!< instructions one EU issues
+                                   //!< replaying this dispatch
     double spi = 0.0;              //!< seconds per (application) instr
 };
 
@@ -91,21 +94,26 @@ class DetailedSimulator
     DetailedResult simulate(const DetailedCheckpoint &cp) const;
 
     /**
-     * Simulate a batch of independent replay cells. Serial backend:
-     * one cell at a time, in index order, on the calling thread —
-     * the bitwise oracle. Parallel backend: cells partition across
-     * @p pool (null = the process-wide pool) with per-index result
-     * slots, so the outcome is bitwise identical to serial at any
-     * thread count. Null cells yield default-constructed results.
+     * Simulate a batch of independent replay cells, bitwise equal to
+     * simulate() on each. Cells sharing an EU input (binary, trace
+     * contents, contexts) share one walk. Serial backend: walks run
+     * in order on the calling thread. Parallel backend: walks
+     * partition across @p pool (null = the process-wide pool). Null
+     * cells yield default-constructed results. If @p eu_walks is
+     * given, it receives the number of distinct walks run.
      */
     std::vector<DetailedResult>
     simulateBatch(const std::vector<const DetailedCheckpoint *> &cells,
                   Backend backend = Backend::Parallel,
-                  sched::ThreadPool *pool = nullptr) const;
+                  sched::ThreadPool *pool = nullptr,
+                  uint64_t *eu_walks = nullptr) const;
 
     /** Dependent-use latencies per opcode class, in cycles. */
     void setAluLatency(double cycles) { aluLatency = cycles; }
     void setMathLatency(double cycles) { mathLatency = cycles; }
+
+    /** The EU pipeline's parameters at this design point. */
+    EuParams euParams() const;
 
     /**
      * The production backend, Parallel. Kept only because the
@@ -115,6 +123,12 @@ class DetailedSimulator
     static Backend defaultBackend() { return Backend::Parallel; }
 
   private:
+    /** SMT contexts one EU runs for @p cp. */
+    uint32_t contexts(const DetailedCheckpoint &cp) const;
+    /** One EU's walk @p eu scaled to @p cp's whole dispatch. */
+    DetailedResult scale(const DetailedCheckpoint &cp,
+                         const EuResult &eu) const;
+
     const DeviceConfig config;
     double freq;
     double aluLatency = 2.0;

@@ -8,11 +8,19 @@
  * dependent-use latencies, and a shared memory bandwidth queue. This
  * is the innermost layer of the detailed-simulation stack — a pure
  * function of (binary, trace, context count, machine parameters) with
- * no executor, driver, or threading dependencies — extracted from the
- * old monolithic DetailedSimulator::simulate() so it can be tested
- * and reasoned about on its own. The machine layer (detailed_sim.hh)
- * owns wave scaling, frequency conversion, and parallel fan-out; the
- * artifact layer (detailed_checkpoint.hh) owns the functional inputs.
+ * no executor, driver, or threading dependencies. The machine layer
+ * (detailed_sim.hh) owns wave scaling, frequency conversion, and
+ * parallel fan-out; the artifact layer (detailed_checkpoint.hh) owns
+ * the functional inputs.
+ *
+ * The walk is event-cached: a context's next-issue time,
+ * max(ready, operands ready), depends only on its own scoreboard and
+ * its next instruction, which change only when that context issues.
+ * So each context's time is recomputed after it issues and the
+ * round-robin scan only compares cached doubles. Each instruction's
+ * static facts (issue cycles, latency class, scoreboard slots, send
+ * transfer cycles) are decoded once per call. A step-by-step
+ * reference lives in tests/eu_reference.hh.
  */
 
 #ifndef GT_GPU_EU_PIPELINE_HH

@@ -2,11 +2,23 @@
  * @file
  * Detailed-simulator tests: the cycle-level model must respect
  * dependences, bandwidth, and parallelism, and must be usable for
- * simulating selected intervals.
+ * simulating selected intervals. The EU walk is checked bit for bit
+ * against the step-by-step reference in eu_reference.hh on every
+ * checkpoint of four applications, and the batched machine layer
+ * against per-cell simulate() on cells that share walks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <set>
+#include <string>
+
+#include "core/detailed_validator.hh"
+#include "core/explorer.hh"
+#include "eu_reference.hh"
 #include "gpu/detailed_checkpoint.hh"
 #include "gpu/detailed_sim.hh"
 #include "gpu/eu_pipeline.hh"
@@ -403,6 +415,373 @@ TEST_F(DetailedSimTest, SerialParallelBitwiseAcrossDesignPoints)
             }
         }
     }
+}
+
+
+/** Bitwise equality of two results, every field. */
+void
+expectSameResult(const DetailedResult &want, const DetailedResult &got,
+                 size_t i)
+{
+    EXPECT_EQ(want.cycles, got.cycles) << "cell " << i;
+    EXPECT_EQ(want.seconds, got.seconds) << "cell " << i;
+    EXPECT_EQ(want.spi, got.spi) << "cell " << i;
+    EXPECT_EQ(want.simulatedInstrs, got.simulatedInstrs) << "cell " << i;
+}
+
+/**
+ * simulateBatch() must equal simulate() on every cell, under both
+ * backends and at 1 and 4 workers, and must run @p walks walks.
+ */
+void
+expectBatchMatchesCells(const DetailedSimulator &sim,
+                        const std::vector<const DetailedCheckpoint *> &cells,
+                        uint64_t walks)
+{
+    using Backend = DetailedSimulator::Backend;
+    sched::ThreadPool pool1(1), pool4(4);
+    const std::vector<std::pair<Backend, sched::ThreadPool *>> runs{
+        {Backend::Serial, nullptr},
+        {Backend::Parallel, &pool1},
+        {Backend::Parallel, &pool4}};
+    for (const auto &[backend, pool] : runs) {
+        uint64_t got_walks = 0;
+        std::vector<DetailedResult> got =
+            sim.simulateBatch(cells, backend, pool, &got_walks);
+        ASSERT_EQ(got.size(), cells.size());
+        EXPECT_EQ(got_walks, walks);
+        for (size_t i = 0; i < cells.size(); ++i) {
+            DetailedResult want;
+            if (cells[i])
+                want = sim.simulate(*cells[i]);
+            expectSameResult(want, got[i], i);
+        }
+    }
+}
+
+TEST_F(DetailedSimTest, BatchSharesWalkAcrossThreadCounts)
+{
+    // One trace, many thread counts: below threadsPerEu the context
+    // count changes (a distinct walk each), above it only the wave
+    // count does (one shared walk). Null cells sit in between.
+    KernelBinary bin = chainKernel(true);
+    Dispatch d;
+    d.binary = &bin;
+    d.globalSize = 1024;
+    d.simdWidth = 16;
+    const DetailedCheckpoint base = exec.checkpoint(d);
+    const uint64_t tpe = config.threadsPerEu;
+
+    std::vector<DetailedCheckpoint> cps;
+    for (uint64_t threads : std::vector<uint64_t>{
+             1, 3, tpe - 1, tpe, tpe + 1, tpe * config.numEus,
+             1 << 16}) {
+        DetailedCheckpoint cp = base;
+        cp.numThreads = threads;
+        cps.push_back(cp);
+    }
+    std::vector<const DetailedCheckpoint *> cells{nullptr};
+    for (const DetailedCheckpoint &cp : cps) {
+        cells.push_back(&cp);
+        cells.push_back(nullptr);
+    }
+
+    // One walk per distinct context count: on HD4000 (8 per EU)
+    // contexts 1, 3, 7 and 8; on HD4600 (7 per EU) 1, 3 and 7.
+    for (const DeviceConfig &dc :
+         {DeviceConfig::hd4000(), DeviceConfig::hd4600()}) {
+        std::set<uint64_t> contexts;
+        for (const DetailedCheckpoint &cp : cps)
+            contexts.insert(std::min<uint64_t>(dc.threadsPerEu,
+                                               cp.numThreads));
+        expectBatchMatchesCells(DetailedSimulator(dc), cells,
+                                contexts.size());
+    }
+}
+
+TEST_F(DetailedSimTest, BatchScalesSharedWalkPerCell)
+{
+    // Cells that share a walk but differ in truncation and in their
+    // dynamic instruction count (zero included) must each apply
+    // their own scaling.
+    KernelBinary bin = chainKernel(false);
+    Dispatch d;
+    d.binary = &bin;
+    d.globalSize = 1 << 14;
+    d.simdWidth = 16;
+    const DetailedCheckpoint base = exec.checkpoint(d);
+
+    std::vector<DetailedCheckpoint> cps;
+    for (double trunc : {1.0, 1.5, 7.25}) {
+        for (uint64_t dyn : std::vector<uint64_t>{
+                 0, 1, base.dynInstrs, base.dynInstrs * 3 + 1}) {
+            DetailedCheckpoint cp = base;
+            cp.truncation = trunc;
+            cp.dynInstrs = dyn;
+            cps.push_back(cp);
+        }
+    }
+    std::vector<const DetailedCheckpoint *> cells;
+    for (const DetailedCheckpoint &cp : cps)
+        cells.push_back(&cp);
+    cells.push_back(nullptr);
+    expectBatchMatchesCells(DetailedSimulator(config, 700.0), cells, 1);
+
+    // Only the cell's own fields enter its result: the shared walk
+    // gives identical cycles up to the truncation factor.
+    DetailedSimulator sim(config);
+    std::vector<DetailedResult> got = sim.simulateBatch(cells);
+    EXPECT_EQ(got[0].spi, 0.0);
+    EXPECT_NE(got[1].spi, got[2].spi);
+    EXPECT_NE(got[0].cycles, got[4].cycles);
+    EXPECT_EQ(got[0].simulatedInstrs, got[4].simulatedInstrs);
+}
+
+TEST_F(DetailedSimTest, BatchKeysWalksOnBinaryAndTraceContents)
+{
+    // Two binaries with the same block structure record the same
+    // trace, and must not share a walk; two separately built copies
+    // of one checkpoint must; a shorter trace of one binary must not.
+    KernelBinary dep = chainKernel(true);
+    KernelBinary indep = chainKernel(false);
+    Dispatch d;
+    d.globalSize = 1024;
+    d.simdWidth = 16;
+    d.binary = &dep;
+    const DetailedCheckpoint dep_cp = exec.checkpoint(d);
+    const DetailedCheckpoint dep_copy = exec.checkpoint(d);
+    const DetailedCheckpoint dep_cut = exec.checkpoint(d, 16);
+    d.binary = &indep;
+    const DetailedCheckpoint indep_cp = exec.checkpoint(d);
+    ASSERT_EQ(dep_cp.trace, indep_cp.trace);
+    ASSERT_NE(dep_cp.trace, dep_cut.trace);
+
+    // Same binary, same trace length, different block order.
+    DetailedCheckpoint dep_reordered = dep_cp;
+    std::reverse(dep_reordered.trace.begin(), dep_reordered.trace.end());
+    ASSERT_NE(dep_cp.trace, dep_reordered.trace);
+
+    std::vector<const DetailedCheckpoint *> cells{
+        &dep_cp, &indep_cp, &dep_copy, &dep_cut, &indep_cp,
+        &dep_reordered};
+    expectBatchMatchesCells(DetailedSimulator(config), cells, 4);
+    expectBatchMatchesCells(DetailedSimulator(config), {}, 0);
+    expectBatchMatchesCells(DetailedSimulator(config), {nullptr}, 0);
+}
+
+TEST_F(DetailedSimTest, EuWalkMatchesReferenceOnSyntheticKernels)
+{
+    // Every latency class (ALU, extended math, send) and flag
+    // dependence, at every context count up to the SMT width.
+    KernelBuilder mb("math_chain", 0);
+    Reg c = mb.reg();
+    Reg r = mb.reg();
+    mb.beginLoop(c, imm(50));
+    mb.fdiv(r, r, r, 8);
+    mb.fmul(r, r, r, 16);
+    mb.endLoop();
+    mb.halt();
+    std::vector<KernelBinary> bins{chainKernel(true), chainKernel(false),
+                                   mb.finish()};
+    workloads::TemplateJit jit;
+    for (const auto &[tmpl, params] :
+         std::vector<std::pair<std::string, std::vector<int64_t>>>{
+             {"reduce", {64, 0xffff, 16}}, {"julia", {64, 16}}}) {
+        isa::KernelSource src;
+        src.name = tmpl;
+        src.templateName = tmpl;
+        src.params = params;
+        bins.push_back(jit.compile(src));
+    }
+    uint32_t base = (uint32_t)memory.allocate(1 << 20);
+
+    for (const KernelBinary &bin : bins) {
+        Dispatch d;
+        d.binary = &bin;
+        d.globalSize = 1024;
+        d.simdWidth = 16;
+        d.args = {base, base, 0x3e000000u};
+        DetailedCheckpoint cp = exec.checkpoint(d);
+        for (const DeviceConfig &dc :
+             {DeviceConfig::hd4000(), DeviceConfig::hd4600()}) {
+            const EuParams params = DetailedSimulator(dc, 550.0).euParams();
+            for (uint32_t ctx = 1; ctx <= dc.threadsPerEu; ++ctx) {
+                EuResult want =
+                    reference::simulateEu(bin, cp.trace, ctx, params);
+                EuResult got = simulateEu(bin, cp.trace, ctx, params);
+                EXPECT_EQ(want.cycles, got.cycles)
+                    << bin.name << " ctx " << ctx;
+                EXPECT_EQ(want.issued, got.issued)
+                    << bin.name << " ctx " << ctx;
+            }
+        }
+    }
+}
+
+/** Every distinct checkpoint of @p app's dispatches, as the
+ * validator builds them. */
+class AppCheckpoints
+{
+  public:
+    explicit AppCheckpoints(const core::ProfiledApp &app)
+    {
+        gpu::TrialConfig trial;
+        trial.noiseSigma = 0.0;
+        driver = std::make_unique<ocl::GpuDriver>(
+            DeviceConfig::hd4000(), jit, trial);
+        runtime = std::make_unique<ocl::ClRuntime>(*driver);
+        cfl::replay(app.recording, *runtime);
+        std::set<const DetailedCheckpoint *> seen;
+        for (uint64_t d = 0; d < app.db.numDispatches(); ++d) {
+            const gtpin::DispatchProfile &rec = app.db.profileAt(d);
+            const DetailedCheckpoint *cp = &driver->checkpoint(
+                rec.kernelId, rec.globalWorkSize, 16, rec.args);
+            if (seen.insert(cp).second)
+                cps.push_back(cp);
+        }
+    }
+
+    std::vector<const DetailedCheckpoint *> cps;
+
+  private:
+    workloads::TemplateJit jit;
+    std::unique_ptr<ocl::GpuDriver> driver;
+    std::unique_ptr<ocl::ClRuntime> runtime;
+};
+
+class EuReferenceTest : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(EuReferenceTest, EveryCheckpointMatchesReference)
+{
+    // The event-cached EU walk against the step-by-step reference on
+    // every checkpoint of the app, at the profiling clock, a lowered
+    // clock and the next generation: cycles and issued bit for bit.
+    const workloads::Workload *w = workloads::findWorkload(GetParam());
+    ASSERT_NE(w, nullptr);
+    core::ProfiledApp app = core::profileApp(*w);
+    AppCheckpoints ckpts(app);
+    ASSERT_FALSE(ckpts.cps.empty());
+
+    const std::vector<std::pair<DeviceConfig, double>> points{
+        {DeviceConfig::hd4000(), 0.0},
+        {DeviceConfig::hd4000(), 350.0},
+        {DeviceConfig::hd4600(), 0.0}};
+    for (const auto &[dc, freq] : points) {
+        const EuParams params = DetailedSimulator(dc, freq).euParams();
+        for (const DetailedCheckpoint *cp : ckpts.cps) {
+            const uint32_t num_ctx = (uint32_t)std::min<uint64_t>(
+                dc.threadsPerEu, cp->numThreads);
+            EuResult want = reference::simulateEu(
+                *cp->binary, cp->trace, num_ctx, params);
+            EuResult got =
+                simulateEu(*cp->binary, cp->trace, num_ctx, params);
+            ASSERT_EQ(want.cycles, got.cycles)
+                << cp->binary->name << " ctx " << num_ctx;
+            ASSERT_EQ(want.issued, got.issued)
+                << cp->binary->name << " ctx " << num_ctx;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PinnedApps, EuReferenceTest,
+    ::testing::Values("cb-histogram-image", "sonyvegas-proj-r7",
+                      "cb-graphics-provence", "sandra-crypt-aes256"),
+    [](const auto &info) {
+        std::string s = info.param;
+        for (char &c : s) {
+            if (c == '-')
+                c = '_';
+        }
+        return s;
+    });
+
+/** A validator over one small app and its minimum-error selection. */
+class DetailedValidatorTest : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        app = std::make_unique<core::ProfiledApp>(core::profileApp(
+            *workloads::findWorkload("cb-gaussian-image")));
+        sel = std::make_unique<core::SubsetSelection>(
+            core::pickMinError(core::exploreConfigs(app->db)).selection);
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        sel.reset();
+        app.reset();
+    }
+
+    /** validate() on @p bad must panic, naming the app and @p what. */
+    void
+    expectRejected(const core::SubsetSelection &bad,
+                   const std::string &what)
+    {
+        core::DetailedValidator v(*app);
+        try {
+            v.validate(bad);
+            ADD_FAILURE() << "accepted a selection with " << what;
+        } catch (const PanicError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(app->name), std::string::npos) << msg;
+            EXPECT_NE(msg.find(what), std::string::npos) << msg;
+        }
+    }
+
+    static inline std::unique_ptr<core::ProfiledApp> app;
+    static inline std::unique_ptr<core::SubsetSelection> sel;
+};
+
+TEST_F(DetailedValidatorTest, AcceptsItsOwnSelection)
+{
+    core::DetailedValidator v(*app);
+    core::DetailedValidator::Report r = v.validate(*sel);
+    EXPECT_GT(r.fullSpi, 0.0);
+    EXPECT_TRUE(std::isfinite(r.errorPct));
+    EXPECT_GT(v.cellSims(), 0u);
+    EXPECT_GE(v.cellSims(), v.euWalks());
+    EXPECT_GT(v.euWalks(), 0u);
+}
+
+TEST_F(DetailedValidatorTest, RejectsRaggedRatios)
+{
+    core::SubsetSelection bad = *sel;
+    bad.ratios.pop_back();
+    expectRejected(bad, "size mismatch");
+    bad = *sel;
+    bad.ratios.push_back(0.5);
+    expectRejected(bad, "size mismatch");
+}
+
+TEST_F(DetailedValidatorTest, RejectsEmptySelection)
+{
+    core::SubsetSelection bad = *sel;
+    bad.selected.clear();
+    bad.ratios.clear();
+    expectRejected(bad, "empty selection");
+}
+
+TEST_F(DetailedValidatorTest, RejectsOutOfRangeInterval)
+{
+    core::SubsetSelection bad = *sel;
+    bad.selected[0] = bad.intervals.size();
+    expectRejected(bad, "out of range");
+}
+
+TEST_F(DetailedValidatorTest, RejectsZeroInstructionInterval)
+{
+    // An interval that covers no dispatch has no instructions; its
+    // SPI would be 0/0.
+    core::SubsetSelection bad = *sel;
+    core::Interval &iv = bad.intervals[bad.selected[0]];
+    iv.firstDispatch = iv.lastDispatch + 1;
+    expectRejected(bad, "has no instructions");
 }
 
 } // anonymous namespace
