@@ -11,6 +11,12 @@
  * columns are hashed (FNV-1a; doubles by their bits) and compared
  * with tests/golden/profile_digests.txt.
  *
+ * The same test explores all 30 configurations of each profiled
+ * application and hashes every ConfigResult (selected intervals,
+ * ratio bits, selected instructions, error bits) plus the indices the
+ * two selection policies pick, so the selection flow is pinned end to
+ * end, not only pairwise between backends.
+ *
  * GoldenDetailed pins the cycle-level layer the same way: the
  * trial-1 error-minimising selection of two applications whose
  * detailed error is not zero (cb-histogram-image, about 1.5%, and
@@ -155,6 +161,26 @@ columnsDigest(const TraceDatabase &db)
     return d.hex();
 }
 
+/** Every ConfigResult of @p ex in slot order, then the slots
+ * pickMinError and pickCoOptimized (10% threshold) choose. */
+std::string
+explorationDigest(const Exploration &ex)
+{
+    Fnv d;
+    d.u64(ex.results.size());
+    for (const ConfigResult &r : ex.results) {
+        d.vec(r.selection.selected);
+        d.u64(r.selection.ratios.size());
+        for (double ratio : r.selection.ratios)
+            d.f64(ratio);
+        d.u64(r.selection.selectedInstrs);
+        d.f64(r.errorPct);
+    }
+    d.u64((uint64_t)(&pickMinError(ex) - ex.results.data()));
+    d.u64((uint64_t)(&pickCoOptimized(ex, 10.0) - ex.results.data()));
+    return d.hex();
+}
+
 /** key ("<app> <part>") -> digest, from the committed file. */
 std::map<std::string, std::string>
 loadGolden()
@@ -246,6 +272,7 @@ TEST_P(GoldenProfile, MatchesCommittedDigests)
         {name + " profile.columns", columnsDigest(app.db)},
         {name + " replay.dispatches", profilesDigest(replay)},
         {name + " replay.columns", columnsDigest(replay)},
+        {name + " explore", explorationDigest(exploreConfigs(app.db))},
     };
 
     expectGolden(name, actual);
