@@ -21,7 +21,14 @@
  *
  * All three must agree bit for bit (the parallel backend is
  * additionally checked at 1, 4, and hardware-width pools), and the
- * paired wall clocks land in BENCH_detailed.json:
+ * paired wall clocks land in BENCH_detailed.json.
+ *
+ * The legacy path shares the machine layer's EU walk, so its speedup
+ * gate cannot see a regression there. A second gate therefore times
+ * the production gpu::simulateEu() against the step-by-step
+ * reference walk (tests/eu_reference.hh) on every distinct checkpoint
+ * of each application, requiring equal results and a minimum
+ * geometric-mean walk speedup:
  *
  *     cd /path/to/repo && build/bench/detailed_validate
  *
@@ -38,6 +45,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "core/detailed_validator.hh"
+#include "tests/eu_reference.hh"
 
 using namespace gt;
 using Backend = core::DetailedValidator::Backend;
@@ -119,6 +127,22 @@ struct LegacyStack
         return r;
     }
 
+    /** Every distinct checkpoint the application's dispatches use,
+     * in first-use order. */
+    std::vector<const gpu::DetailedCheckpoint *>
+    checkpoints()
+    {
+        std::vector<const gpu::DetailedCheckpoint *> out;
+        for (uint64_t d = 0; d < app.db.numDispatches(); ++d) {
+            const auto &rec = app.db.profileAt(d);
+            const gpu::DetailedCheckpoint *cp = &driver->checkpoint(
+                rec.kernelId, rec.globalWorkSize, 16, rec.args);
+            if (std::find(out.begin(), out.end(), cp) == out.end())
+                out.push_back(cp);
+        }
+        return out;
+    }
+
     const core::ProfiledApp &app;
     workloads::TemplateJit jit;
     std::unique_ptr<ocl::GpuDriver> driver;
@@ -127,6 +151,37 @@ struct LegacyStack
     uint64_t fullInstrs = 0, fullWalked = 0;
     double fullSeconds = 0.0;
 };
+
+/** Minimum geometric-mean speedup of the production EU walk over
+ * the step-by-step reference (set from a full run; see CHANGES.md). */
+constexpr double euWalkGate = 3.0;
+
+/** Timed passes per EU-walk side; the best one is reported. */
+constexpr int euWalkReps = 3;
+
+/** Best of euWalkReps timings of @p walk over every checkpoint in
+ * @p cps (one EU per checkpoint, at min(@p threads_per_eu, its
+ * threads) contexts); the last pass's results are left in @p out. */
+template <typename Walk>
+double
+timeWalks(const std::vector<const gpu::DetailedCheckpoint *> &cps,
+          const gpu::EuParams &params, uint32_t threads_per_eu,
+          Walk &&walk, std::vector<gpu::EuResult> &out)
+{
+    double best = 0.0;
+    for (int rep = 0; rep < euWalkReps; ++rep) {
+        out.clear();
+        auto t0 = std::chrono::steady_clock::now();
+        for (const gpu::DetailedCheckpoint *cp : cps) {
+            auto ctx = (uint32_t)std::min<uint64_t>(threads_per_eu,
+                                                    cp->numThreads);
+            out.push_back(walk(*cp->binary, cp->trace, ctx, params));
+        }
+        double s = secondsSince(t0);
+        best = rep == 0 ? s : std::min(best, s);
+    }
+    return best;
+}
 
 bool
 sameReport(const Report &a, const Report &b)
@@ -157,7 +212,9 @@ main(int argc, char **argv)
     {
         std::string app;
         uint64_t dispatches = 0, selections = 0, cells = 0, walks = 0;
+        uint64_t checkpoints = 0;
         double legacyS = 0.0, serialS = 0.0, parallelS = 0.0;
+        double euReferenceS = 0.0, euWalkS = 0.0;
     };
     std::vector<Row> rows;
 
@@ -180,6 +237,30 @@ main(int argc, char **argv)
         for (const core::ConfigResult &cr : ex.results)
             legacy_reps.push_back(legacy.validate(cr.selection));
         row.legacyS = secondsSince(t0);
+
+        // The EU walk alone: production against the step-by-step
+        // reference, on the same checkpoints at the profiling clock.
+        const auto cps = legacy.checkpoints();
+        const gpu::EuParams params = legacy.sim->euParams();
+        const uint32_t threads = legacy.driver->config().threadsPerEu;
+        std::vector<gpu::EuResult> ref_walks, walks;
+        row.checkpoints = cps.size();
+        row.euReferenceS = timeWalks(cps, params, threads,
+                                     gpu::reference::simulateEu, ref_walks);
+        row.euWalkS = timeWalks(
+            cps, params, threads,
+            [](const isa::KernelBinary &bin,
+               const std::vector<uint32_t> &trace, uint32_t ctx,
+               const gpu::EuParams &p) {
+                return gpu::simulateEu(bin, trace, ctx, p);
+            },
+            walks);
+        for (size_t i = 0; i < cps.size(); ++i) {
+            GT_ASSERT(ref_walks[i].cycles == walks[i].cycles &&
+                          ref_walks[i].issued == walks[i].issued,
+                      name, ": EU walk differs from the reference on ",
+                      cps[i]->binary->name);
+        }
 
         // Checkpointed stack, serial oracle.
         t0 = std::chrono::steady_clock::now();
@@ -236,15 +317,26 @@ main(int argc, char **argv)
                   << "  parallel  " << fixed(row.parallelS, 3)
                   << " s  ("
                   << fixed(row.legacyS / row.parallelS, 1)
-                  << "x, bit-identical at 1/4/hw threads)\n";
+                  << "x, bit-identical at 1/4/hw threads)\n"
+                  << "  EU walk   " << fixed(row.euWalkS * 1e3, 2)
+                  << " ms over " << row.checkpoints
+                  << " checkpoints  ("
+                  << fixed(row.euReferenceS / row.euWalkS, 1)
+                  << "x the step-by-step reference, "
+                  << fixed(row.euReferenceS * 1e3, 2) << " ms)\n";
     }
 
-    bench::GeoMean geomean;
-    for (const Row &r : rows)
+    bench::GeoMean geomean, eu_geomean;
+    for (const Row &r : rows) {
         geomean.add(r.legacyS / r.parallelS);
+        eu_geomean.add(r.euReferenceS / r.euWalkS);
+    }
     std::cout << "\ngeomean speedup (checkpointed parallel vs "
                  "legacy): "
-              << fixed(geomean.value(), 1) << "x\n";
+              << fixed(geomean.value(), 1) << "x\n"
+              << "geomean EU walk speedup (production vs step-by-step "
+                 "reference): "
+              << fixed(eu_geomean.value(), 1) << "x\n";
 
     bench::BenchReport report("BENCH_detailed.json", smoke);
     for (const Row &r : rows) {
@@ -257,11 +349,22 @@ main(int argc, char **argv)
             .field("legacy_s", r.legacyS)
             .field("serial_s", r.serialS)
             .field("parallel_s", r.parallelS)
-            .field("speedup", r.legacyS / r.parallelS);
+            .field("speedup", r.legacyS / r.parallelS)
+            .field("checkpoints", r.checkpoints)
+            .field("eu_reference_s", r.euReferenceS)
+            .field("eu_walk_s", r.euWalkS)
+            .field("eu_speedup", r.euReferenceS / r.euWalkS);
     }
     report.scalar("geomean_speedup", geomean.value());
+    report.scalar("geomean_eu_speedup", eu_geomean.value());
+    report.scalar("eu_walk_repetitions", euWalkReps);
     report.gate("speedup_gate", geomean.value() >= 3.0,
                 "detailed validation speedup regressed below 3x: " +
                     std::to_string(geomean.value()));
+    report.gate("eu_walk_gate", eu_geomean.value() >= euWalkGate || smoke,
+                "EU walk speedup over the step-by-step reference "
+                "regressed below " +
+                    fixed(euWalkGate, 1) + "x: " +
+                    std::to_string(eu_geomean.value()));
     return report.finish();
 }

@@ -189,6 +189,7 @@ main(int argc, char **argv)
     benchmark::Shutdown();
 
     bench::BenchReport report("BENCH_features.json");
+    report.repetitions(reporter.minIterations());
     bench::GeoMean extract_geo, explore_geo;
     for (const BenchApp &b : apps()) {
         for (int k = 0; k < numFeatureKinds; ++k) {

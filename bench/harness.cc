@@ -1,5 +1,6 @@
 #include "bench/harness.hh"
 
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -132,6 +133,27 @@ render(T value)
     return os.str();
 }
 
+/** `git describe --always --dirty` of the source tree, or "unknown"
+ * when git or the checkout is unavailable. */
+std::string
+sourceRevision()
+{
+    std::string rev;
+    if (FILE *pipe = popen("git -C '" GT_SOURCE_DIR
+                           "' describe --always --dirty --abbrev=12 "
+                           "2>/dev/null",
+                           "r")) {
+        char buf[128];
+        while (fgets(buf, sizeof(buf), pipe))
+            rev += buf;
+        if (pclose(pipe) != 0)
+            rev.clear();
+    }
+    while (!rev.empty() && (rev.back() == '\n' || rev.back() == '\r'))
+        rev.pop_back();
+    return rev.empty() ? "unknown" : rev;
+}
+
 } // anonymous namespace
 
 BenchReport::BenchReport(std::string file_name, bool smoke)
@@ -142,6 +164,7 @@ BenchReport::BenchReport(std::string file_name, bool smoke)
     scalars.emplace_back("mode", smoke ? "\"smoke\"" : "\"full\"");
     scalars.emplace_back("nproc",
                          render(std::thread::hardware_concurrency()));
+    scalars.emplace_back("git", "\"" + sourceRevision() + "\"");
 }
 
 void
@@ -246,6 +269,7 @@ BenchReport::gate(const std::string &name, bool pass,
 int
 BenchReport::finish()
 {
+    scalar("repetitions", reps);
     std::ofstream json(file);
     json << "{\n";
     bool need_comma = false;

@@ -75,10 +75,10 @@ class GeoMean
     int n = 0;
 };
 
-/** Captures adjusted per-iteration real time for every finished run
- * on top of the normal console output (the `/min_time` suffix
- * google-benchmark appends is stripped, so lookups use the
- * registered name). */
+/** Captures adjusted per-iteration real time and the iteration count
+ * for every finished run on top of the normal console output (the
+ * `/min_time` suffix google-benchmark appends is stripped, so lookups
+ * use the registered name). */
 class CaptureReporter : public benchmark::ConsoleReporter
 {
   public:
@@ -94,11 +94,24 @@ class CaptureReporter : public benchmark::ConsoleReporter
                 name.resize(pos);
             }
             times[name] = run.GetAdjustedRealTime();
+            iterations[name] = (uint64_t)run.iterations;
         }
         ConsoleReporter::ReportRuns(runs);
     }
 
+    /** The smallest iteration count of any captured case (0 before
+     * any), what BenchReport::repetitions() records. */
+    uint64_t
+    minIterations() const
+    {
+        uint64_t least = 0;
+        for (const auto &[name, n] : iterations)
+            least = least == 0 ? n : std::min(least, n);
+        return least;
+    }
+
     std::map<std::string, double> times;
+    std::map<std::string, uint64_t> iterations;
 };
 
 /**
@@ -116,8 +129,10 @@ class BenchReport
      * @param smoke whether this is a --smoke run: finish() then
      *        writes "<stem>.smoke.json" instead, so a smoke run never
      *        overwrites the committed full-run file. Every report
-     *        records its "mode" ("full" or "smoke") and the host's
-     *        "nproc".
+     *        records its "mode" ("full" or "smoke"), the host's
+     *        "nproc", the source revision ("git", `git describe
+     *        --always --dirty` of the source tree, or "unknown") and
+     *        "repetitions" (see repetitions()).
      */
     explicit BenchReport(std::string file_name, bool smoke = false);
 
@@ -144,6 +159,11 @@ class BenchReport
      * deques). */
     Row &addRow(const std::string &array = "benchmarks");
 
+    /** How many timed repetitions stand behind each reported time
+     * (default 1; google-benchmark benches pass
+     * CaptureReporter::minIterations()). */
+    void repetitions(uint64_t n) { reps = n; }
+
     void scalar(const std::string &name, double value);
     void scalar(const std::string &name, uint64_t value);
     void scalar(const std::string &name, int value);
@@ -165,6 +185,7 @@ class BenchReport
     std::string file;
     std::vector<std::pair<std::string, std::deque<Row>>> arrays;
     std::vector<std::pair<std::string, std::string>> scalars;
+    uint64_t reps = 1;
     int rc = 0;
 };
 

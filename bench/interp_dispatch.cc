@@ -117,6 +117,7 @@ main(int argc, char **argv)
     // Pair up the timings and derive per-template speedups plus the
     // per-mode geometric means the acceptance gate checks.
     bench::BenchReport report("BENCH_interp.json");
+    report.repetitions(reporter.minIterations());
     std::map<std::string, bench::GeoMean> geomeans;
     for (const std::string &tmpl : templates) {
         for (const auto &[mode_name, mode] : modes) {

@@ -1,5 +1,6 @@
 #include "core/explorer.hh"
 
+#include <array>
 #include <optional>
 
 #include "common/logging.hh"
@@ -41,21 +42,35 @@ exploreConfigs(const TraceDatabase &db,
         : sched::ThreadPool::global();
 
     // One feature engine serves every evaluation: dispatch profiles
-    // are lowered once and projection rows derived once, before the
-    // fan-out, instead of 30 times inside it.
+    // are lowered once (in parallel chunks, on this pool) and
+    // projection rows derived once, before the fan-out, instead of
+    // 30 times inside it. Each scheme's intervals are likewise built
+    // once, alongside the engine, and shared by its ten feature
+    // kinds.
     std::optional<FeatureEngine> local;
-    if (!engine) {
-        local.emplace(db);
+    std::array<std::vector<Interval>, numIntervalSchemes> schemes;
+    pool.parallelFor(
+        1 + schemes.size(),
+        [&](size_t idx) {
+            if (idx == 0) {
+                if (!engine)
+                    local.emplace(db, FeatureBackend::Flat, &pool);
+            } else {
+                schemes[idx - 1] = buildIntervals(
+                    db, (IntervalScheme)(idx - 1), target_instrs);
+            }
+        },
+        1);
+    if (!engine)
         engine = &*local;
-    }
     GT_ASSERT(&engine->database() == &db,
               "feature engine built over a different database");
 
     // All 30 (scheme, feature) evaluations read the same immutable
-    // TraceDatabase and FeatureEngine (const-qualified access only;
-    // see their class comments) and write disjoint slots in the
-    // paper's enumeration order, so the fan-out is bit-identical to
-    // the serial loop.
+    // TraceDatabase, FeatureEngine and intervals (const-qualified
+    // access only; see their class comments) and write disjoint
+    // slots in the paper's enumeration order, so the fan-out is
+    // bit-identical to the serial loop.
     constexpr size_t num_configs =
         (size_t)numIntervalSchemes * numFeatureKinds;
     Exploration ex;
@@ -63,12 +78,12 @@ exploreConfigs(const TraceDatabase &db,
     pool.parallelFor(
         num_configs,
         [&](size_t idx) {
-            int s = (int)(idx / numFeatureKinds);
+            size_t s = idx / numFeatureKinds;
             int f = (int)(idx % numFeatureKinds);
             ConfigResult &r = ex.results[idx];
-            r.selection = selectSubset(db, (IntervalScheme)s,
-                                       (FeatureKind)f, options,
-                                       target_instrs, engine);
+            r.selection = selectFromIntervals(
+                *engine, (IntervalScheme)s, (FeatureKind)f, schemes[s],
+                options);
             r.errorPct = selectionErrorPct(db, r.selection);
         },
         1);

@@ -28,7 +28,12 @@
  *  - projectAll() projects each distinct interval once: intervals
  *    whose per-dispatch contributions (block row ids, or the kernel
  *    streams' entries) are the same sequence get the same point by
- *    construction, so later ones copy it.
+ *    construction, so later ones copy it. The grouping it finds on
+ *    the way is handed to the clusterer (simpoint::UniqueIndex), so
+ *    k-means need not sort the population to find coincident points.
+ *  - The batch build lowers the database in chunks aligned to the
+ *    trace store's blocks, in parallel, and merges the chunk caches
+ *    in chunk order (see the batch constructor).
  *  - simpoint::ProjectionTable memoizes each unique key's
  *    coefficient row, built once from the cache's key universe.
  *
@@ -79,10 +84,24 @@ class DispatchFeatureCache
      * dispatch at a time, refreshColumns() before querying. */
     DispatchFeatureCache() = default;
 
-    /** Batch construction: appends every dispatch of @p db, then
-     * refreshes — one code path with the streaming form, so the two
-     * are bitwise identical by construction. */
-    explicit DispatchFeatureCache(const TraceDatabase &db);
+    /**
+     * Batch construction on @p pool (null = the process-wide pool).
+     * The database is cut into chunks of whole trace-store blocks
+     * (trace_store::defaultBlockSize dispatches each), about two per
+     * worker; each chunk is lowered into a chunk-local cache by
+     * appendDispatch(), in parallel, and the chunk caches are merged
+     * in chunk order (appendCache()) and the columns refreshed once. Merging in
+     * order reproduces the streaming build exactly — the same
+     * interim ids, block rows, streams and dedup index, member for
+     * member (operator==) — so the two forms are bitwise identical
+     * by construction.
+     */
+    explicit DispatchFeatureCache(const TraceDatabase &db,
+                                  sched::ThreadPool *pool = nullptr);
+
+    /** Member-for-member equality: the differential tests compare a
+     * batch-built cache with a streaming one through this. */
+    bool operator==(const DispatchFeatureCache &) const = default;
 
     /**
      * Lower one dispatch profile into the contribution streams.
@@ -156,10 +175,18 @@ class DispatchFeatureCache
      * point, which is the bits projectInto() would produce since the
      * accumulation order, touched set and FP sequence are the same.
      * Candidates are found by hash and always confirmed in full.
+     *
+     * @param groups if given, receives that grouping: intervals with
+     *        the same contribution sequence share a group (numbered
+     *        in first-appearance order), so every group holds
+     *        bitwise-equal points, as simpoint::UniqueIndex requires.
+     *        Intervals with different sequences but equal points
+     *        land in different groups.
      */
     std::vector<simpoint::Point>
     projectAll(std::span<const Interval> intervals, FeatureKind kind,
-               const simpoint::ProjectionTable &table) const;
+               const simpoint::ProjectionTable &table,
+               simpoint::UniqueIndex *groups = nullptr) const;
 
     /** Distinct block rows lowered so far (<= dispatches). */
     size_t numBlockRows() const
@@ -197,6 +224,8 @@ class DispatchFeatureCache
         std::vector<uint64_t> offsets = {0}; //!< numRows + 1
         std::vector<uint32_t> cols;
         std::vector<double> values;
+
+        bool operator==(const Stream &) const = default;
     };
 
     static bool isBlockStream(StreamId id) { return id >= bbBase; }
@@ -224,6 +253,31 @@ class DispatchFeatureCache
     /** Lower @p p's block streams into a new distinct row, or find
      * the identical earlier row; @return its row id. */
     uint32_t blockRow(const gtpin::DispatchProfile &p);
+
+    /** The block-row dedup step shared by blockRow() and
+     * appendCache(): among the rows whose content hash is @p hash,
+     * @return the one @p same accepts, else call @p append to push a
+     * new row's entries and @return the new row's id. */
+    template <typename Same, typename Append>
+    uint32_t findOrAddRow(uint64_t hash, Same &&same, Append &&append);
+
+    /**
+     * Append every dispatch of @p part, a cache lowered from the
+     * dispatches that follow this one's, as if each had gone through
+     * appendDispatch() here: intern the part's keys in its interim-id
+     * order, dedup each of its block rows against this cache's rows,
+     * then append its kernel streams and row ids with columns and
+     * rows remapped.
+     *
+     * Why the ids come out identical: a block row new to this cache
+     * is also new within @p part, so the part's first-encounter key
+     * order lists every key new to this cache in the order the
+     * streaming build would meet it; the part's other rows repeat
+     * rows this cache already holds, whose keys are all interned.
+     * Rows new to this cache are likewise appended in the part's row
+     * order, which is their first-appearance order.
+     */
+    void appendCache(const DispatchFeatureCache &part);
 
     /** Whether block row @p row holds exactly @p p's lowered block
      * contributions: the same keys and value bits, entry for entry,
@@ -265,9 +319,13 @@ class DispatchFeatureCache
 class FeatureEngine
 {
   public:
+    /** Build the flat backend's cache on @p pool (null = the
+     * process-wide pool; see DispatchFeatureCache's batch
+     * constructor). */
     explicit FeatureEngine(
         const TraceDatabase &db,
-        FeatureBackend backend = FeatureBackend::Flat);
+        FeatureBackend backend = FeatureBackend::Flat,
+        sched::ThreadPool *pool = nullptr);
 
     FeatureBackend backend() const { return mode; }
 
@@ -290,10 +348,16 @@ class FeatureEngine
      * (see DispatchFeatureCache::projectAll); the map backend extracts,
      * normalizes, and projects with on-the-fly coefficients. Both
      * produce bitwise-identical points.
+     *
+     * @param groups if given, receives a grouping of the points into
+     *        bitwise-equal groups for the clusterer: the flat
+     *        backend's projection grouping, or on the map backend
+     *        simpoint::buildUniqueIndex over the points.
      */
     std::vector<simpoint::Point>
     projectAll(const std::vector<Interval> &intervals,
-               FeatureKind kind) const;
+               FeatureKind kind,
+               simpoint::UniqueIndex *groups = nullptr) const;
 
     /** Memoized projection rows over the workload's key universe
      * (null on the map backend, which derives coefficients on the

@@ -32,22 +32,33 @@ selectSubset(const TraceDatabase &db, IntervalScheme scheme,
 {
     std::optional<FeatureEngine> local;
     if (!engine) {
-        local.emplace(db);
+        local.emplace(db, FeatureBackend::Flat, options.pool);
         engine = &*local;
     }
     GT_ASSERT(&engine->database() == &db,
               "feature engine built over a different database");
+    return selectFromIntervals(*engine, scheme, feature,
+                               buildIntervals(db, scheme, target_instrs),
+                               options);
+}
 
-    std::vector<Interval> intervals =
-        buildIntervals(db, scheme, target_instrs);
-
+SubsetSelection
+selectFromIntervals(const FeatureEngine &engine, IntervalScheme scheme,
+                    FeatureKind feature,
+                    std::vector<Interval> intervals,
+                    const simpoint::ClusterOptions &options)
+{
     // The engine projects straight off its columns; the clusterer
-    // never sees the sparse vectors.
+    // never sees the sparse vectors, and reuses the projection's
+    // grouping of coincident intervals.
+    simpoint::UniqueIndex groups;
     std::vector<simpoint::Point> points =
-        engine->projectAll(intervals, feature);
-
+        engine.projectAll(intervals, feature, &groups);
+    simpoint::ClusterOptions grouped = options;
+    grouped.uniqueIndex = &groups;
     return selectFromProjected(scheme, feature, std::move(intervals),
-                               points, db.totalInstrs(), options);
+                               points, engine.database().totalInstrs(),
+                               grouped);
 }
 
 SubsetSelection

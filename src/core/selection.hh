@@ -82,6 +82,20 @@ selectSubset(const TraceDatabase &db, IntervalScheme scheme,
              const FeatureEngine *engine = nullptr);
 
 /**
+ * selectSubset() over @p intervals already built under @p scheme:
+ * project them through @p engine and cluster the points, handing the
+ * projection's grouping of coincident intervals to the clusterer
+ * (ClusterOptions::uniqueIndex) so it need not sort the population.
+ * exploreConfigs() builds each scheme's intervals once and calls
+ * this for each of the scheme's feature kinds.
+ */
+SubsetSelection
+selectFromIntervals(const FeatureEngine &engine, IntervalScheme scheme,
+                    FeatureKind feature,
+                    std::vector<Interval> intervals,
+                    const simpoint::ClusterOptions &options = {});
+
+/**
  * The selection tail shared by selectSubset() and the streaming
  * service's incremental refresh: cluster already-projected interval
  * @p points (one per interval, in interval order) and assemble the

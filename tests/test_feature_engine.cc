@@ -63,6 +63,56 @@ samePointBits(const simpoint::Point &a, const simpoint::Point &b)
     return std::memcmp(a.data(), b.data(), sizeof(a)) == 0;
 }
 
+/** The streaming build: every dispatch through appendDispatch(), in
+ * order, then one refresh. */
+DispatchFeatureCache
+streamingCache(const TraceDatabase &db)
+{
+    DispatchFeatureCache cache;
+    for (uint64_t d = 0; d < db.numDispatches(); ++d)
+        cache.appendDispatch(db.profileAt(d));
+    cache.refreshColumns();
+    return cache;
+}
+
+/** The batch build on pools of 1 and 4 workers equals the streaming
+ * build member for member (interim ids, block rows, streams, row
+ * ids, dedup index). */
+void
+expectBatchBuildMatchesStreaming(const TraceDatabase &db)
+{
+    DispatchFeatureCache stream = streamingCache(db);
+    for (unsigned threads : {1u, 4u}) {
+        sched::ThreadPool pool(threads);
+        DispatchFeatureCache batch(db, &pool);
+        EXPECT_TRUE(batch == stream)
+            << db.numDispatches() << " dispatches, " << threads
+            << " threads";
+        EXPECT_EQ(batch.memoryBytes(), stream.memoryBytes());
+        EXPECT_EQ(batch.numBlockRows(), stream.numBlockRows());
+        EXPECT_EQ(batch.uniqueKeys(), stream.uniqueKeys());
+    }
+}
+
+/** @p groups covers @p points and every group holds bitwise-equal
+ * points (simpoint::UniqueIndex's contract). */
+void
+expectGroupsHoldEqualPoints(const std::vector<simpoint::Point> &points,
+                            const simpoint::UniqueIndex &groups)
+{
+    ASSERT_EQ(groups.uid.size(), points.size());
+    ASSERT_EQ(groups.rep.size(), groups.count.size());
+    std::vector<uint32_t> members(groups.rep.size(), 0);
+    for (size_t i = 0; i < points.size(); ++i) {
+        ASSERT_LT(groups.uid[i], groups.rep.size());
+        ++members[groups.uid[i]];
+        ASSERT_TRUE(samePointBits(points[i],
+                                  points[groups.rep[groups.uid[i]]]))
+            << "interval " << i;
+    }
+    EXPECT_EQ(members, groups.count);
+}
+
 // --- Flat vs map oracle on real profiled workloads ----------------
 
 class EngineWorkloadTest
@@ -209,6 +259,41 @@ TEST_P(EngineWorkloadTest, ProjectAllMatchesMapBackendBitwise)
                 ASSERT_TRUE(samePointBits(got[i], want[i]))
                     << featureKindName(kind) << " interval " << i;
             }
+        }
+    }
+    setLogQuiet(false);
+}
+
+TEST_P(EngineWorkloadTest, ParallelBuildMatchesStreamingBuild)
+{
+    setLogQuiet(true);
+    ProfiledApp app = profiled(GetParam());
+    expectBatchBuildMatchesStreaming(app.db);
+    setLogQuiet(false);
+}
+
+TEST_P(EngineWorkloadTest, ProjectAllIsPoolWidthInvariant)
+{
+    setLogQuiet(true);
+    ProfiledApp app = profiled(GetParam());
+    sched::ThreadPool one(1), four(4);
+    FeatureEngine narrow(app.db, FeatureBackend::Flat, &one);
+    FeatureEngine wide(app.db, FeatureBackend::Flat, &four);
+    for (IntervalScheme scheme : allSchemes()) {
+        auto intervals = buildIntervals(app.db, scheme);
+        for (FeatureKind kind : allKinds()) {
+            SCOPED_TRACE(std::string(intervalSchemeName(scheme)) + " " +
+                         featureKindName(kind));
+            simpoint::UniqueIndex gn, gw;
+            auto a = narrow.projectAll(intervals, kind, &gn);
+            auto b = wide.projectAll(intervals, kind, &gw);
+            ASSERT_EQ(a.size(), b.size());
+            for (size_t i = 0; i < a.size(); ++i)
+                ASSERT_TRUE(samePointBits(a[i], b[i])) << "interval " << i;
+            EXPECT_EQ(gn.uid, gw.uid);
+            EXPECT_EQ(gn.rep, gw.rep);
+            EXPECT_EQ(gn.count, gw.count);
+            expectGroupsHoldEqualPoints(a, gn);
         }
     }
     setLogQuiet(false);
@@ -625,6 +710,106 @@ TEST(BlockRowDedup, RepeatedDispatchesCostAConstantEach)
     // The five kernel streams and the row id: ~120 bytes. One
     // lowered copy of the row is four streams of ~400 entries.
     EXPECT_LT(per_dispatch, 256.0);
+}
+
+// --- The chunked batch build -------------------------------------
+
+/**
+ * @p n dispatches over three kernels that exercise every merge case
+ * at chunk boundaries (on four workers, databases this small are cut
+ * into one chunk per 256-dispatch trace-store block): kernel 0's
+ * block row changes every 300 dispatches, so a row first met in one
+ * chunk repeats in the next; kernel 1's row never changes, so every
+ * chunk re-finds it; kernel 2 makes a row of its own every 37th
+ * dispatch. Every dispatch has its own args hash, so the KN-ARGS
+ * streams intern a new key per dispatch.
+ */
+TraceDatabase
+chunkedDb(size_t n)
+{
+    std::vector<gtpin::DispatchProfile> profiles;
+    for (size_t d = 0; d < n; ++d) {
+        auto kernel = (uint32_t)(d % 3);
+        gtpin::DispatchProfile p = blockDispatch(kernel, 8 + 5 * kernel);
+        if (kernel == 0)
+            p.blockCounts[1] += d / 300;
+        if (kernel == 2 && d % 37 == 5)
+            p.blockCounts[2] += d;
+        p.argsHash = 1000 + d;
+        p.globalWorkSize = 64u << (d % 4);
+        setTotals(p);
+        profiles.push_back(p);
+    }
+    return syntheticDb(std::move(profiles));
+}
+
+TEST(ParallelBuild, ChunkBoundariesMatchStreamingBuild)
+{
+    // No dispatch, fewer than one block, exactly one block, one block
+    // plus one, and several blocks with a ragged tail.
+    for (size_t n : {0u, 1u, 255u, 256u, 257u, 3u * 256u + 17u}) {
+        SCOPED_TRACE(std::to_string(n) + " dispatches");
+        expectBatchBuildMatchesStreaming(chunkedDb(n));
+    }
+}
+
+TEST(ParallelBuild, ChunkedProjectionsMatchOracle)
+{
+    // The member-for-member equality above implies this; check the
+    // projections against the map oracle directly anyway, across
+    // chunk boundaries and for intervals spanning several chunks.
+    TraceDatabase db = chunkedDb(3 * 256 + 17);
+    sched::ThreadPool pool(4);
+    FeatureEngine flat(db, FeatureBackend::Flat, &pool);
+    FeatureEngine map(db, FeatureBackend::Map);
+    std::vector<Interval> intervals;
+    for (uint64_t first : {0u, 250u, 255u, 256u, 511u, 700u}) {
+        for (uint64_t len : {1u, 2u, 60u, 300u}) {
+            Interval iv;
+            iv.firstDispatch = first;
+            iv.lastDispatch =
+                std::min<uint64_t>(first + len, db.numDispatches()) - 1;
+            intervals.push_back(iv);
+        }
+    }
+    for (FeatureKind kind : allKinds()) {
+        simpoint::UniqueIndex groups;
+        auto got = flat.projectAll(intervals, kind, &groups);
+        auto want = map.projectAll(intervals, kind);
+        for (size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(samePointBits(got[i], want[i]))
+                << featureKindName(kind) << " interval " << i;
+        }
+        expectGroupsHoldEqualPoints(got, groups);
+    }
+}
+
+TEST(ProjectionGroups, SplitValueClassesOnlyWhereContributionsDiffer)
+{
+    // Two dispatches of one kernel whose counts differ by a factor of
+    // two: their KN contributions differ, but both normalize to the
+    // kernel's unit vector, so the points are equal. projectAll groups
+    // by contributions, so it keeps them in two groups; the value
+    // grouping merges them. Both satisfy the k-means contract.
+    gtpin::DispatchProfile small = blockDispatch(0, 4);
+    gtpin::DispatchProfile big = small;
+    for (uint64_t &count : big.blockCounts)
+        count *= 2;
+    TraceDatabase db = syntheticDb({small, big, small, big, big});
+    FeatureEngine flat(db, FeatureBackend::Flat);
+    FeatureEngine map(db, FeatureBackend::Map);
+    auto intervals = buildIntervals(db, IntervalScheme::SingleKernel);
+    ASSERT_EQ(intervals.size(), 5u);
+
+    simpoint::UniqueIndex groups, byValue;
+    auto points = flat.projectAll(intervals, FeatureKind::KN, &groups);
+    map.projectAll(intervals, FeatureKind::KN, &byValue);
+    expectGroupsHoldEqualPoints(points, groups);
+    expectGroupsHoldEqualPoints(points, byValue);
+    EXPECT_EQ(groups.uid, (std::vector<uint32_t>{0, 1, 0, 1, 1}));
+    EXPECT_EQ(groups.rep, (std::vector<uint32_t>{0, 1}));
+    EXPECT_EQ(groups.count, (std::vector<uint32_t>{2, 3}));
+    EXPECT_EQ(byValue.rep.size(), 1u);
 }
 
 TEST(IntervalMemo, RepeatedAndNearRepeatedSequencesMatchOracle)

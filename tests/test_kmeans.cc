@@ -65,11 +65,10 @@ makeWeights(Rng &rng, size_t n)
 KMeansRun
 runWith(const std::vector<Point> &points,
         const std::vector<double> &weights, int k, uint64_t seed,
-        KMeansBackend backend, sched::ThreadPool *pool = nullptr)
+        KMeansBackend backend)
 {
     Rng rng(seed);
-    return simpoint::kmeansRun(points, weights, k, 30, rng, pool,
-                               backend);
+    return simpoint::kmeansRun(points, weights, k, 30, rng, backend);
 }
 
 /** Bitwise equality of everything both backends must agree on
@@ -108,8 +107,11 @@ TEST(KMeansDiff, PrunedMatchesLloydAcrossKAndSeeds)
     Rng gen(101);
     std::vector<Point> points = makePoints(gen, 5, 40, 0.3);
     std::vector<double> weights = makeWeights(gen, points.size());
+    // k up to 13: the pruned full scan computes distances four
+    // centroids at a time, so k = 1..13 covers partial blocks, whole
+    // blocks and more than the paper's 10.
     for (uint64_t seed : {1ull, 42ull, 0x5eedull}) {
-        for (int k = 1; k <= 10; ++k) {
+        for (int k = 1; k <= 13; ++k) {
             KMeansRun lloyd = runWith(points, weights, k, seed,
                                       KMeansBackend::Lloyd);
             KMeansRun pruned = runWith(points, weights, k, seed,
@@ -166,22 +168,31 @@ TEST(KMeansDiff, StatsAccountForEveryAssignmentDecision)
 
 TEST(KMeansDiff, ThreadCountInvariant)
 {
+    // Each k-means run is serial; the parallelism left is across
+    // candidate k inside clusterPoints, so that is what must not
+    // depend on the pool width.
     Rng gen(404);
     std::vector<Point> points = makePoints(gen, 6, 200, 0.5);
     std::vector<double> weights = makeWeights(gen, points.size());
 
-    sched::ThreadPool serial(1);
     for (KMeansBackend backend :
          {KMeansBackend::Lloyd, KMeansBackend::Pruned}) {
-        KMeansRun base =
-            runWith(points, weights, 7, 3, backend, &serial);
+        sched::ThreadPool serial(1);
+        ClusterOptions options;
+        options.backend = backend;
+        options.maxK = 13;
+        options.pool = &serial;
+        Clustering base =
+            simpoint::clusterPoints(points, weights, options);
         for (unsigned threads :
              {4u, std::max(1u, std::thread::hardware_concurrency())}) {
             sched::ThreadPool pool(threads);
-            KMeansRun par =
-                runWith(points, weights, 7, 3, backend, &pool);
-            expectRunsEqual(base, par);
+            options.pool = &pool;
+            Clustering par =
+                simpoint::clusterPoints(points, weights, options);
+            expectClusteringsEqual(base, par);
             // The work counters are plain sums — invariant too.
+            EXPECT_EQ(base.stats.assignSteps, par.stats.assignSteps);
             EXPECT_EQ(base.stats.boundPrunes, par.stats.boundPrunes);
             EXPECT_EQ(base.stats.tightenPrunes,
                       par.stats.tightenPrunes);
@@ -269,6 +280,150 @@ TEST(KMeansDiff, GuardsBadInput)
     setLogQuiet(false);
 }
 
+/** Squared distance in the same operation order as the library. */
+double
+dist2(const Point &a, const Point &b)
+{
+    double acc = 0.0;
+    for (int d = 0; d < projectedDims; ++d) {
+        double diff = a[d] - b[d];
+        acc += diff * diff;
+    }
+    return acc;
+}
+
+TEST(KMeansDiff, DuplicateCentroidsAndExactTiesGoToTheLowestIndex)
+{
+    // Three values on one axis, O exactly midway between A and B, so
+    // centroids on A and B are exactly equidistant from O; k above
+    // the number of values leaves clusters empty, and their re-seeds
+    // land on existing values as duplicate centroids that tie for
+    // every point of that value, across scan blocks of four.
+    Point a{}, b{}, o{};
+    a[0] = 1.0;
+    b[0] = -1.0;
+    std::vector<Point> points;
+    for (int i = 0; i < 30; ++i)
+        points.push_back(i % 3 == 0 ? a : i % 3 == 1 ? b : o);
+    std::vector<double> weights(points.size(), 1.0);
+    size_t checked = 0;
+    for (uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
+        for (int k = 2; k <= 13; ++k) {
+            SCOPED_TRACE("k=" + std::to_string(k) +
+                         " seed=" + std::to_string(seed));
+            KMeansRun lloyd =
+                runWith(points, weights, k, seed, KMeansBackend::Lloyd);
+            KMeansRun pruned = runWith(points, weights, k, seed,
+                                       KMeansBackend::Pruned);
+            expectRunsEqual(lloyd, pruned);
+
+            // A run that converged returns the centroids its last
+            // assignment step saw: every point must sit with the
+            // lowest-index centroid among the nearest.
+            Rng longer(seed);
+            KMeansRun more = simpoint::kmeansRun(
+                points, weights, k, 31, longer, KMeansBackend::Pruned);
+            if (std::memcmp(more.centroids.data(),
+                            pruned.centroids.data(),
+                            (size_t)k * sizeof(Point)) != 0) {
+                continue;
+            }
+            ++checked;
+            for (size_t i = 0; i < points.size(); ++i) {
+                int want = 0;
+                double best = dist2(points[i], pruned.centroids[0]);
+                for (int c = 1; c < k; ++c) {
+                    double d = dist2(points[i], pruned.centroids[c]);
+                    if (d < best) {
+                        best = d;
+                        want = c;
+                    }
+                }
+                ASSERT_EQ(pruned.assignment[i], want) << "point " << i;
+            }
+        }
+    }
+    EXPECT_GT(checked, 40u);
+}
+
+TEST(KMeansDiff, OneGroupFlipsPerIteration)
+{
+    // Two anchors on one axis, a second mass near the left one, and
+    // a chain of 13 values in between: after the first assignment,
+    // every iteration moves exactly one chain value (one group of 32
+    // coincident points) across the boundary. Values are stored
+    // value-major, so the 512 points fill two reduce chunks and each
+    // flip touches one chunk: the centroid update must refresh that
+    // chunk's partial and reuse the other one.
+    constexpr int copies = 32;
+    std::vector<double> xs = {0.0, 31.322102460056527};
+    std::vector<double> ws = {10.734868826718222, 16.919175944156699};
+    for (int j = 0; j < 13; ++j) {
+        xs.push_back(50.059609010629664 + 1.339664036815821 * j);
+        ws.push_back(2.0607806634519621);
+    }
+    xs.push_back(100.0);
+    ws.push_back(32.303808580521981);
+    std::vector<Point> points;
+    std::vector<double> weights;
+    for (size_t v = 0; v < xs.size(); ++v) {
+        for (int c = 0; c < copies; ++c) {
+            Point p{};
+            p[0] = xs[v];
+            points.push_back(p);
+            weights.push_back(ws[v]);
+        }
+    }
+    constexpr uint64_t seed = 870;
+
+    // Precondition: iterations 2..14 each flip exactly one group,
+    // and iteration 15 converges.
+    std::vector<std::vector<int>> after;
+    for (int iters = 1; iters <= 16; ++iters) {
+        Rng rng(seed);
+        after.push_back(simpoint::kmeansRun(points, weights, 2, iters,
+                                            rng, KMeansBackend::Lloyd)
+                            .assignment);
+    }
+    for (size_t t = 1; t < after.size(); ++t) {
+        size_t flips = 0;
+        for (size_t i = 0; i < points.size(); ++i)
+            flips += after[t][i] != after[t - 1][i];
+        ASSERT_EQ(flips, t < 14 ? (size_t)copies : 0u)
+            << "iteration " << t + 1;
+    }
+
+    // Every intermediate state, not just the converged one.
+    for (int iters = 1; iters <= 16; ++iters) {
+        SCOPED_TRACE("iterations=" + std::to_string(iters));
+        Rng rl(seed), rp(seed);
+        expectRunsEqual(
+            simpoint::kmeansRun(points, weights, 2, iters, rl,
+                                KMeansBackend::Lloyd),
+            simpoint::kmeansRun(points, weights, 2, iters, rp,
+                                KMeansBackend::Pruned));
+    }
+}
+
+TEST(KMeansDiff, GroupingWithUnequalMembersTripsAssert)
+{
+    // A handed-in grouping is trusted for one property only — every
+    // member bitwise equal to its group's value — and that is checked.
+    setLogQuiet(true);
+    std::vector<Point> points(4, Point{});
+    points[3][0] = 1.0;
+    std::vector<double> weights(points.size(), 1.0);
+    simpoint::UniqueIndex groups;
+    groups.uid = {0, 0, 0, 0};
+    groups.rep = {0};
+    groups.count = {4};
+    ClusterOptions options;
+    options.uniqueIndex = &groups;
+    EXPECT_THROW(simpoint::clusterPoints(points, weights, options),
+                 PanicError);
+    setLogQuiet(false);
+}
+
 // --- clusterPoints: the BIC sweep end to end ----------------------
 
 TEST(KMeansDiff, ClusterPointsBackendsMatchBitwise)
@@ -281,6 +436,7 @@ TEST(KMeansDiff, ClusterPointsBackendsMatchBitwise)
         ClusterOptions lloyd_opts, pruned_opts;
         lloyd_opts.backend = KMeansBackend::Lloyd;
         pruned_opts.backend = KMeansBackend::Pruned;
+        lloyd_opts.maxK = pruned_opts.maxK = 13;
         Clustering lloyd =
             simpoint::clusterPoints(points, weights, lloyd_opts);
         Clustering pruned =
@@ -401,6 +557,53 @@ TEST_P(KMeansWorkloadTest, PrunedExplorationIsThreadCountInvariant)
         EXPECT_EQ(a.memoHits, b.memoHits);
         EXPECT_EQ(a.fullScans, b.fullScans);
     }
+    setLogQuiet(false);
+}
+
+TEST_P(KMeansWorkloadTest, ProjectionGroupingMatchesLloydBitwise)
+{
+    // selectFromIntervals hands the clusterer the grouping projectAll
+    // found, which splits a value class whenever two intervals with
+    // different contributions project to the same point (SingleKernel
+    // KN: every dispatch of one kernel lands on that kernel's row,
+    // whatever its instruction count).
+    setLogQuiet(true);
+    ProfiledApp app = profiled(GetParam());
+    FeatureEngine engine(app.db, FeatureBackend::Flat);
+    size_t split = 0;
+    for (int s = 0; s < numIntervalSchemes; ++s) {
+        auto intervals = buildIntervals(app.db, (IntervalScheme)s);
+        std::vector<double> weights;
+        for (const Interval &iv : intervals)
+            weights.push_back(std::max<double>(1.0, (double)iv.instrs));
+        for (int f = 0; f < numFeatureKinds; ++f) {
+            simpoint::UniqueIndex groups;
+            std::vector<Point> points =
+                engine.projectAll(intervals, (FeatureKind)f, &groups);
+            std::vector<double> flat(points.size() * projectedDims);
+            std::memcpy(flat.data(), points.data(),
+                        points.size() * sizeof(Point));
+            simpoint::UniqueIndex byValue =
+                simpoint::buildUniqueIndex(flat.data(), points.size());
+            ASSERT_GE(groups.rep.size(), byValue.rep.size());
+            if (groups.rep.size() == byValue.rep.size())
+                continue;
+            ++split;
+            SCOPED_TRACE(std::string(intervalSchemeName(
+                             (IntervalScheme)s)) +
+                         " " + featureKindName((FeatureKind)f));
+            ClusterOptions lloyd_opts, handed, sorted;
+            lloyd_opts.backend = KMeansBackend::Lloyd;
+            handed.uniqueIndex = &groups;
+            Clustering want =
+                simpoint::clusterPoints(points, weights, lloyd_opts);
+            expectClusteringsEqual(
+                want, simpoint::clusterPoints(points, weights, handed));
+            expectClusteringsEqual(
+                want, simpoint::clusterPoints(points, weights, sorted));
+        }
+    }
+    EXPECT_GT(split, 0u);
     setLogQuiet(false);
 }
 
