@@ -17,6 +17,13 @@
  * two selection policies pick, so the selection flow is pinned end to
  * end, not only pairwise between backends.
  *
+ * The flow's tables are pinned per application too: the Fig. 8 row
+ * (the trial-1 minimum-error selection's error, by its bits, on the
+ * 15 replays bench/fig8_validation runs: noise seeds 1002-1010, the
+ * 1000/850/700/550/350 MHz sweep at seed 77 and HD4600 at seed 99),
+ * Table 2 (intervalStats of each interval scheme) and Table 3 (the
+ * whole-program vector of each feature kind, keys and value bits).
+ *
  * GoldenDetailed pins the cycle-level layer the same way: the
  * trial-1 error-minimising selection of two applications whose
  * detailed error is not zero (cb-histogram-image, about 1.5%, and
@@ -181,6 +188,76 @@ explorationDigest(const Exploration &ex)
     return d.hex();
 }
 
+/** Fig. 8's row: @p sel's error bits on each of bench/fig8_validation's
+ * 15 replays of @p app (trials 2-10, the frequency sweep, HD4600). */
+std::string
+fig8Digest(const ProfiledApp &app, const SubsetSelection &sel)
+{
+    std::vector<std::pair<gpu::DeviceConfig, gpu::TrialConfig>> jobs;
+    for (uint64_t t = 2; t <= 10; ++t) {
+        gpu::TrialConfig trial;
+        trial.noiseSeed = 1000 + t;
+        jobs.emplace_back(gpu::DeviceConfig::hd4000(), trial);
+    }
+    for (double freq : {1000.0, 850.0, 700.0, 550.0, 350.0}) {
+        gpu::TrialConfig trial;
+        trial.noiseSeed = 77;
+        trial.freqMhz = freq;
+        jobs.emplace_back(gpu::DeviceConfig::hd4000(), trial);
+    }
+    gpu::TrialConfig next_gen;
+    next_gen.noiseSeed = 99;
+    jobs.emplace_back(gpu::DeviceConfig::hd4600(), next_gen);
+
+    std::vector<double> errors(jobs.size());
+    sched::ThreadPool::global().parallelFor(
+        jobs.size(),
+        [&](size_t j) {
+            errors[j] = selectionErrorPct(
+                replayTrial(app.recording, jobs[j].first, jobs[j].second),
+                sel);
+        },
+        1);
+    Fnv d;
+    d.u64(errors.size());
+    for (double e : errors)
+        d.f64(e);
+    return d.hex();
+}
+
+/** Table 2: intervalStats of each interval scheme, in scheme order. */
+std::string
+table2Digest(const TraceDatabase &db)
+{
+    Fnv d;
+    for (int s = 0; s < numIntervalSchemes; ++s) {
+        IntervalStats st =
+            intervalStats(buildIntervals(db, (IntervalScheme)s));
+        d.u64(st.count);
+        d.u64(st.minInstrs);
+        d.u64(st.maxInstrs);
+        d.f64(st.avgInstrs);
+    }
+    return d.hex();
+}
+
+/** Table 3: the whole-program vector of each feature kind. */
+std::string
+table3Digest(const TraceDatabase &db)
+{
+    Interval whole;
+    whole.firstDispatch = 0;
+    whole.lastDispatch = db.numDispatches() - 1;
+    Fnv d;
+    for (int k = 0; k < numFeatureKinds; ++k) {
+        FeatureVector vec = extractFeatures(db, whole, (FeatureKind)k);
+        d.vec(vec.keys());
+        for (double v : vec.values())
+            d.f64(v);
+    }
+    return d.hex();
+}
+
 /** key ("<app> <part>") -> digest, from the committed file. */
 std::map<std::string, std::string>
 loadGolden()
@@ -266,13 +343,17 @@ TEST_P(GoldenProfile, MatchesCommittedDigests)
     TraceDatabase replay = replayTrial(
         app.recording, gpu::DeviceConfig::hd4000(), other);
 
+    const Exploration ex = exploreConfigs(app.db);
     const std::vector<std::pair<std::string, std::string>> actual = {
         {name + " profile.stats", statsDigest(app.stats)},
         {name + " profile.dispatches", profilesDigest(app.db)},
         {name + " profile.columns", columnsDigest(app.db)},
         {name + " replay.dispatches", profilesDigest(replay)},
         {name + " replay.columns", columnsDigest(replay)},
-        {name + " explore", explorationDigest(exploreConfigs(app.db))},
+        {name + " explore", explorationDigest(ex)},
+        {name + " fig8", fig8Digest(app, pickMinError(ex).selection)},
+        {name + " table2", table2Digest(app.db)},
+        {name + " table3", table3Digest(app.db)},
     };
 
     expectGolden(name, actual);
