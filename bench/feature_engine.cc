@@ -1,8 +1,9 @@
 /**
  * @file
- * Feature-engine benchmark: the std::map reference extractor vs. the
- * columnar DispatchFeatureCache, per feature kind, plus the
- * end-to-end 30-configuration exploration both ways.
+ * Feature-engine benchmark: the std::map reference extractor
+ * (tests/reference, linked from gt_reference) vs. the columnar
+ * DispatchFeatureCache, per feature kind, plus the end-to-end
+ * 30-configuration exploration both ways.
  *
  * Per-kind cases time extraction over a workload's SingleKernel
  * intervals (the most extraction-bound scheme: one vector per
@@ -30,6 +31,7 @@
 #include "core/explorer.hh"
 #include "core/feature_engine.hh"
 #include "core/pipeline.hh"
+#include "tests/reference/map_features.hh"
 #include "workloads/workload.hh"
 
 using namespace gt;
@@ -85,7 +87,7 @@ runExtractMap(benchmark::State &state, const BenchApp &b,
     for (auto _ : state) {
         for (const Interval &iv : b.intervals) {
             FeatureVector vec =
-                extractFeaturesMap(b.app.db, iv, kind);
+                reference::extractFeaturesMap(b.app.db, iv, kind);
             dims += vec.dims();
             benchmark::DoNotOptimize(vec);
         }
@@ -113,8 +115,7 @@ runExtractFlat(benchmark::State &state, const BenchApp &b,
 }
 
 void
-runExplore(benchmark::State &state, const BenchApp &b,
-           FeatureBackend backend)
+runExplore(benchmark::State &state, const BenchApp &b, bool map)
 {
     // One thread: measure the engine, not the pool; the fan-out is
     // bit-identical at any width (see exploreConfigs).
@@ -122,9 +123,13 @@ runExplore(benchmark::State &state, const BenchApp &b,
     simpoint::ClusterOptions options;
     options.pool = &pool;
     for (auto _ : state) {
-        FeatureEngine engine(b.app.db, backend);
-        Exploration ex =
-            exploreConfigs(b.app.db, options, 0, &engine);
+        Exploration ex;
+        if (map) {
+            ex = reference::exploreConfigsMap(b.app.db, options);
+        } else {
+            FeatureEngine engine(b.app.db);
+            ex = exploreConfigs(b.app.db, options, 0, &engine);
+        }
         benchmark::DoNotOptimize(ex.results.data());
     }
 }
@@ -171,13 +176,11 @@ main(int argc, char **argv)
                 ->Unit(benchmark::kMicrosecond);
         }
         for (const char *backend : {"map", "flat"}) {
-            FeatureBackend be = backend[0] == 'm'
-                ? FeatureBackend::Map
-                : FeatureBackend::Flat;
+            bool map = backend[0] == 'm';
             benchmark::RegisterBenchmark(
                 exploreCase(b.name, backend).c_str(),
-                [&b, be](benchmark::State &st) {
-                    runExplore(st, b, be);
+                [&b, map](benchmark::State &st) {
+                    runExplore(st, b, map);
                 })
                 ->MinTime(0.1)
                 ->Unit(benchmark::kMillisecond);

@@ -92,7 +92,7 @@ apps()
             BenchApp b;
             b.name = name;
             b.app = profileApp(*w);
-            FeatureEngine engine(b.app.db, FeatureBackend::Flat);
+            FeatureEngine engine(b.app.db);
             auto intervals = buildIntervals(
                 b.app.db, IntervalScheme::SingleKernel);
             for (FeatureKind kind : clusterKinds) {
@@ -144,7 +144,7 @@ runExplore(benchmark::State &state, BenchApp &b,
     // shared by every consumer), so the timed region is the
     // selection loop itself — interval building, projection, and
     // above all the 30 BIC sweeps.
-    FeatureEngine engine(b.app.db, FeatureBackend::Flat);
+    FeatureEngine engine(b.app.db);
     sched::ThreadPool pool(1);
     simpoint::ClusterOptions options;
     options.pool = &pool;

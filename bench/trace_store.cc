@@ -1,21 +1,22 @@
 /**
  * @file
  * Columnar trace-store benchmark: resident memory and exploration
- * query throughput of the on-disk columnar TraceDatabase backend
- * against the fully-resident mem oracle.
+ * query throughput of the sealed (on-disk columnar) TraceDatabase
+ * against the TraceDatabase::Builder it is sealed from, which holds
+ * every joined row resident.
  *
  * A large deterministic synthetic suite (hundreds of thousands of
- * joined dispatches) is built once through each backend, then both
+ * joined dispatches) is fed to a builder once and sealed, then both
  * serve the paper's post-profiling access pattern — interval
- * building under all three schemes, feature-engine lowering,
- * whole-suite extraction, per-dispatch profile scans, and a random
- * mix of range queries — with every result compared bitwise
- * between the backends. Two gates are enforced:
+ * building under all three schemes, feature lowering, whole-suite
+ * extraction, per-dispatch profile scans, and a random mix of range
+ * queries — with every result compared bitwise between the two.
+ * Two gates are enforced:
  *
- *  - resident memory must shrink by at least 5x on the columnar
- *    backend (that reduction is the tentpole's reason to exist);
- *  - the columnar query phase must stay within 1.5x of the mem
- *    oracle's wall clock.
+ *  - resident memory must shrink by at least 5x in the sealed
+ *    database (that reduction is the store's reason to exist);
+ *  - the sealed database's query phase must stay within 1.5x of the
+ *    builder's wall clock.
  *
  *     cd /path/to/repo && build/bench/trace_store
  *
@@ -36,7 +37,6 @@
 
 using namespace gt;
 using core::TraceDatabase;
-using core::TraceDbBackend;
 
 namespace
 {
@@ -115,21 +115,43 @@ makeInputs(uint64_t n)
     return in;
 }
 
-/** One pass of the post-profiling access pattern; returns a
- * checksum folding every queried value, so backends can be compared
- * and the work cannot be dead-code-eliminated. */
-double
-queryPass(const TraceDatabase &db)
+uint64_t
+numRows(const TraceDatabase &db)
 {
+    return db.numDispatches();
+}
+
+uint64_t
+numRows(const TraceDatabase::Builder &builder)
+{
+    return builder.numAppended();
+}
+
+/** One pass of the post-profiling access pattern over a database or
+ * a builder (the same query surface); returns a checksum folding
+ * every queried value, so the two can be compared and the work
+ * cannot be dead-code-eliminated. */
+template <typename Rows>
+double
+queryPass(const Rows &rows)
+{
+    const uint64_t n = numRows(rows);
     double checksum = 0.0;
 
-    // Interval building under all three schemes (prefix queries).
+    // Interval building under all three schemes (prefix queries),
+    // fed as buildIntervals() feeds its incremental core.
     std::vector<core::Interval> kept;
     for (core::IntervalScheme scheme :
          {core::IntervalScheme::SyncBounded,
           core::IntervalScheme::ApproxInstructions,
           core::IntervalScheme::SingleKernel}) {
-        auto intervals = core::buildIntervals(db, scheme);
+        core::IncrementalIntervals inc(
+            scheme, std::max<uint64_t>(1, rows.totalInstrs() / 1000));
+        for (uint64_t d = 0; d < n; ++d) {
+            inc.append(rows.syncEpoch(d), rows.rangeInstrs(d, d),
+                       rows.seconds(d));
+        }
+        auto intervals = inc.snapshot();
         checksum += (double)intervals.size();
         for (const core::Interval &iv : intervals) {
             checksum += iv.seconds + (double)(iv.instrs % 1021);
@@ -139,32 +161,37 @@ queryPass(const TraceDatabase &db)
     }
 
     // Feature lowering + whole-suite extraction (profile scans).
-    core::FeatureEngine engine(db, core::FeatureBackend::Flat);
+    core::DispatchFeatureCache cache;
+    for (uint64_t d = 0; d < n; ++d)
+        cache.appendDispatch(rows.profileAt(d));
+    cache.refreshColumns();
+    core::DispatchFeatureCache::Scratch scratch;
     for (core::FeatureKind kind :
          {core::FeatureKind::KN, core::FeatureKind::BB_R_W}) {
-        auto vectors = engine.extractAll(kept, kind);
-        for (const core::FeatureVector &vec : vectors) {
+        for (const core::Interval &iv : kept) {
+            core::FeatureVector vec = cache.extract(iv, kind, scratch);
+            vec.normalize();
             for (double v : vec.values())
                 checksum += v;
         }
     }
 
     // The validators' sequential per-dispatch profile walk.
-    for (uint64_t d = 0; d < db.numDispatches(); ++d)
-        checksum += (double)(db.profileAt(d).instrs % 4093);
+    for (uint64_t d = 0; d < n; ++d)
+        checksum += (double)(rows.profileAt(d).instrs % 4093);
 
     // Random range queries (fig6/fig8-style replay accounting).
     Rng rng(0x5eed);
-    const uint64_t n = db.numDispatches();
     for (int i = 0; i < 2000; ++i) {
         uint64_t first = rng.next() % n;
         uint64_t last =
             std::min(n - 1, first + rng.next() % 2048);
-        checksum += (double)(db.rangeInstrs(first, last) % 8191) +
-                    db.rangeSeconds(first, last);
+        checksum += (double)(rows.rangeInstrs(first, last) % 8191) +
+                    rows.rangeSeconds(first, last);
     }
-    checksum += db.measuredSpi() + db.totalSeconds() +
-                (double)(db.totalInstrs() % 65521);
+    checksum += rows.totalSeconds() / (double)rows.totalInstrs() +
+                rows.totalSeconds() +
+                (double)(rows.totalInstrs() % 65521);
     return checksum;
 }
 
@@ -181,38 +208,37 @@ main(int argc, char **argv)
     std::cout << "synthetic suite: " << n << " dispatches, "
               << in.calls.size() << " api calls\n";
 
-    auto build = [&](TraceDbBackend backend, double &seconds) {
-        auto profiles = in.profiles;
-        auto t0 = std::chrono::steady_clock::now();
-        TraceDatabase db =
-            TraceDatabase::build(std::move(profiles), in.timings,
-                                 in.calls, backend);
-        seconds = secondsSince(t0);
-        return db;
-    };
+    // The join build() runs: each dispatch with its timing and the
+    // epoch the call stream assigns it.
+    auto t0 = std::chrono::steady_clock::now();
+    const core::EpochAssignments epochs = core::assignEpochs(in.calls);
+    TraceDatabase::Builder builder;
+    for (uint64_t i = 0; i < n; ++i) {
+        builder.appendJoined(std::move(in.profiles[i]),
+                             in.timings[i].seconds, epochs[i].second);
+    }
+    const double builder_build_s = secondsSince(t0);
+    t0 = std::chrono::steady_clock::now();
+    TraceDatabase col = builder.seal();
+    const double col_build_s = builder_build_s + secondsSince(t0);
 
-    double mem_build_s = 0.0, col_build_s = 0.0;
-    TraceDatabase mem = build(TraceDbBackend::Mem, mem_build_s);
-    TraceDatabase col = build(TraceDbBackend::Columnar, col_build_s);
-
-    const core::TraceDbFootprint fm = mem.memoryFootprint();
+    const uint64_t builder_bytes = builder.memoryBytes();
     const core::TraceDbFootprint fc = col.memoryFootprint();
     const double shrink =
-        (double)fm.residentBytes / (double)fc.residentBytes;
-    std::cout << "resident: mem " << humanBytes(fm.residentBytes)
+        (double)builder_bytes / (double)fc.residentBytes;
+    std::cout << "resident: builder " << humanBytes(builder_bytes)
               << " -> columnar " << humanBytes(fc.residentBytes)
               << "  (" << fixed(shrink, 1) << "x smaller; spill "
               << humanBytes(fc.fileBytes) << " on disk)\n";
 
-    // Two timed passes per backend, keeping the faster one; results
-    // must agree bitwise between backends on every pass.
-    auto time_queries = [&](const TraceDatabase &db,
-                            double &checksum) {
+    // Two timed passes each, keeping the faster one; results must
+    // agree bitwise between the two on every pass.
+    auto time_queries = [&](const auto &rows, double &checksum) {
         double best = 1e30;
         for (int rep = 0; rep < 2; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            double sum = queryPass(db);
-            best = std::min(best, secondsSince(t0));
+            auto start = std::chrono::steady_clock::now();
+            double sum = queryPass(rows);
+            best = std::min(best, secondsSince(start));
             if (rep == 0)
                 checksum = sum;
             GT_ASSERT(sum == checksum,
@@ -221,35 +247,35 @@ main(int argc, char **argv)
         return best;
     };
 
-    double mem_sum = 0.0, col_sum = 0.0;
-    double mem_query_s = time_queries(mem, mem_sum);
+    double builder_sum = 0.0, col_sum = 0.0;
+    double builder_query_s = time_queries(builder, builder_sum);
     double col_query_s = time_queries(col, col_sum);
-    GT_ASSERT(mem_sum == col_sum,
-              "columnar query results diverge from the mem oracle");
+    GT_ASSERT(builder_sum == col_sum,
+              "columnar query results diverge from the builder's");
 
-    const double ratio = col_query_s / mem_query_s;
-    std::cout << "query pass: mem " << fixed(mem_query_s, 3)
+    const double ratio = col_query_s / builder_query_s;
+    std::cout << "query pass: builder " << fixed(builder_query_s, 3)
               << " s, columnar " << fixed(col_query_s, 3) << " s  ("
               << fixed(ratio, 2) << "x; bitwise-equal checksums)\n"
-              << "build: mem " << fixed(mem_build_s, 3)
+              << "build: builder " << fixed(builder_build_s, 3)
               << " s, columnar " << fixed(col_build_s, 3) << " s\n";
 
     bench::BenchReport report("BENCH_tracedb.json", smoke);
     report.scalar("dispatches", n);
-    report.scalar("mem_resident_bytes", fm.residentBytes);
+    report.scalar("builder_resident_bytes", builder_bytes);
     report.scalar("columnar_resident_bytes", fc.residentBytes);
     report.scalar("columnar_file_bytes", fc.fileBytes);
     report.scalar("resident_shrink", shrink);
-    report.scalar("mem_query_s", mem_query_s);
+    report.scalar("builder_query_s", builder_query_s);
     report.scalar("columnar_query_s", col_query_s);
     report.scalar("query_ratio", ratio);
-    report.scalar("mem_build_s", mem_build_s);
+    report.scalar("builder_build_s", builder_build_s);
     report.scalar("columnar_build_s", col_build_s);
     report.gate("shrink_gate", shrink >= 5.0,
                 "columnar resident-memory reduction regressed below "
                 "5x: " + std::to_string(shrink));
     report.gate("query_gate", ratio <= 1.5,
                 "columnar query throughput regressed beyond 1.5x of "
-                "the mem oracle: " + std::to_string(ratio));
+                "the builder's: " + std::to_string(ratio));
     return report.finish();
 }

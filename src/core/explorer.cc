@@ -54,7 +54,7 @@ exploreConfigs(const TraceDatabase &db,
         [&](size_t idx) {
             if (idx == 0) {
                 if (!engine)
-                    local.emplace(db, FeatureBackend::Flat, &pool);
+                    local.emplace(db, &pool);
             } else {
                 schemes[idx - 1] = buildIntervals(
                     db, (IntervalScheme)(idx - 1), target_instrs);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <mutex>
 #include <unordered_map>
 
@@ -623,25 +622,18 @@ DispatchFeatureCache::projectAll(
 }
 
 FeatureEngine::FeatureEngine(const TraceDatabase &db_,
-                             FeatureBackend backend,
                              sched::ThreadPool *pool)
-    : db(db_), mode(backend)
+    : db(db_), cache(db_, pool),
+      table(simpoint::ProjectionTable::build(cache.uniqueKeys()))
 {
-    if (mode == FeatureBackend::Flat) {
-        cache = std::make_unique<DispatchFeatureCache>(db, pool);
-        table = std::make_unique<simpoint::ProjectionTable>(
-            simpoint::ProjectionTable::build(cache->uniqueKeys()));
-    }
 }
 
 FeatureVector
 FeatureEngine::extract(const Interval &interval,
                        FeatureKind kind) const
 {
-    if (mode == FeatureBackend::Map)
-        return extractFeaturesMap(db, interval, kind);
     DispatchFeatureCache::Scratch scratch;
-    return cache->extract(interval, kind, scratch);
+    return cache.extract(interval, kind, scratch);
 }
 
 std::vector<FeatureVector>
@@ -650,17 +642,9 @@ FeatureEngine::extractAll(const std::vector<Interval> &intervals,
 {
     std::vector<FeatureVector> vectors;
     vectors.reserve(intervals.size());
-    if (mode == FeatureBackend::Map) {
-        for (const Interval &iv : intervals) {
-            FeatureVector vec = extractFeaturesMap(db, iv, kind);
-            vec.normalize();
-            vectors.push_back(std::move(vec));
-        }
-        return vectors;
-    }
     DispatchFeatureCache::Scratch scratch;
     for (const Interval &iv : intervals) {
-        FeatureVector vec = cache->extract(iv, kind, scratch);
+        FeatureVector vec = cache.extract(iv, kind, scratch);
         vec.normalize();
         vectors.push_back(std::move(vec));
     }
@@ -672,25 +656,7 @@ FeatureEngine::projectAll(const std::vector<Interval> &intervals,
                           FeatureKind kind,
                           simpoint::UniqueIndex *groups) const
 {
-    if (mode == FeatureBackend::Flat)
-        return cache->projectAll(intervals, kind, *table, groups);
-    std::vector<simpoint::Point> points;
-    points.reserve(intervals.size());
-    for (const Interval &iv : intervals) {
-        FeatureVector vec = extractFeaturesMap(db, iv, kind);
-        vec.normalize();
-        points.push_back(simpoint::project(vec));
-    }
-    if (groups) {
-        std::vector<double> flat(points.size() *
-                                 simpoint::projectedDims);
-        if (!points.empty()) {
-            std::memcpy(flat.data(), points.data(),
-                        points.size() * sizeof(simpoint::Point));
-        }
-        *groups = simpoint::buildUniqueIndex(flat.data(), points.size());
-    }
-    return points;
+    return cache.projectAll(intervals, kind, table, groups);
 }
 
 } // namespace gt::core

@@ -44,19 +44,18 @@
  * 30-configuration explorer builds one engine up front and hands it
  * to every task.
  *
- * Determinism: results are bitwise identical to the map oracle
- * (extractFeaturesMap). Per key, contributions accumulate in
- * dispatch-encounter order — the same order the map's `operator[]
- * +=` applied them — and the final columns iterate in ascending-key
- * order, the map's iteration order. FeatureEngine runs the flat
- * backend unless it is handed FeatureBackend::Map, the reference.
+ * Determinism: results are bitwise identical to a per-interval walk
+ * of the profiles into a std::map, the reference the differential
+ * tests keep outside the library (tests/reference). Per key,
+ * contributions accumulate in dispatch-encounter order — the same
+ * order the map's `operator[] +=` applies them — and the final
+ * columns iterate in ascending-key order, the map's iteration order.
  */
 
 #ifndef GT_CORE_FEATURE_ENGINE_HH
 #define GT_CORE_FEATURE_ENGINE_HH
 
 #include <array>
-#include <memory>
 #include <span>
 #include <unordered_map>
 
@@ -64,13 +63,6 @@
 
 namespace gt::core
 {
-
-/** Feature-extraction backend (see the file comment). */
-enum class FeatureBackend : uint8_t
-{
-    Map,  //!< reference oracle: per-interval std::map walk
-    Flat, //!< columnar DispatchFeatureCache + memoized projection
-};
 
 /**
  * Per-workload lowering of every DispatchProfile into sparse
@@ -312,22 +304,16 @@ class DispatchFeatureCache
 
 /**
  * Facade the selection pipeline extracts features through: binds a
- * TraceDatabase to a backend, owns the flat backend's cache and
- * memoized projection table, and hides the choice from callers.
+ * TraceDatabase to its lowered cache and memoized projection table.
  * Build one per workload and share it (const) across tasks.
  */
 class FeatureEngine
 {
   public:
-    /** Build the flat backend's cache on @p pool (null = the
-     * process-wide pool; see DispatchFeatureCache's batch
-     * constructor). */
-    explicit FeatureEngine(
-        const TraceDatabase &db,
-        FeatureBackend backend = FeatureBackend::Flat,
-        sched::ThreadPool *pool = nullptr);
-
-    FeatureBackend backend() const { return mode; }
+    /** Build the cache on @p pool (null = the process-wide pool; see
+     * DispatchFeatureCache's batch constructor). */
+    explicit FeatureEngine(const TraceDatabase &db,
+                           sched::ThreadPool *pool = nullptr);
 
     const TraceDatabase &database() const { return db; }
 
@@ -343,35 +329,23 @@ class FeatureEngine
 
     /**
      * Projected points of all intervals' normalized @p kind vectors
-     * — what the clusterer actually consumes. The flat backend
-     * projects each distinct interval once, straight off its columns
-     * (see DispatchFeatureCache::projectAll); the map backend extracts,
-     * normalizes, and projects with on-the-fly coefficients. Both
-     * produce bitwise-identical points.
+     * — what the clusterer actually consumes. Each distinct interval
+     * is projected once, straight off the columns (see
+     * DispatchFeatureCache::projectAll), bitwise identical to
+     * extracting, normalizing and simpoint::project()ing it.
      *
-     * @param groups if given, receives a grouping of the points into
-     *        bitwise-equal groups for the clusterer: the flat
-     *        backend's projection grouping, or on the map backend
-     *        simpoint::buildUniqueIndex over the points.
+     * @param groups if given, receives the projection's grouping of
+     *        the points into bitwise-equal groups for the clusterer.
      */
     std::vector<simpoint::Point>
     projectAll(const std::vector<Interval> &intervals,
                FeatureKind kind,
                simpoint::UniqueIndex *groups = nullptr) const;
 
-    /** Memoized projection rows over the workload's key universe
-     * (null on the map backend, which derives coefficients on the
-     * fly as the oracle always did). */
-    const simpoint::ProjectionTable *projection() const
-    {
-        return table.get();
-    }
-
   private:
     const TraceDatabase &db;
-    FeatureBackend mode;
-    std::unique_ptr<DispatchFeatureCache> cache; //!< flat only
-    std::unique_ptr<simpoint::ProjectionTable> table; //!< flat only
+    DispatchFeatureCache cache;
+    simpoint::ProjectionTable table; //!< over cache.uniqueKeys()
 };
 
 } // namespace gt::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/logging.hh"
 #include "core/feature_engine.hh"
@@ -144,106 +143,6 @@ FeatureVector::dot(const FeatureVector &other) const
         }
     }
     return acc;
-}
-
-FeatureVector
-extractFeaturesMap(const TraceDatabase &db, const Interval &interval,
-                   FeatureKind kind)
-{
-    using detail::mixFeatureKey;
-    using detail::tagBase;
-    using detail::tagRead;
-    using detail::tagReadWrite;
-    using detail::tagWrite;
-
-    GT_ASSERT(interval.lastDispatch < db.numDispatches(),
-              "interval out of range");
-
-    std::map<uint64_t, double> data;
-    auto add = [&](uint64_t key, double value) {
-        if (value != 0.0)
-            data[key] += value;
-    };
-
-    for (uint64_t i = interval.firstDispatch;
-         i <= interval.lastDispatch; ++i) {
-        const gtpin::DispatchProfile &p = db.profileAt(i);
-
-        if (!isBlockFeature(kind)) {
-            uint64_t args = 0, gws = 0;
-            switch (kind) {
-              case FeatureKind::KN_ARGS:
-                args = p.argsHash;
-                break;
-              case FeatureKind::KN_GWS:
-                gws = p.globalWorkSize;
-                break;
-              case FeatureKind::KN_ARGS_GWS:
-                args = p.argsHash;
-                gws = p.globalWorkSize;
-                break;
-              default:
-                break;
-            }
-            uint64_t base = mixFeatureKey(p.kernelId, args, gws,
-                                          tagBase);
-            // Instruction-count weighting: the kernel event counts
-            // for the instructions it executed.
-            add(base, (double)p.instrs);
-            if (kind == FeatureKind::KN_RW) {
-                add(mixFeatureKey(p.kernelId, 0, 0, tagRead),
-                    (double)p.bytesRead);
-                add(mixFeatureKey(p.kernelId, 0, 0, tagWrite),
-                    (double)p.bytesWritten);
-            }
-            continue;
-        }
-
-        // Basic-block families.
-        for (size_t b = 0; b < p.blockCounts.size(); ++b) {
-            uint64_t count = p.blockCounts[b];
-            if (count == 0)
-                continue;
-            double weighted = (double)count * p.blockLens[b];
-            add(mixFeatureKey(p.kernelId, b, 0, tagBase), weighted);
-
-            double read =
-                (double)count * p.blockReadBytes[b];
-            double written =
-                (double)count * p.blockWriteBytes[b];
-            switch (kind) {
-              case FeatureKind::BB_R:
-                add(mixFeatureKey(p.kernelId, b, 0, tagRead), read);
-                break;
-              case FeatureKind::BB_W:
-                add(mixFeatureKey(p.kernelId, b, 0, tagWrite),
-                    written);
-                break;
-              case FeatureKind::BB_R_W:
-                add(mixFeatureKey(p.kernelId, b, 0, tagRead), read);
-                add(mixFeatureKey(p.kernelId, b, 0, tagWrite),
-                    written);
-                break;
-              case FeatureKind::BB_RpW:
-                add(mixFeatureKey(p.kernelId, b, 0, tagReadWrite),
-                    read + written);
-                break;
-              default:
-                break;
-            }
-        }
-    }
-
-    std::vector<uint64_t> keys;
-    std::vector<double> values;
-    keys.reserve(data.size());
-    values.reserve(data.size());
-    for (const auto &[key, v] : data) {
-        keys.push_back(key);
-        values.push_back(v);
-    }
-    return FeatureVector::fromSorted(std::move(keys),
-                                     std::move(values));
 }
 
 FeatureVector

@@ -101,11 +101,11 @@ profileSuite(const std::vector<const workloads::Workload *> &apps,
 TraceDatabase
 replayTrial(const cfl::Recording &recording,
             const gpu::DeviceConfig &config,
-            const gpu::TrialConfig &trial, TraceDbBackend backend)
+            const gpu::TrialConfig &trial)
 {
     InstrumentedStack stack(config, trial);
     cfl::replay(recording, stack.runtime);
-    return TraceDatabase::build(stack.takeArtifact(), backend);
+    return TraceDatabase::build(stack.takeArtifact());
 }
 
 } // namespace gt::core

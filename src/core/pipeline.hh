@@ -129,15 +129,11 @@ std::vector<ProfiledApp> profileSuite(
 
 /**
  * Replay @p recording on @p config under @p trial on an
- * InstrumentedStack, returning the new trial's database built on
- * @p backend (columnar by default; the differential tests pass Mem
- * to compare backends on one replay).
+ * InstrumentedStack, returning the new trial's database.
  */
 TraceDatabase replayTrial(const cfl::Recording &recording,
                           const gpu::DeviceConfig &config,
-                          const gpu::TrialConfig &trial,
-                          TraceDbBackend backend =
-                              TraceDbBackend::Columnar);
+                          const gpu::TrialConfig &trial);
 
 } // namespace gt::core
 

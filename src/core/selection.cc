@@ -32,7 +32,7 @@ selectSubset(const TraceDatabase &db, IntervalScheme scheme,
 {
     std::optional<FeatureEngine> local;
     if (!engine) {
-        local.emplace(db, FeatureBackend::Flat, options.pool);
+        local.emplace(db, options.pool);
         engine = &*local;
     }
     GT_ASSERT(&engine->database() == &db,

@@ -850,32 +850,15 @@ ProjectionTable::build(const std::vector<uint64_t> &keys,
     return table;
 }
 
-const Point *
-ProjectionTable::row(uint64_t key) const
-{
-    auto it = std::lower_bound(keyIndex.begin(), keyIndex.end(), key);
-    if (it == keyIndex.end() || *it != key)
-        return nullptr;
-    return &rows[(size_t)(it - keyIndex.begin())];
-}
-
 Point
-project(const FeatureVector &vec, const ProjectionTable *table)
+project(const FeatureVector &vec)
 {
     Point p{};
     const std::vector<uint64_t> &keys = vec.keys();
     const std::vector<double> &values = vec.values();
     for (size_t i = 0; i < keys.size(); ++i) {
-        if (table) {
-            const Point *row = table->row(keys[i]);
-            GT_ASSERT(row, "projection table is missing key ",
-                      keys[i]);
-            for (int d = 0; d < projectedDims; ++d)
-                p[d] += values[i] * (*row)[d];
-        } else {
-            for (int d = 0; d < projectedDims; ++d)
-                p[d] += values[i] * projectionCoeff(keys[i], d);
-        }
+        for (int d = 0; d < projectedDims; ++d)
+            p[d] += values[i] * projectionCoeff(keys[i], d);
     }
     return p;
 }
@@ -895,7 +878,7 @@ cluster(const std::vector<FeatureVector> &vectors,
     size_t n = vectors.size();
     std::vector<Point> points(n);
     pool.parallelFor(n, [&](size_t i) {
-        points[i] = project(vectors[i], options.projection);
+        points[i] = project(vectors[i]);
     });
     return clusterPoints(points, weights, options);
 }

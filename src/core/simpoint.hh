@@ -35,9 +35,9 @@ using Point = std::array<double, projectedDims>;
  * Memoized projection coefficients: one precomputed
  * projectedDims-wide row per sparse key. The coefficient is a pure
  * function of (key, dim), so a table built once per workload (over
- * the DispatchFeatureCache's key universe) hands every project()
- * call its rows without re-deriving a hash per (key, dim) — and the
- * result stays bitwise identical to the on-the-fly path.
+ * the DispatchFeatureCache's key universe) hands the feature engine's
+ * projection its rows without re-deriving a hash per (key, dim) —
+ * and the result stays bitwise identical to project().
  */
 class ProjectionTable
 {
@@ -57,14 +57,10 @@ class ProjectionTable
     static ProjectionTable build(const std::vector<uint64_t> &keys,
                                  const ProjectionTable &previous);
 
-    /** Row for @p key, or null when the key is outside the table. */
-    const Point *row(uint64_t key) const;
-
     /**
      * Row by rank in the ascending key order the table was built
-     * from. The fast path: a consumer that already knows a key's
-     * rank (the feature engine's column ids are exactly these ranks)
-     * skips the key search entirely.
+     * from: the feature engine's column ids are exactly these ranks,
+     * so no key search is needed.
      */
     const Point &rowAt(size_t idx) const { return rows[idx]; }
 
@@ -79,12 +75,9 @@ class ProjectionTable
  * Random linear projection of a sparse vector: each sparse key
  * hashes to a deterministic pseudo-random direction, so the
  * projection matrix never needs materializing over the unbounded
- * key space. When @p table is given its precomputed rows are used
- * (every key of @p vec must be present); the result is bitwise
- * identical either way.
+ * key space.
  */
-Point project(const FeatureVector &vec,
-              const ProjectionTable *table = nullptr);
+Point project(const FeatureVector &vec);
 
 /**
  * Points grouped so that every group holds bitwise-equal rows.
@@ -260,13 +253,6 @@ struct ClusterOptions
      */
     sched::ThreadPool *pool = nullptr;
     /**
-     * Memoized projection rows covering every key of the input
-     * vectors (null = derive coefficients on the fly). selectSubset
-     * fills this from its FeatureEngine; direct cluster() callers
-     * normally leave it null.
-     */
-    const ProjectionTable *projection = nullptr;
-    /**
      * Grouping of exactly the input points into bitwise-equal groups
      * (null = sort the population by value once per call). The
      * feature engine hands over the grouping projectAll() found; a
@@ -298,7 +284,7 @@ Clustering cluster(const std::vector<FeatureVector> &vectors,
  * Cluster already-projected points. cluster() is this plus the
  * projection step; callers that can produce points directly (the
  * feature engine projects straight off its columns) skip the
- * intermediate sparse vectors. options.projection is ignored.
+ * intermediate sparse vectors.
  */
 Clustering clusterPoints(const std::vector<Point> &points,
                          const std::vector<double> &weights,

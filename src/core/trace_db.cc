@@ -21,8 +21,7 @@ namespace
 TraceDatabase
 joinRows(std::vector<gtpin::DispatchProfile> &profiles,
          const std::vector<cfl::KernelTiming> &timings,
-         const EpochAssignments &epochs, TraceDbBackend backend,
-         uint32_t block_size)
+         const EpochAssignments &epochs, uint32_t block_size)
 {
     GT_ASSERT(profiles.size() == timings.size(),
               "GT-Pin saw ", profiles.size(),
@@ -38,7 +37,7 @@ joinRows(std::vector<gtpin::DispatchProfile> &profiles,
         builder.appendJoined(std::move(profiles[i]), timings[i].seconds,
                              epochs[i].second);
     }
-    return std::move(builder).seal(backend, block_size);
+    return builder.seal(block_size);
 }
 
 } // anonymous namespace
@@ -85,25 +84,23 @@ TraceDatabase
 TraceDatabase::build(std::vector<gtpin::DispatchProfile> profiles,
                      const std::vector<cfl::KernelTiming> &timings,
                      const std::vector<ocl::ApiCallRecord> &call_stream,
-                     TraceDbBackend backend, uint32_t block_size)
+                     uint32_t block_size)
 {
     return joinRows(profiles, timings, assignEpochs(call_stream),
-                    backend, block_size);
+                    block_size);
 }
 
 TraceDatabase
-TraceDatabase::build(ReplayArtifact artifact, TraceDbBackend backend,
-                     uint32_t block_size)
+TraceDatabase::build(ReplayArtifact artifact, uint32_t block_size)
 {
     return joinRows(artifact.profiles, artifact.timings,
-                    artifact.epochs, backend, block_size);
+                    artifact.epochs, block_size);
 }
 
 TraceDatabase
 TraceDatabase::openColumnarFile(const std::string &path)
 {
     TraceDatabase db;
-    db.kind = TraceDbBackend::Columnar;
     db.store = trace_store::ColumnarStore::openFile(path);
     db.count = db.store->numDispatches();
     db.instrTotal = db.store->totalInstrs();
@@ -141,7 +138,7 @@ TraceDatabase::Builder::appendJoined(gtpin::DispatchProfile profile,
 
     // The running totals accumulate in append order — the identical
     // FP order batch build() uses, which is what makes seal() at any
-    // prefix bitwise equal to the batch oracle.
+    // prefix bitwise equal to the batch build.
     instrTotal += rec.profile.instrs;
     secondsTotal += rec.seconds;
     instrPrefix.push_back(instrPrefix.back() + rec.profile.instrs);
@@ -173,45 +170,22 @@ TraceDatabase::Builder::writeArchive(const std::string &path,
 }
 
 TraceDatabase
-TraceDatabase::Builder::seal(TraceDbBackend backend,
-                             uint32_t block_size) const &
-{
-    Builder copy(*this);
-    return std::move(copy).seal(backend, block_size);
-}
-
-TraceDatabase
-TraceDatabase::Builder::seal(TraceDbBackend backend,
-                             uint32_t block_size) &&
+TraceDatabase::Builder::seal(uint32_t block_size) const
 {
     TraceDatabase db;
-    db.kind = backend;
-    db.records = std::move(records);
-    db.instrPrefix = std::move(instrPrefix);
-    db.secondsCol = std::move(secondsCol);
+    db.count = records.size();
     db.instrTotal = instrTotal;
     db.secondsTotal = secondsTotal;
-
-    db.count = db.records.size();
-    if (!db.records.empty())
-        db.syncEpochs = db.records.back().syncEpoch + 1;
     if (db.instrTotal > 0)
         db.spiCached = db.secondsTotal / (double)db.instrTotal;
 
-    if (backend == TraceDbBackend::Columnar && !db.records.empty()) {
+    // An empty database keeps no store; the count guards in the
+    // accessors cover it.
+    if (!records.empty()) {
+        db.syncEpochs = records.back().syncEpoch + 1;
         trace_store::ColumnarOptions options;
         options.blockSize = block_size;
-        db.store = trace_store::ColumnarStore::spill(db.records,
-                                                     options);
-        // Drop the resident copies; every accessor now reads the
-        // mapping. An empty database keeps no store — the count
-        // guards in the accessors cover it.
-        db.records.clear();
-        db.records.shrink_to_fit();
-        db.instrPrefix.clear();
-        db.instrPrefix.shrink_to_fit();
-        db.secondsCol.clear();
-        db.secondsCol.shrink_to_fit();
+        db.store = trace_store::ColumnarStore::spill(records, options);
     }
 
     // One footprint line per process, at the first real build: the
@@ -222,7 +196,6 @@ TraceDatabase::Builder::seal(TraceDbBackend backend,
             TraceDbFootprint fp = db.memoryFootprint();
             inform("trace db: ", humanCount(db.count), " dispatches, ",
                    humanBytes(fp.residentBytes), " resident (",
-                   humanBytes(fp.recordBytes), " records, ",
                    humanBytes(fp.columnBytes), " columns, ",
                    humanBytes(fp.profileBytes), " profiles; spill ",
                    humanBytes(fp.fileBytes), ")");
@@ -237,27 +210,21 @@ const gtpin::DispatchProfile &
 TraceDatabase::profileAt(uint64_t i) const
 {
     GT_ASSERT(i < count, "dispatch ", i, " out of range");
-    if (store)
-        return store->profileAt(i);
-    return records[i].profile;
+    return store->profileAt(i);
 }
 
 double
 TraceDatabase::seconds(uint64_t i) const
 {
     GT_ASSERT(i < count, "dispatch ", i, " out of range");
-    if (store)
-        return store->seconds(i);
-    return records[i].seconds;
+    return store->seconds(i);
 }
 
 uint64_t
 TraceDatabase::syncEpoch(uint64_t i) const
 {
     GT_ASSERT(i < count, "dispatch ", i, " out of range");
-    if (store)
-        return store->syncEpoch(i);
-    return records[i].syncEpoch;
+    return store->syncEpoch(i);
 }
 
 uint64_t
@@ -265,13 +232,9 @@ TraceDatabase::rangeInstrs(uint64_t first, uint64_t last) const
 {
     GT_ASSERT(first <= last && last < count,
               "instr range [", first, ", ", last, "] out of range");
-    if (store) {
-        // Exact integers: anchor + varint-delta reconstruction makes
-        // these the same prefix values the mem backend stores.
-        return store->instrPrefixAt(last + 1) -
-               store->instrPrefixAt(first);
-    }
-    return instrPrefix[last + 1] - instrPrefix[first];
+    // Exact integers: anchor + varint-delta reconstruction makes
+    // these the same prefix values the builder holds.
+    return store->instrPrefixAt(last + 1) - store->instrPrefixAt(first);
 }
 
 double
@@ -279,9 +242,9 @@ TraceDatabase::rangeSeconds(uint64_t first, uint64_t last) const
 {
     GT_ASSERT(first <= last && last < count,
               "seconds range [", first, ", ", last, "] out of range");
-    // Left-to-right over the dense column on both backends; the
-    // columnar file stores the raw double bits, so the accumulation
-    // is bit-for-bit the same sum.
+    // Left-to-right over the dense column; the columnar file stores
+    // the raw double bits, so the accumulation is bit-for-bit the
+    // builder's sum.
     const double *col = secondsData();
     double acc = 0.0;
     for (uint64_t i = first; i <= last; ++i)
@@ -292,9 +255,7 @@ TraceDatabase::rangeSeconds(uint64_t first, uint64_t last) const
 const double *
 TraceDatabase::secondsData() const
 {
-    if (store)
-        return store->secondsData();
-    return secondsCol.data();
+    return store ? store->secondsData() : nullptr;
 }
 
 double
@@ -308,23 +269,13 @@ TraceDbFootprint
 TraceDatabase::memoryFootprint() const
 {
     TraceDbFootprint fp;
-    if (store) {
-        fp.columnBytes = store->residentBytes();
-        fp.profileBytes = store->payloadBytes();
-        fp.fileBytes = store->fileBytes();
-        fp.cacheBytes = store->cacheBytesThisThread();
-        fp.residentBytes = fp.columnBytes + fp.cacheBytes;
-    } else {
-        fp.recordBytes = records.size() * sizeof(DispatchRecord);
-        for (const DispatchRecord &rec : records) {
-            fp.profileBytes += rec.profile.footprintBytes() -
-                               sizeof(gtpin::DispatchProfile);
-        }
-        fp.columnBytes = instrPrefix.size() * sizeof(uint64_t) +
-                         secondsCol.size() * sizeof(double);
-        fp.residentBytes =
-            fp.recordBytes + fp.profileBytes + fp.columnBytes;
-    }
+    if (!store)
+        return fp;
+    fp.columnBytes = store->residentBytes();
+    fp.profileBytes = store->payloadBytes();
+    fp.fileBytes = store->fileBytes();
+    fp.cacheBytes = store->cacheBytesThisThread();
+    fp.residentBytes = fp.columnBytes + fp.cacheBytes;
     return fp;
 }
 

@@ -203,26 +203,14 @@ WorkloadSession::numDispatches() const
 }
 
 core::TraceDatabase
-WorkloadSession::sealDatabase(core::TraceDbBackend backend) const
+WorkloadSession::sealDatabase() const
 {
     std::lock_guard<std::mutex> lock(mutex);
-    if (evicted && !archivePath.empty()) {
-        // The archive *is* a columnar database of exactly the fed
-        // rows; reopening it reproduces the sealed totals bit for
-        // bit. For the mem backend, re-feed a throwaway builder in
-        // the original append order.
-        core::TraceDatabase db =
-            core::TraceDatabase::openColumnarFile(archivePath);
-        if (backend == core::TraceDbBackend::Columnar)
-            return db;
-        core::TraceDatabase::Builder rebuilt;
-        for (uint64_t i = 0; i < db.numDispatches(); ++i) {
-            rebuilt.appendJoined(db.profileAt(i), db.seconds(i),
-                                 db.syncEpoch(i));
-        }
-        return std::move(rebuilt).seal(backend);
-    }
-    return builder.seal(backend);
+    // The archive *is* a columnar database of exactly the fed rows;
+    // reopening it reproduces the sealed totals bit for bit.
+    if (evicted && !archivePath.empty())
+        return core::TraceDatabase::openColumnarFile(archivePath);
+    return builder.seal();
 }
 
 void

@@ -249,11 +249,10 @@ class WorkloadSession
 
     uint64_t numDispatches() const;
 
-    /** Seal a TraceDatabase over everything fed so far — the oracle
-     * the differential tests and SPI projections run against. */
-    core::TraceDatabase
-    sealDatabase(core::TraceDbBackend backend =
-                     core::TraceDbBackend::Columnar) const;
+    /** Seal a TraceDatabase over everything fed so far (reopening
+     * the archive of an evicted session) — the database the
+     * differential tests and SPI projections run against. */
+    core::TraceDatabase sealDatabase() const;
 
     SessionStats stats() const;
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Differential tests for the columnar feature engine: every flat
- * result — vectors, projections, clusterings, whole explorations —
- * must be bitwise identical to the std::map reference oracle, at
+ * Differential tests for the columnar feature engine: every result
+ * — vectors, projections, clusterings, whole explorations — must be
+ * bitwise identical to the std::map reference (tests/reference), at
  * every thread count, on real profiled workloads and on adversarial
  * synthetic traces.
  */
@@ -16,12 +16,16 @@
 #include "core/explorer.hh"
 #include "core/feature_engine.hh"
 #include "core/pipeline.hh"
+#include "reference/map_features.hh"
 #include "workloads/workload.hh"
 
 namespace gt::core
 {
 namespace
 {
+
+using reference::extractFeaturesMap;
+using reference::projectAllMap;
 
 std::vector<FeatureKind>
 allKinds()
@@ -124,7 +128,7 @@ TEST_P(EngineWorkloadTest, FlatVectorsMatchMapOracleBitwise)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
+    FeatureEngine flat(app.db);
     for (IntervalScheme scheme : allSchemes()) {
         auto intervals = buildIntervals(app.db, scheme);
         for (FeatureKind kind : allKinds()) {
@@ -141,20 +145,21 @@ TEST_P(EngineWorkloadTest, FlatVectorsMatchMapOracleBitwise)
 
 TEST_P(EngineWorkloadTest, ProjectionsMatchOnTheFlyBitwise)
 {
+    // The memoized rows the engine projects with give the bits of
+    // on-the-fly coefficients over the engine's own vectors.
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
-    ASSERT_NE(flat.projection(), nullptr);
+    FeatureEngine flat(app.db);
     for (IntervalScheme scheme : allSchemes()) {
         auto intervals = buildIntervals(app.db, scheme);
         for (FeatureKind kind : allKinds()) {
             auto vectors = flat.extractAll(intervals, kind);
-            for (const FeatureVector &vec : vectors) {
-                simpoint::Point memo =
-                    simpoint::project(vec, flat.projection());
-                simpoint::Point fly = simpoint::project(vec);
-                for (int d = 0; d < simpoint::projectedDims; ++d)
-                    ASSERT_EQ(memo[d], fly[d]) << "dim " << d;
+            auto memo = flat.projectAll(intervals, kind);
+            ASSERT_EQ(memo.size(), vectors.size());
+            for (size_t i = 0; i < vectors.size(); ++i) {
+                ASSERT_TRUE(samePointBits(memo[i],
+                                          simpoint::project(vectors[i])))
+                    << featureKindName(kind) << " interval " << i;
             }
         }
     }
@@ -165,11 +170,10 @@ TEST_P(EngineWorkloadTest, ExplorationMatchesMapBackendBitwise)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
-    FeatureEngine map(app.db, FeatureBackend::Map);
+    FeatureEngine flat(app.db);
 
     Exploration a = exploreConfigs(app.db, {}, 0, &flat);
-    Exploration b = exploreConfigs(app.db, {}, 0, &map);
+    Exploration b = reference::exploreConfigsMap(app.db);
     ASSERT_EQ(a.results.size(), b.results.size());
     for (size_t i = 0; i < a.results.size(); ++i) {
         const ConfigResult &ra = a.results[i];
@@ -189,7 +193,7 @@ TEST_P(EngineWorkloadTest, FlatExplorationIsThreadCountInvariant)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
+    FeatureEngine flat(app.db);
 
     auto explore_with = [&](unsigned threads) {
         sched::ThreadPool pool(threads);
@@ -247,13 +251,12 @@ TEST_P(EngineWorkloadTest, ProjectAllMatchesMapBackendBitwise)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine flat(app.db, FeatureBackend::Flat);
-    FeatureEngine map(app.db, FeatureBackend::Map);
+    FeatureEngine flat(app.db);
     for (IntervalScheme scheme : allSchemes()) {
         auto intervals = buildIntervals(app.db, scheme);
         for (FeatureKind kind : allKinds()) {
             auto got = flat.projectAll(intervals, kind);
-            auto want = map.projectAll(intervals, kind);
+            auto want = projectAllMap(app.db, intervals, kind);
             ASSERT_EQ(got.size(), want.size());
             for (size_t i = 0; i < got.size(); ++i) {
                 ASSERT_TRUE(samePointBits(got[i], want[i]))
@@ -277,8 +280,8 @@ TEST_P(EngineWorkloadTest, ProjectAllIsPoolWidthInvariant)
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
     sched::ThreadPool one(1), four(4);
-    FeatureEngine narrow(app.db, FeatureBackend::Flat, &one);
-    FeatureEngine wide(app.db, FeatureBackend::Flat, &four);
+    FeatureEngine narrow(app.db, &one);
+    FeatureEngine wide(app.db, &four);
     for (IntervalScheme scheme : allSchemes()) {
         auto intervals = buildIntervals(app.db, scheme);
         for (FeatureKind kind : allKinds()) {
@@ -335,14 +338,14 @@ TEST(FeatureEngine, ReplayedTrialNeedsItsOwnEngine)
     // An engine is bound to the database it lowered; handing it a
     // selection pass over another trial's database must trip the
     // identity assert rather than silently serve stale columns.
-    FeatureEngine engine1(app.db, FeatureBackend::Flat);
+    FeatureEngine engine1(app.db);
     EXPECT_THROW(selectSubset(db2, IntervalScheme::SyncBounded,
                               FeatureKind::BB, {}, 0, &engine1),
                  PanicError);
 
     // A fresh engine over the replayed trial matches that trial's
     // oracle (not trial 1's).
-    FeatureEngine engine2(db2, FeatureBackend::Flat);
+    FeatureEngine engine2(db2);
     for (const Interval &iv :
          buildIntervals(db2, IntervalScheme::SingleKernel)) {
         expectBitwiseEqual(
@@ -435,7 +438,7 @@ edgeDb()
 TEST(FeatureEngine, EmptyDispatchesYieldEmptyVectorsOnBothBackends)
 {
     TraceDatabase db = edgeDb();
-    FeatureEngine flat(db, FeatureBackend::Flat);
+    FeatureEngine flat(db);
     for (uint64_t d : {1ull, 2ull}) {
         Interval iv;
         iv.firstDispatch = d;
@@ -453,7 +456,7 @@ TEST(FeatureEngine, EmptyDispatchesYieldEmptyVectorsOnBothBackends)
 TEST(FeatureEngine, SingleDispatchIntervalsMatchOracle)
 {
     TraceDatabase db = edgeDb();
-    FeatureEngine flat(db, FeatureBackend::Flat);
+    FeatureEngine flat(db);
     for (uint64_t d = 0; d < db.numDispatches(); ++d) {
         Interval iv;
         iv.firstDispatch = d;
@@ -489,30 +492,18 @@ TEST(FeatureEngine, ScratchReuseAcrossKindsAndIntervalsIsClean)
 TEST(FeatureEngine, AllZeroVectorsNormalizeToEmpty)
 {
     TraceDatabase db = edgeDb();
-    FeatureEngine flat(db, FeatureBackend::Flat);
-    FeatureEngine map(db, FeatureBackend::Map);
+    FeatureEngine flat(db);
     Interval iv;
     iv.firstDispatch = 1;
     iv.lastDispatch = 2; // only instruction-free dispatches
     for (FeatureKind kind : allKinds()) {
         auto flat_all = flat.extractAll({iv}, kind);
-        auto map_all = map.extractAll({iv}, kind);
+        auto map_all = reference::extractAllMap(db, {iv}, kind);
         ASSERT_EQ(flat_all.size(), 1u);
         ASSERT_EQ(map_all.size(), 1u);
         EXPECT_EQ(flat_all[0].dims(), 0u);
         expectBitwiseEqual(flat_all[0], map_all[0]);
     }
-}
-
-TEST(FeatureEngine, MapBackendHasNoCacheOrTable)
-{
-    TraceDatabase db = edgeDb();
-    FeatureEngine map(db, FeatureBackend::Map);
-    EXPECT_EQ(map.backend(), FeatureBackend::Map);
-    EXPECT_EQ(map.projection(), nullptr);
-    FeatureEngine flat(db, FeatureBackend::Flat);
-    EXPECT_EQ(flat.backend(), FeatureBackend::Flat);
-    EXPECT_NE(flat.projection(), nullptr);
 }
 
 TEST(FeatureEngine, CacheKeyUniverseCoversEveryExtractedKey)
@@ -573,12 +564,11 @@ allRanges(const TraceDatabase &db)
 }
 
 /** Flat vectors and memoized projections of every interval of @p db
- * equal the map oracle's bitwise, for every kind. */
+ * equal the map reference's bitwise, for every kind. */
 void
 expectOracleEqualEverywhere(const TraceDatabase &db)
 {
-    FeatureEngine flat(db, FeatureBackend::Flat);
-    FeatureEngine map(db, FeatureBackend::Map);
+    FeatureEngine flat(db);
     std::vector<Interval> intervals = allRanges(db);
     for (FeatureKind kind : allKinds()) {
         for (const Interval &iv : intervals) {
@@ -586,7 +576,7 @@ expectOracleEqualEverywhere(const TraceDatabase &db)
                                extractFeaturesMap(db, iv, kind));
         }
         auto got = flat.projectAll(intervals, kind);
-        auto want = map.projectAll(intervals, kind);
+        auto want = projectAllMap(db, intervals, kind);
         ASSERT_EQ(got.size(), want.size());
         for (size_t i = 0; i < got.size(); ++i) {
             ASSERT_TRUE(samePointBits(got[i], want[i]))
@@ -616,7 +606,7 @@ TEST(BlockRowDedup, RepeatsShareOneRowAndNearDuplicatesDoNot)
 
     // The near duplicates project away from the base row in the
     // kinds that read the differing entry.
-    FeatureEngine flat(db, FeatureBackend::Flat);
+    FeatureEngine flat(db);
     auto single = [](uint64_t d) {
         Interval iv;
         iv.firstDispatch = d;
@@ -756,12 +746,11 @@ TEST(ParallelBuild, ChunkBoundariesMatchStreamingBuild)
 TEST(ParallelBuild, ChunkedProjectionsMatchOracle)
 {
     // The member-for-member equality above implies this; check the
-    // projections against the map oracle directly anyway, across
+    // projections against the map reference directly anyway, across
     // chunk boundaries and for intervals spanning several chunks.
     TraceDatabase db = chunkedDb(3 * 256 + 17);
     sched::ThreadPool pool(4);
-    FeatureEngine flat(db, FeatureBackend::Flat, &pool);
-    FeatureEngine map(db, FeatureBackend::Map);
+    FeatureEngine flat(db, &pool);
     std::vector<Interval> intervals;
     for (uint64_t first : {0u, 250u, 255u, 256u, 511u, 700u}) {
         for (uint64_t len : {1u, 2u, 60u, 300u}) {
@@ -775,7 +764,7 @@ TEST(ParallelBuild, ChunkedProjectionsMatchOracle)
     for (FeatureKind kind : allKinds()) {
         simpoint::UniqueIndex groups;
         auto got = flat.projectAll(intervals, kind, &groups);
-        auto want = map.projectAll(intervals, kind);
+        auto want = projectAllMap(db, intervals, kind);
         for (size_t i = 0; i < got.size(); ++i) {
             ASSERT_TRUE(samePointBits(got[i], want[i]))
                 << featureKindName(kind) << " interval " << i;
@@ -796,14 +785,13 @@ TEST(ProjectionGroups, SplitValueClassesOnlyWhereContributionsDiffer)
     for (uint64_t &count : big.blockCounts)
         count *= 2;
     TraceDatabase db = syntheticDb({small, big, small, big, big});
-    FeatureEngine flat(db, FeatureBackend::Flat);
-    FeatureEngine map(db, FeatureBackend::Map);
+    FeatureEngine flat(db);
     auto intervals = buildIntervals(db, IntervalScheme::SingleKernel);
     ASSERT_EQ(intervals.size(), 5u);
 
     simpoint::UniqueIndex groups, byValue;
     auto points = flat.projectAll(intervals, FeatureKind::KN, &groups);
-    map.projectAll(intervals, FeatureKind::KN, &byValue);
+    projectAllMap(db, intervals, FeatureKind::KN, &byValue);
     expectGroupsHoldEqualPoints(points, groups);
     expectGroupsHoldEqualPoints(points, byValue);
     EXPECT_EQ(groups.uid, (std::vector<uint32_t>{0, 1, 0, 1, 1}));
@@ -831,28 +819,14 @@ TEST(ProjectionTable, RowsMatchOnTheFlyCoefficients)
 {
     std::vector<uint64_t> keys = {2, 17, 0x9000000000000001ull};
     auto table = simpoint::ProjectionTable::build(keys);
-    EXPECT_EQ(table.size(), keys.size());
-    for (uint64_t key : keys) {
-        ASSERT_NE(table.row(key), nullptr);
+    ASSERT_EQ(table.size(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+        // A unit vector projects onto exactly its key's row.
         FeatureVector unit;
-        unit.add(key, 1.0);
-        simpoint::Point via_table = simpoint::project(unit, &table);
-        simpoint::Point via_hash = simpoint::project(unit);
-        for (int d = 0; d < simpoint::projectedDims; ++d)
-            EXPECT_EQ(via_table[d], via_hash[d]);
+        unit.add(keys[i], 1.0);
+        EXPECT_TRUE(samePointBits(table.rowAt(i), simpoint::project(unit)))
+            << "key " << keys[i];
     }
-    EXPECT_EQ(table.row(3), nullptr);
-    EXPECT_EQ(table.row(0xffffffffffffffffull), nullptr);
-}
-
-TEST(ProjectionTable, MissingKeyTripsAssert)
-{
-    setLogQuiet(true);
-    auto table = simpoint::ProjectionTable::build({10, 20});
-    FeatureVector vec;
-    vec.add(15, 1.0);
-    EXPECT_THROW(simpoint::project(vec, &table), PanicError);
-    setLogQuiet(false);
 }
 
 TEST(FeatureVector, FromSortedRejectsBadColumns)

@@ -485,7 +485,7 @@ TEST_P(KMeansWorkloadTest, ExplorationMatchesLloydBitwise)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine engine(app.db, FeatureBackend::Flat);
+    FeatureEngine engine(app.db);
 
     ClusterOptions lloyd_opts, pruned_opts;
     lloyd_opts.backend = KMeansBackend::Lloyd;
@@ -526,7 +526,7 @@ TEST_P(KMeansWorkloadTest, PrunedExplorationIsThreadCountInvariant)
 {
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine engine(app.db, FeatureBackend::Flat);
+    FeatureEngine engine(app.db);
 
     auto explore_with = [&](unsigned threads) {
         sched::ThreadPool pool(threads);
@@ -569,7 +569,7 @@ TEST_P(KMeansWorkloadTest, ProjectionGroupingMatchesLloydBitwise)
     // whatever its instruction count).
     setLogQuiet(true);
     ProfiledApp app = profiled(GetParam());
-    FeatureEngine engine(app.db, FeatureBackend::Flat);
+    FeatureEngine engine(app.db);
     size_t split = 0;
     for (int s = 0; s < numIntervalSchemes; ++s) {
         auto intervals = buildIntervals(app.db, (IntervalScheme)s);
