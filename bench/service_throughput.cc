@@ -309,6 +309,8 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
         const core::ProfiledApp &app =
             bench::profiledApp(benchApps[0]);
         const uint64_t n = app.db.numDispatches();
+        auto kernels =
+            std::make_shared<const gtpin::KernelTable>(app.db.kernels());
         std::vector<gtpin::DispatchProfile> profiles;
         std::vector<cfl::KernelTiming> timings;
         std::vector<std::pair<uint64_t, uint64_t>> epochs;
@@ -316,7 +318,8 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
             profiles.push_back(app.db.profileAt(d));
             cfl::KernelTiming timing;
             timing.seq = d;
-            timing.kernelName = profiles.back().kernelName;
+            timing.kernelName =
+                kernels->at(profiles.back().kernelId).name;
             timing.seconds = app.db.seconds(d);
             timings.push_back(std::move(timing));
             epochs.push_back({d, app.db.syncEpoch(d)});
@@ -328,7 +331,7 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
         };
 
         serve::WorkloadSession session(benchApps[0], cfg, pool);
-        session.addDispatches(slice(profiles, 0, half),
+        session.addDispatches(kernels, slice(profiles, 0, half),
                               slice(timings, 0, half),
                               slice(epochs, 0, half));
         session.evict(benchArchiveDir("rehydrate-w" +
@@ -336,7 +339,7 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
                       ".gtar");
         GT_ASSERT(session.isEvicted(),
                   "mid-stream eviction did not stick");
-        session.addDispatches(slice(profiles, half, (size_t)n),
+        session.addDispatches(kernels, slice(profiles, half, (size_t)n),
                               slice(timings, half, (size_t)n),
                               slice(epochs, half, (size_t)n));
         GT_ASSERT(!session.isEvicted(),

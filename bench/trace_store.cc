@@ -52,51 +52,59 @@ secondsSince(std::chrono::steady_clock::time_point start)
 struct Inputs
 {
     std::vector<gtpin::DispatchProfile> profiles;
+    std::shared_ptr<const gtpin::KernelTable> kernels;
     std::vector<cfl::KernelTiming> timings;
     std::vector<ocl::ApiCallRecord> calls;
 };
 
 /** A deterministic joined suite shaped like the profiled CB apps:
- * a few dozen distinct kernels re-dispatched many times, small
- * per-kernel block vectors, syncs every handful of kernels. */
+ * a few dozen distinct kernels, each with its own static block
+ * arrays, re-dispatched many times, small per-kernel block vectors,
+ * syncs every handful of kernels. */
 Inputs
 makeInputs(uint64_t n)
 {
+    constexpr uint32_t numKernels = 48;
     Rng rng(0xbadc0ffee);
     Inputs in;
+    auto kernels = std::make_shared<gtpin::KernelTable>();
+    for (uint32_t kernel = 0; kernel < numKernels; ++kernel) {
+        gtpin::KernelStatic k;
+        k.name = "suite_kernel_" + std::to_string(kernel);
+        for (size_t b = 0; b < 2 + kernel % 6; ++b) {
+            k.blockLens.push_back(4 + (uint32_t)(rng.next() % 28));
+            k.blockReadBytes.push_back((uint32_t)(rng.next() % 2048));
+            k.blockWriteBytes.push_back((uint32_t)(rng.next() % 2048));
+        }
+        kernels->set(kernel, std::move(k));
+    }
+    in.kernels = kernels;
     in.profiles.reserve(n);
     in.timings.reserve(n);
     uint64_t idx = 0;
     for (uint64_t i = 0; i < n; ++i) {
-        uint32_t kernel = (uint32_t)(rng.next() % 48);
+        uint32_t kernel = (uint32_t)(rng.next() % numKernels);
+        const gtpin::KernelStatic &k = kernels->at(kernel);
         gtpin::DispatchProfile p;
         p.seq = i;
         p.kernelId = kernel;
-        p.kernelName = "suite_kernel_" + std::to_string(kernel);
         p.globalWorkSize = 64 << (kernel % 6);
         p.argsHash = rng.next();
         p.args.resize(2 + kernel % 4);
         for (uint32_t &a : p.args)
             a = (uint32_t)rng.next();
-        size_t blocks = 2 + kernel % 6;
-        p.blockCounts.resize(blocks);
-        p.blockLens.resize(blocks);
-        p.blockReadBytes.resize(blocks);
-        p.blockWriteBytes.resize(blocks);
-        for (size_t b = 0; b < blocks; ++b) {
+        p.blockCounts.resize(k.numBlocks());
+        for (size_t b = 0; b < k.numBlocks(); ++b) {
             p.blockCounts[b] = rng.next() % 50000;
-            p.blockLens[b] = 4 + (uint32_t)(rng.next() % 28);
-            p.instrs += p.blockCounts[b] * p.blockLens[b];
-            p.blockReadBytes[b] = (uint32_t)(rng.next() % 2048);
-            p.blockWriteBytes[b] = (uint32_t)(rng.next() % 2048);
-            p.bytesRead += p.blockCounts[b] * p.blockReadBytes[b];
-            p.bytesWritten += p.blockCounts[b] * p.blockWriteBytes[b];
+            p.instrs += p.blockCounts[b] * k.blockLens[b];
+            p.bytesRead += p.blockCounts[b] * k.blockReadBytes[b];
+            p.bytesWritten += p.blockCounts[b] * k.blockWriteBytes[b];
         }
         in.profiles.push_back(std::move(p));
 
         cfl::KernelTiming t;
         t.seq = i;
-        t.kernelName = in.profiles.back().kernelName;
+        t.kernelName = k.name;
         t.seconds = (double)(rng.next() >> 11) * 0x1.0p-53 * 1e-3;
         in.timings.push_back(t);
 
@@ -163,7 +171,7 @@ queryPass(const Rows &rows)
     // Feature lowering + whole-suite extraction (profile scans).
     core::DispatchFeatureCache cache;
     for (uint64_t d = 0; d < n; ++d)
-        cache.appendDispatch(rows.profileAt(d));
+        cache.appendDispatch(rows.profileAt(d), rows.kernels());
     cache.refreshColumns();
     core::DispatchFeatureCache::Scratch scratch;
     for (core::FeatureKind kind :
@@ -213,6 +221,7 @@ main(int argc, char **argv)
     auto t0 = std::chrono::steady_clock::now();
     const core::EpochAssignments epochs = core::assignEpochs(in.calls);
     TraceDatabase::Builder builder;
+    builder.useKernels(in.kernels);
     for (uint64_t i = 0; i < n; ++i) {
         builder.appendJoined(std::move(in.profiles[i]),
                              in.timings[i].seconds, epochs[i].second);

@@ -26,13 +26,15 @@ bitsOf(double value)
 /**
  * Visit @p p's block-stream contributions in lowering order: per
  * executed block, (stream, key, value) for the base, read, write and
- * read+write streams (0..3). Zero values are skipped exactly as the
- * oracle's add() skips them. Stops and returns false as soon as
- * @p fn does.
+ * read+write streams (0..3), with the static per-block values read
+ * from @p kernel, the table row of @p p's kernel. Zero values are
+ * skipped exactly as the oracle's add() skips them. Stops and
+ * returns false as soon as @p fn does.
  */
 template <typename Fn>
 bool
-forEachBlockContribution(const gtpin::DispatchProfile &p, Fn &&fn)
+forEachBlockContribution(const gtpin::DispatchProfile &p,
+                         const gtpin::KernelStatic &kernel, Fn &&fn)
 {
     auto emit = [&](size_t stream, uint64_t prefix, uint64_t tag,
                     double value) {
@@ -50,10 +52,10 @@ forEachBlockContribution(const gtpin::DispatchProfile &p, Fn &&fn)
                                             p.kernelId),
                             b),
             0);
-        double read = (double)count * p.blockReadBytes[b];
-        double written = (double)count * p.blockWriteBytes[b];
+        double read = (double)count * kernel.blockReadBytes[b];
+        double written = (double)count * kernel.blockWriteBytes[b];
         if (!emit(0, prefix, detail::tagBase,
-                  (double)count * p.blockLens[b]) ||
+                  (double)count * kernel.blockLens[b]) ||
             !emit(1, prefix, detail::tagRead, read) ||
             !emit(2, prefix, detail::tagWrite, written) ||
             !emit(3, prefix, detail::tagReadWrite, read + written)) {
@@ -93,7 +95,7 @@ DispatchFeatureCache::DispatchFeatureCache(const TraceDatabase &db,
         [&](size_t c) {
             uint64_t end = std::min(n, (c + 1) * chunk);
             for (uint64_t d = c * chunk; d < end; ++d)
-                parts[c].appendDispatch(db.profileAt(d));
+                parts[c].appendDispatch(db.profileAt(d), db.kernels());
             {
                 std::lock_guard<std::mutex> guard(lock);
                 ready[c] = 1;
@@ -138,14 +140,14 @@ DispatchFeatureCache::intern(uint64_t key)
 
 void
 DispatchFeatureCache::appendDispatch(
-    const gtpin::DispatchProfile &p)
+    const gtpin::DispatchProfile &p, const gtpin::KernelTable &kernels)
 {
     using detail::mixFeatureKey;
     using detail::tagBase;
     using detail::tagRead;
     using detail::tagWrite;
 
-    p.checkShape();
+    p.checkShape(kernels);
 
     auto push = [&](Stream &stream, uint64_t key, double value) {
         // Zero contributions are dropped exactly as the oracle's
@@ -178,13 +180,14 @@ DispatchFeatureCache::appendDispatch(
     for (size_t s = knBase; s < bbBase; ++s)
         streams[s].offsets.push_back(streams[s].cols.size());
 
-    blockRowOf.push_back(blockRow(p));
+    blockRowOf.push_back(blockRow(p, kernels.at(p.kernelId)));
     ++numDispatches;
 }
 
 bool
 DispatchFeatureCache::sameBlockRow(
-    uint32_t row, const gtpin::DispatchProfile &p) const
+    uint32_t row, const gtpin::DispatchProfile &p,
+    const gtpin::KernelStatic &kernel) const
 {
     std::array<uint64_t, 4> next, end;
     for (size_t s = 0; s < next.size(); ++s) {
@@ -192,7 +195,7 @@ DispatchFeatureCache::sameBlockRow(
         end[s] = streams[bbBase + s].offsets[row + 1];
     }
     bool same = forEachBlockContribution(
-        p, [&](size_t s, uint64_t key, double value) {
+        p, kernel, [&](size_t s, uint64_t key, double value) {
             const Stream &stream = streams[bbBase + s];
             if (next[s] == end[s] ||
                 internKeys[stream.cols[next[s]]] != key ||
@@ -230,7 +233,8 @@ DispatchFeatureCache::findOrAddRow(uint64_t hash, Same &&same,
 }
 
 uint32_t
-DispatchFeatureCache::blockRow(const gtpin::DispatchProfile &p)
+DispatchFeatureCache::blockRow(const gtpin::DispatchProfile &p,
+                               const gtpin::KernelStatic &kernel)
 {
     // The kernel and its block counts nominate candidate rows (the
     // static per-block arrays are the kernel's own); the lowered
@@ -240,10 +244,10 @@ DispatchFeatureCache::blockRow(const gtpin::DispatchProfile &p)
     for (uint64_t count : p.blockCounts)
         hash = mixFeatureRound(hash, count);
     return findOrAddRow(
-        hash, [&](uint32_t r) { return sameBlockRow(r, p); },
+        hash, [&](uint32_t r) { return sameBlockRow(r, p, kernel); },
         [&] {
             forEachBlockContribution(
-                p, [&](size_t s, uint64_t key, double value) {
+                p, kernel, [&](size_t s, uint64_t key, double value) {
                     Stream &stream = streams[bbBase + s];
                     stream.cols.push_back(intern(key));
                     stream.values.push_back(value);

@@ -102,7 +102,8 @@ class DispatchFeatureCache
      * queries read them through a rank indirection refreshed by
      * refreshColumns(), so appending never rewrites lowered streams.
      */
-    void appendDispatch(const gtpin::DispatchProfile &profile);
+    void appendDispatch(const gtpin::DispatchProfile &profile,
+                        const gtpin::KernelTable &kernels);
 
     /**
      * Recompute the ascending-key column order after a batch of
@@ -242,9 +243,11 @@ class DispatchFeatureCache
     /** Interim column id of @p key, assigned on first encounter. */
     uint32_t intern(uint64_t key);
 
-    /** Lower @p p's block streams into a new distinct row, or find
-     * the identical earlier row; @return its row id. */
-    uint32_t blockRow(const gtpin::DispatchProfile &p);
+    /** Lower @p p's block streams (static values from @p kernel, its
+     * kernel's table row) into a new distinct row, or find the
+     * identical earlier row; @return its row id. */
+    uint32_t blockRow(const gtpin::DispatchProfile &p,
+                      const gtpin::KernelStatic &kernel);
 
     /** The block-row dedup step shared by blockRow() and
      * appendCache(): among the rows whose content hash is @p hash,
@@ -274,8 +277,8 @@ class DispatchFeatureCache
     /** Whether block row @p row holds exactly @p p's lowered block
      * contributions: the same keys and value bits, entry for entry,
      * in every block stream. */
-    bool sameBlockRow(uint32_t row,
-                      const gtpin::DispatchProfile &p) const;
+    bool sameBlockRow(uint32_t row, const gtpin::DispatchProfile &p,
+                      const gtpin::KernelStatic &kernel) const;
 
     /** Hash of @p interval's contribution sequence for @p kind:
      * consistent with sameContributions(). */

@@ -34,11 +34,11 @@ InstrumentedStack::takeArtifact()
     artifact.epochs = assignEpochs(artifact.calls);
     // Dispatches execute in seq order at alignment points, so the
     // profiled ones are a prefix of the issued ones.
-    GT_ASSERT(artifact.epochs.size() >= artifact.profiles.size(),
+    const size_t profiled = artifact.profiles.dispatches.size();
+    GT_ASSERT(artifact.epochs.size() >= profiled,
               "the call stream issued ", artifact.epochs.size(),
-              " dispatches but GT-Pin profiled ",
-              artifact.profiles.size());
-    artifact.epochs.resize(artifact.profiles.size());
+              " dispatches but GT-Pin profiled ", profiled);
+    artifact.epochs.resize(profiled);
     return artifact;
 }
 

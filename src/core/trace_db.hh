@@ -21,6 +21,11 @@
  * seconds are stored as raw doubles and range sums accumulate
  * left-to-right over the dense column, and the integer columns
  * round-trip exactly. The differential tests compare the two.
+ *
+ * A kernel's name and static per-block arrays are not part of its
+ * dispatch records: the builder, the database and the spill file each
+ * carry one gtpin::KernelTable, which kernels() exposes and the
+ * records' kernelIds index.
  */
 
 #ifndef GT_CORE_TRACE_DB_HH
@@ -56,8 +61,8 @@ struct DispatchRecord
 /** Where one database's bytes live; see memoryFootprint(). */
 struct TraceDbFootprint
 {
-    /** Resident column/index metadata: the block index, name table,
-     * and epoch runs. */
+    /** Resident column/index metadata: the block index, kernel
+     * table, and epoch runs. */
     uint64_t columnBytes = 0;
     /** Encoded profile payload bytes in the spill file. */
     uint64_t profileBytes = 0;
@@ -85,7 +90,8 @@ assignEpochs(const std::vector<ocl::ApiCallRecord> &calls);
 /**
  * One replay outcome, taken off an instrumented stack
  * (InstrumentedStack::takeArtifact): the traced call stream, GT-Pin's
- * per-dispatch profiles, CoFluent's per-dispatch timings, and the
+ * per-dispatch profiles with their kernel table, CoFluent's
+ * per-dispatch timings, and the
  * stream's epoch assignments (one per profile, same order). Every
  * database — a profiled run, a replay trial, a service session — is
  * joined from one. The service caches artifacts across tenants by
@@ -95,7 +101,7 @@ assignEpochs(const std::vector<ocl::ApiCallRecord> &calls);
 struct ReplayArtifact
 {
     std::vector<ocl::ApiCallRecord> calls;
-    std::vector<gtpin::DispatchProfile> profiles;
+    gtpin::ProfileSet profiles;
     std::vector<cfl::KernelTiming> timings;
     EpochAssignments epochs;
 
@@ -136,13 +142,14 @@ class TraceDatabase
     /**
      * Join GT-Pin profiles with CoFluent timings and the API call
      * stream. @p profiles and @p timings must cover the same
-     * dispatches (matched by sequence number, in order).
+     * dispatches (matched by sequence number, in order); the
+     * database keeps @p profiles' kernel table.
      * Implemented as a Builder fed everything then sealed, so the
      * batch and incremental paths are one code path and bitwise
      * equality between them holds by construction.
      */
     static TraceDatabase
-    build(std::vector<gtpin::DispatchProfile> profiles,
+    build(gtpin::ProfileSet profiles,
           const std::vector<cfl::KernelTiming> &timings,
           const std::vector<ocl::ApiCallRecord> &call_stream,
           uint32_t block_size = trace_store::defaultBlockSize);
@@ -167,6 +174,10 @@ class TraceDatabase
     /** Dispatch @p i's device profile (see the class comment for
      * the reference lifetime). */
     const gtpin::DispatchProfile &profileAt(uint64_t i) const;
+
+    /** The static data of every kernel the profiles' kernelIds
+     * name (empty for an empty database). */
+    const gtpin::KernelTable &kernels() const;
 
     /** Dispatch @p i's CoFluent kernel seconds. */
     double seconds(uint64_t i) const;
@@ -248,16 +259,32 @@ class TraceDatabase::Builder
 {
   public:
     /**
+     * Index appended rows by @p kernels (shared, not copied; null
+     * is ignored). A builder holds one table: a later call must pass
+     * the same table or an equal one.
+     */
+    void useKernels(std::shared_ptr<const gtpin::KernelTable> kernels);
+
+    /** Size the record and column storage for @p n dispatches. */
+    void reserve(uint64_t n);
+
+    /**
      * Join one epoch-assigned dispatch. Dispatches must arrive in
-     * ascending seq order with monotone epochs. A builder re-fed from
-     * an archived database (rehydration) or from a replay artifact is
-     * bitwise identical to one fed the original rows.
+     * ascending seq order with monotone epochs, and each must match
+     * its kernel's row of the table useKernels() set. A builder
+     * re-fed from an archived database (rehydration) or from a
+     * replay artifact is bitwise identical to one fed the original
+     * rows.
      */
     void appendJoined(gtpin::DispatchProfile profile, double seconds,
                       uint64_t sync_epoch);
 
     /** Dispatches appended so far. */
     uint64_t numAppended() const { return records.size(); }
+
+    /** The kernel table appended rows index (empty before
+     * useKernels()). */
+    const gtpin::KernelTable &kernels() const;
 
     const gtpin::DispatchProfile &
     profileAt(uint64_t i) const
@@ -297,8 +324,8 @@ class TraceDatabase::Builder
     }
 
     /** Resident bytes of the builder: joined records (including the
-     * profiles' heap) and the prefix/seconds columns. What session
-     * eviction reclaims. */
+     * profiles' heap), the kernel table and the prefix/seconds
+     * columns. What session eviction reclaims. */
     uint64_t memoryBytes() const;
 
     /**
@@ -321,6 +348,7 @@ class TraceDatabase::Builder
                            trace_store::defaultBlockSize) const;
 
   private:
+    std::shared_ptr<const gtpin::KernelTable> kernelTable;
     std::vector<DispatchRecord> records;
     std::vector<uint64_t> instrPrefix{0};
     std::vector<double> secondsCol;

@@ -17,9 +17,12 @@
  *    with an absolute anchor per block so prefix lookups decode at
  *    most one block;
  *  - sync epochs run-length encoded (they change rarely);
- *  - per-dispatch profile payloads (args, basic-block count/len/
- *    read/write vectors, bytes R/W) varint-packed in dispatch order
- *    with kernel names interned into one table;
+ *  - per-dispatch profile payloads (seq, kernel id, gws, args hash,
+ *    args, instrs, basic-block counts, bytes R/W) varint-packed in
+ *    dispatch order;
+ *  - the kernel table, written once: per kernel id its name and its
+ *    static per-block instruction, read and write arrays, which no
+ *    row repeats (only the block counts change per dispatch);
  *  - a block index every blockSize dispatches, so random profile
  *    access decodes only the touched block.
  *
@@ -29,14 +32,17 @@
  * "fully built => const" contract trace_db.hh documents). Every
  * accessor returns values bitwise identical to the joined records
  * it was written from: integers round-trip exactly through varints,
- * doubles are stored raw, and strings round-trip through the name
- * table.
+ * doubles are stored raw, and the kernel table round-trips whole.
  *
  * The file begins with a versioned magic header that records the
  * total file size; a short, truncated, or corrupt file fails with a
  * clear FatalError (never a wild read — all section offsets are
  * bounds-checked and every block decode must consume its indexed
- * byte range exactly).
+ * byte range exactly). A file of an older format version fails with
+ * both versions named; a row whose kernel id is missing from the
+ * table, or whose block count differs from its kernel's row, fails
+ * when its block is decoded. Writing sizes the file and puts the
+ * header and each section at its offset, with no whole-file image.
  */
 
 #ifndef GT_CORE_TRACE_STORE_HH
@@ -94,17 +100,22 @@ uint64_t threadCacheResidentBytes();
 class ColumnarStore
 {
   public:
-    /** Encode @p records into a fresh spill file (created, mapped,
-     * then immediately unlinked, so it can never leak), and return
-     * the opened store. */
+    /** Encode @p records and the @p kernels table their kernelIds
+     * index into a fresh spill file (created, mapped, then
+     * immediately unlinked, so it can never leak), and return the
+     * opened store. The rows are not checked against the table here
+     * (TraceDatabase::Builder checks each at append); a row that
+     * does not match fails when its block is decoded. */
     static std::shared_ptr<const ColumnarStore>
     spill(const std::vector<DispatchRecord> &records,
+          const gtpin::KernelTable &kernels,
           const ColumnarOptions &options = {});
 
-    /** Encode @p records to @p path and keep the file — the
-     * persistent-artifact entry point (tests, post-hoc analysis). */
+    /** Encode @p records and @p kernels to @p path and keep the file
+     * — the persistent-artifact entry point (archives, tests). */
     static void
     writeFile(const std::vector<DispatchRecord> &records,
+              const gtpin::KernelTable &kernels,
               const std::string &path,
               const ColumnarOptions &options = {});
 
@@ -138,6 +149,9 @@ class ColumnarStore
      * reference's lifetime. */
     const gtpin::DispatchProfile &profileAt(uint64_t i) const;
 
+    /** The file's kernel table, decoded once at open. */
+    const gtpin::KernelTable &kernels() const { return kernelTable; }
+
     /** Total bytes of the backing file. */
     uint64_t fileBytes() const { return mapLen; }
 
@@ -145,7 +159,7 @@ class ColumnarStore
      * resident). */
     uint64_t payloadBytes() const;
 
-    /** Resident metadata: block index, name table, epoch runs, and
+    /** Resident metadata: block index, kernel table, epoch runs, and
      * the store object itself. Excludes the file-backed mapping and
      * per-thread caches. */
     uint64_t residentBytes() const;
@@ -182,7 +196,7 @@ class ColumnarStore
     std::vector<uint64_t> blockInstrOff;
     std::vector<uint64_t> blockAnchor;
 
-    std::vector<std::string> names; //!< interned kernel names
+    gtpin::KernelTable kernelTable;
 
     /** Sync-epoch runs: (first dispatch, epoch), ascending. */
     std::vector<std::pair<uint64_t, uint64_t>> epochRuns;

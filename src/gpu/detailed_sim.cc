@@ -122,7 +122,14 @@ DetailedSimulator::simulateBatch(
         const DetailedCheckpoint &cp = *firstCell[w];
         walks[w] = simulateEu(*cp.binary, cp.trace, contexts(cp), params);
     };
-    if (backend == Backend::Serial) {
+    // A walk is the unit of fan-out and costs about 0.15 ms, about
+    // what handing a batch to the pool costs. On a 4-CPU host,
+    // batches of two walks ran faster inline in 13 of 18 cases (Fig.
+    // 8's cycle-level panel), and batches of six or more ran 2-3x
+    // faster on the pool in every case, so fewer than three walks
+    // run inline. The result is the same either way.
+    constexpr size_t minPoolWalks = 3;
+    if (backend == Backend::Serial || walks.size() < minPoolWalks) {
         for (size_t w = 0; w < walks.size(); ++w)
             walk(w);
     } else {

@@ -98,7 +98,9 @@ class DetailedSimulator
      * simulate() on each. Cells sharing an EU input (binary, trace
      * contents, contexts) share one walk. Serial backend: walks run
      * in order on the calling thread. Parallel backend: walks
-     * partition across @p pool (null = the process-wide pool). Null
+     * partition across @p pool (null = the process-wide pool), unless
+     * the batch has fewer than three distinct walks, which run
+     * inline like the serial backend's. Null
      * cells yield default-constructed results. If @p eu_walks is
      * given, it receives the number of distinct walks run.
      */

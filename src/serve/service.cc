@@ -58,6 +58,7 @@ WorkloadSession::WorkloadSession(std::string workload_name,
 
 void
 WorkloadSession::addDispatches(
+    const std::shared_ptr<const gtpin::KernelTable> &kernels,
     std::span<const gtpin::DispatchProfile> profiles,
     std::span<const cfl::KernelTiming> timings,
     std::span<const std::pair<uint64_t, uint64_t>> epochs)
@@ -69,6 +70,7 @@ WorkloadSession::addDispatches(
               epochs.size(), " epoch assignments");
     std::lock_guard<std::mutex> lock(mutex);
     rehydrateLocked();
+    builder.useKernels(kernels);
     for (size_t i = 0; i < profiles.size(); ++i) {
         GT_ASSERT(profiles[i].seq == timings[i].seq,
                   "profile/timing sequence mismatch at bulk row ", i);
@@ -89,7 +91,7 @@ WorkloadSession::feedLocked(const gtpin::DispatchProfile &profile,
     // trace-store decode cache that later block touches recycle.
     const gtpin::DispatchProfile &joined =
         builder.profileAt(builder.numAppended() - 1);
-    features.appendDispatch(joined);
+    features.appendDispatch(joined, builder.kernels());
     for (ConfigState &cs : configs)
         cs.intervals.append(epoch, joined.instrs, seconds);
 }
@@ -264,6 +266,9 @@ WorkloadSession::rehydrateLocked()
         return; // the session was empty when evicted
     core::TraceDatabase db =
         core::TraceDatabase::openColumnarFile(archivePath);
+    builder.useKernels(
+        std::make_shared<const gtpin::KernelTable>(db.kernels()));
+    builder.reserve(db.numDispatches());
     for (uint64_t i = 0; i < db.numDispatches(); ++i)
         feedLocked(db.profileAt(i), db.seconds(i), db.syncEpoch(i));
     GT_ASSERT(builder.numAppended() == fed,
@@ -543,7 +548,8 @@ void
 ProfilingService::feed(Workload &workload,
                        const core::ReplayArtifact &artifact)
 {
-    workload.session->addDispatches(artifact.profiles,
+    workload.session->addDispatches(artifact.profiles.kernels,
+                                    artifact.profiles.dispatches,
                                     artifact.timings, artifact.epochs);
     workload.lastUse.store(useTicket.fetch_add(1),
                            std::memory_order_relaxed);

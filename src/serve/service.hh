@@ -189,11 +189,16 @@ class WorkloadSession
      * (the (seq, epoch) pair of profile i, see core::assignEpochs) —
      * in dispatch order: joins the builder, lowers the feature
      * columns, and advances every interval scheme, under one session
-     * lock for the whole batch. The only feed: the service passes a
-     * whole replay artifact, and any split of the same rows into
-     * consecutive calls yields bitwise identical session state.
+     * lock for the whole batch. @p kernels is the table the profiles'
+     * kernelIds index; the session shares it rather than copying
+     * each kernel's static arrays, and every feed of one session
+     * passes the same (or an equal) table. The only feed: the
+     * service passes a whole replay artifact, and any split of the
+     * same rows into consecutive calls yields bitwise identical
+     * session state.
      */
     void addDispatches(
+        const std::shared_ptr<const gtpin::KernelTable> &kernels,
         std::span<const gtpin::DispatchProfile> profiles,
         std::span<const cfl::KernelTiming> timings,
         std::span<const std::pair<uint64_t, uint64_t>> epochs);
@@ -215,7 +220,8 @@ class WorkloadSession
 
     /**
      * Approximate resident bytes of this session's *reclaimable*
-     * state: the builder (joined records + profile heap),
+     * state: the builder (joined records + profile heap + kernel
+     * table),
      * the lowered feature columns, the projection table, and
      * per-config interval/point/unique-index state. What evict()
      * reclaims; the service's byte-budget eviction and

@@ -62,18 +62,18 @@ extractFeaturesMap(const TraceDatabase &db, const Interval &interval,
             continue;
         }
 
-        // Basic-block families.
+        // Basic-block families; the static per-block values come
+        // from the kernel's table row.
+        const gtpin::KernelStatic &k = db.kernels().at(p.kernelId);
         for (size_t b = 0; b < p.blockCounts.size(); ++b) {
             uint64_t count = p.blockCounts[b];
             if (count == 0)
                 continue;
-            double weighted = (double)count * p.blockLens[b];
+            double weighted = (double)count * k.blockLens[b];
             add(mixFeatureKey(p.kernelId, b, 0, tagBase), weighted);
 
-            double read =
-                (double)count * p.blockReadBytes[b];
-            double written =
-                (double)count * p.blockWriteBytes[b];
+            double read = (double)count * k.blockReadBytes[b];
+            double written = (double)count * k.blockWriteBytes[b];
             switch (kind) {
               case FeatureKind::BB_R:
                 add(mixFeatureKey(p.kernelId, b, 0, tagRead), read);

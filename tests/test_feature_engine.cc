@@ -74,7 +74,7 @@ streamingCache(const TraceDatabase &db)
 {
     DispatchFeatureCache cache;
     for (uint64_t d = 0; d < db.numDispatches(); ++d)
-        cache.appendDispatch(db.profileAt(d));
+        cache.appendDispatch(db.profileAt(d), db.kernels());
     cache.refreshColumns();
     return cache;
 }
@@ -358,28 +358,49 @@ TEST(FeatureEngine, ReplayedTrialNeedsItsOwnEngine)
 // --- Synthetic edge cases ----------------------------------------
 
 /** Derive @p p's dynamic totals (instrs, bytes read/written) from
- * its block arrays. */
+ * its block counts and @p kernel, its kernel's static row. */
 void
-setTotals(gtpin::DispatchProfile &p)
+setTotals(gtpin::DispatchProfile &p, const gtpin::KernelStatic &kernel)
 {
     p.instrs = p.bytesRead = p.bytesWritten = 0;
     for (size_t b = 0; b < p.blockCounts.size(); ++b) {
-        p.instrs += p.blockCounts[b] * p.blockLens[b];
-        p.bytesRead += p.blockCounts[b] * p.blockReadBytes[b];
-        p.bytesWritten += p.blockCounts[b] * p.blockWriteBytes[b];
+        p.instrs += p.blockCounts[b] * kernel.blockLens[b];
+        p.bytesRead += p.blockCounts[b] * kernel.blockReadBytes[b];
+        p.bytesWritten += p.blockCounts[b] * kernel.blockWriteBytes[b];
     }
 }
 
-/** A database over @p profiles in order, with setTotals() applied. */
-TraceDatabase
-syntheticDb(std::vector<gtpin::DispatchProfile> profiles)
+/** A synthetic kernel's static row over @p blocks blocks, with
+ * varied lengths and static byte counts. */
+gtpin::KernelStatic
+blockKernel(size_t blocks)
 {
+    gtpin::KernelStatic k;
+    k.name = "dedup";
+    for (size_t b = 0; b < blocks; ++b) {
+        k.blockLens.push_back(2 + (uint32_t)(b % 3));
+        k.blockReadBytes.push_back(b % 2 ? 4 : 0);
+        k.blockWriteBytes.push_back(b % 4 == 0 ? 8 : 0);
+    }
+    return k;
+}
+
+/** A database over @p profiles in order, with setTotals() applied.
+ * Kernels @p kernels lacks get blockKernel() rows. */
+TraceDatabase
+syntheticDb(std::vector<gtpin::DispatchProfile> profiles,
+            gtpin::KernelTable kernels = {})
+{
+    for (const gtpin::DispatchProfile &p : profiles) {
+        if (!kernels.find(p.kernelId))
+            kernels.set(p.kernelId, blockKernel(p.numBlocks()));
+    }
     std::vector<cfl::KernelTiming> timings;
     std::vector<ocl::ApiCallRecord> stream;
     for (uint64_t i = 0; i < profiles.size(); ++i) {
         gtpin::DispatchProfile &p = profiles[i];
         p.seq = i;
-        setTotals(p);
+        setTotals(p, kernels.at(p.kernelId));
 
         cfl::KernelTiming t;
         t.seq = i;
@@ -392,8 +413,10 @@ syntheticDb(std::vector<gtpin::DispatchProfile> profiles)
         rec.dispatchSeq = i;
         stream.push_back(rec);
     }
-    return TraceDatabase::build(std::move(profiles), timings,
-                                stream);
+    return TraceDatabase::build(
+        {std::move(profiles),
+         std::make_shared<const gtpin::KernelTable>(std::move(kernels))},
+        timings, stream);
 }
 
 /** One all-zero dispatch between two normal ones, plus a dispatch
@@ -401,38 +424,33 @@ syntheticDb(std::vector<gtpin::DispatchProfile> profiles)
 TraceDatabase
 edgeDb()
 {
+    gtpin::KernelTable kernels;
+    kernels.set(0, {"edge", {10, 2}, {8, 0}, {0, 4}});
+    kernels.set(1, {"edge", {10, 2}, {8, 0}, {0, 4}});
+    kernels.set(2, {"edge", {}, {}, {}}); // no basic-block data
+    kernels.set(3, {"edge", {4}, {0}, {16}});
     std::vector<gtpin::DispatchProfile> profiles;
     for (uint64_t i = 0; i < 4; ++i) {
         gtpin::DispatchProfile p;
         p.kernelId = (uint32_t)i;
-        p.kernelName = "edge";
         p.globalWorkSize = 64;
         p.argsHash = 7;
         switch (i) {
           case 0: // normal
             p.blockCounts = {3, 1};
-            p.blockLens = {10, 2};
-            p.blockReadBytes = {8, 0};
-            p.blockWriteBytes = {0, 4};
             break;
           case 1: // zero instructions, zero blocks executed
             p.blockCounts = {0, 0};
-            p.blockLens = {10, 2};
-            p.blockReadBytes = {8, 0};
-            p.blockWriteBytes = {0, 4};
             break;
           case 2: // kernel with no basic-block data at all
             break;
           default: // normal again
             p.blockCounts = {5};
-            p.blockLens = {4};
-            p.blockReadBytes = {0};
-            p.blockWriteBytes = {16};
             break;
         }
         profiles.push_back(p);
     }
-    return syntheticDb(std::move(profiles));
+    return syntheticDb(std::move(profiles), std::move(kernels));
 }
 
 TEST(FeatureEngine, EmptyDispatchesYieldEmptyVectorsOnBothBackends)
@@ -528,22 +546,17 @@ TEST(FeatureEngine, CacheKeyUniverseCoversEveryExtractedKey)
 // --- Block-row dedup and the interval memo ------------------------
 
 /** A dispatch of kernel @p kernel over @p blocks blocks with varied
- * counts, lengths and static byte counts. */
+ * counts; its static row comes from the database (blockKernel() by
+ * default), and syntheticDb() sets its totals. */
 gtpin::DispatchProfile
 blockDispatch(uint32_t kernel, size_t blocks)
 {
     gtpin::DispatchProfile p;
     p.kernelId = kernel;
-    p.kernelName = "dedup";
     p.globalWorkSize = 256;
     p.argsHash = 11;
-    for (size_t b = 0; b < blocks; ++b) {
+    for (size_t b = 0; b < blocks; ++b)
         p.blockCounts.push_back(b % 5 == 3 ? 0 : 1 + b % 7);
-        p.blockLens.push_back(2 + (uint32_t)(b % 3));
-        p.blockReadBytes.push_back(b % 2 ? 4 : 0);
-        p.blockWriteBytes.push_back(b % 4 == 0 ? 8 : 0);
-    }
-    setTotals(p);
     return p;
 }
 
@@ -587,18 +600,28 @@ expectOracleEqualEverywhere(const TraceDatabase &db)
 
 TEST(BlockRowDedup, RepeatsShareOneRowAndNearDuplicatesDoNot)
 {
+    // Block 7 of kernel 0 executes no application instruction but
+    // reads memory, so a count change there reaches only the memory
+    // streams. Static values are per kernel, so a near duplicate
+    // that differs in the memory streams alone differs in a count.
+    gtpin::KernelTable kernels;
+    gtpin::KernelStatic quiet = blockKernel(12);
+    quiet.blockLens[7] = 0;
+    kernels.set(0, quiet);
+    kernels.set(1, quiet);
     gtpin::DispatchProfile base = blockDispatch(0, 12);
     gtpin::DispatchProfile count = base;
     count.blockCounts[5] += 1;       // one dynamic count differs
     gtpin::DispatchProfile read = base;
-    read.blockReadBytes[6] += 4;     // one static byte count differs
+    read.blockCounts[7] += 1;        // only a read count differs
     gtpin::DispatchProfile kernel = base;
     kernel.kernelId = 1;             // same arrays, other kernel
     gtpin::DispatchProfile args = base;
     args.argsHash = 12;              // kernel identity only
 
     TraceDatabase db = syntheticDb(
-        {base, base, count, base, read, kernel, args, base, count});
+        {base, base, count, base, read, kernel, args, base, count},
+        std::move(kernels));
     DispatchFeatureCache cache(db);
     // base (shared by args), count, read, kernel.
     EXPECT_EQ(cache.numBlockRows(), 4u);
@@ -632,7 +655,6 @@ TEST(BlockRowDedup, ZeroRowsAndEmptyKernelsMatchOracle)
     std::fill(idle.blockCounts.begin(), idle.blockCounts.end(), 0);
     gtpin::DispatchProfile bare; // no block data at all
     bare.kernelId = 2;
-    bare.kernelName = "bare";
     gtpin::DispatchProfile busy = blockDispatch(0, 6);
     TraceDatabase db =
         syntheticDb({idle, busy, bare, idle, bare, busy});
@@ -655,7 +677,7 @@ TEST(BlockRowDedup, RepeatsAfterARefreshMatchTheBatchCache)
     DispatchFeatureCache stream;
     for (uint64_t d = 0; d < db.numDispatches(); ++d) {
         size_t keys = stream.numKeys();
-        stream.appendDispatch(db.profileAt(d));
+        stream.appendDispatch(db.profileAt(d), db.kernels());
         stream.refreshColumns();
         if (d == 2 || d == 3 || d >= 5) { // a repeat interns nothing
             EXPECT_EQ(stream.numKeys(), keys) << "dispatch " << d;
@@ -685,13 +707,16 @@ TEST(BlockRowDedup, RepeatsAfterARefreshMatchTheBatchCache)
 TEST(BlockRowDedup, RepeatedDispatchesCostAConstantEach)
 {
     constexpr size_t blocks = 500;
+    gtpin::KernelTable kernels;
+    kernels.set(3, blockKernel(blocks));
     gtpin::DispatchProfile p = blockDispatch(3, blocks);
+    setTotals(p, kernels.at(3));
     DispatchFeatureCache cache;
-    cache.appendDispatch(p);
+    cache.appendDispatch(p, kernels);
     uint64_t one = cache.memoryBytes();
     for (int i = 1; i < 1000; ++i) {
         p.seq = (uint64_t)i;
-        cache.appendDispatch(p);
+        cache.appendDispatch(p, kernels);
     }
     cache.refreshColumns();
     EXPECT_EQ(cache.numBlockRows(), 1u);
@@ -727,7 +752,6 @@ chunkedDb(size_t n)
             p.blockCounts[2] += d;
         p.argsHash = 1000 + d;
         p.globalWorkSize = 64u << (d % 4);
-        setTotals(p);
         profiles.push_back(p);
     }
     return syntheticDb(std::move(profiles));

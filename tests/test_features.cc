@@ -19,7 +19,11 @@ namespace
 TraceDatabase
 featureDb()
 {
-    std::vector<gtpin::DispatchProfile> profiles;
+    gtpin::ProfileSet profiles;
+    auto kernels = std::make_shared<gtpin::KernelTable>();
+    kernels->set(0, {"alpha", {4, 10, 6}, {16, 0, 64}, {0, 32, 0}});
+    kernels->set(1, {"beta", {4, 10, 6}, {16, 0, 64}, {0, 32, 0}});
+    profiles.kernels = kernels;
     std::vector<cfl::KernelTiming> timings;
     std::vector<ocl::ApiCallRecord> stream;
     uint64_t idx = 0;
@@ -27,23 +31,20 @@ featureDb()
         gtpin::DispatchProfile p;
         p.seq = i;
         p.kernelId = (uint32_t)(i % 2);
-        p.kernelName = p.kernelId ? "beta" : "alpha";
         p.globalWorkSize = 256 << (i % 3);
         p.argsHash = 0x1000 + i % 4;
         p.blockCounts = {10 + i, 5, i % 2 ? 7u : 0u};
-        p.blockLens = {4, 10, 6};
-        p.blockReadBytes = {16, 0, 64};
-        p.blockWriteBytes = {0, 32, 0};
+        const gtpin::KernelStatic &k = kernels->at(p.kernelId);
         p.instrs = 0;
         p.bytesRead = 0;
         p.bytesWritten = 0;
         for (size_t b = 0; b < 3; ++b) {
-            p.instrs += p.blockCounts[b] * p.blockLens[b];
-            p.bytesRead += p.blockCounts[b] * p.blockReadBytes[b];
+            p.instrs += p.blockCounts[b] * k.blockLens[b];
+            p.bytesRead += p.blockCounts[b] * k.blockReadBytes[b];
             p.bytesWritten +=
-                p.blockCounts[b] * p.blockWriteBytes[b];
+                p.blockCounts[b] * k.blockWriteBytes[b];
         }
-        profiles.push_back(p);
+        profiles.dispatches.push_back(p);
 
         cfl::KernelTiming t;
         t.seq = i;
@@ -196,16 +197,16 @@ TEST(Features, WeightingByInstructionCount)
 {
     // Section V-B's example: block A 10 times x 3 instrs vs block B
     // 5 times x 20 instrs — B must carry the larger weight.
-    std::vector<gtpin::DispatchProfile> profiles;
+    gtpin::ProfileSet profiles;
+    auto kernels = std::make_shared<gtpin::KernelTable>();
+    kernels->set(0, {"k0", {3, 20}, {0, 0}, {0, 0}});
+    profiles.kernels = kernels;
     gtpin::DispatchProfile p;
     p.seq = 0;
     p.kernelId = 0;
     p.blockCounts = {10, 5};
-    p.blockLens = {3, 20};
-    p.blockReadBytes = {0, 0};
-    p.blockWriteBytes = {0, 0};
     p.instrs = 10 * 3 + 5 * 20;
-    profiles.push_back(p);
+    profiles.dispatches.push_back(p);
     std::vector<cfl::KernelTiming> timings(1);
     timings[0].seq = 0;
     timings[0].seconds = 1e-5;

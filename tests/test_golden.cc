@@ -127,7 +127,9 @@ statsDigest(const AppCharacterization &st)
     return d.hex();
 }
 
-/** Every DispatchProfile field of every row, in dispatch order. */
+/** Every field of every row, in dispatch order, with the kernel's
+ * name and static per-block arrays read from the database's kernel
+ * table at the place each row once carried them. */
 std::string
 profilesDigest(const TraceDatabase &db)
 {
@@ -135,17 +137,18 @@ profilesDigest(const TraceDatabase &db)
     d.u64(db.numDispatches());
     for (uint64_t i = 0; i < db.numDispatches(); ++i) {
         const gtpin::DispatchProfile &p = db.profileAt(i);
+        const gtpin::KernelStatic &k = db.kernels().at(p.kernelId);
         d.u64(p.seq);
         d.u64(p.kernelId);
-        d.str(p.kernelName);
+        d.str(k.name);
         d.u64(p.globalWorkSize);
         d.u64(p.argsHash);
         d.vec(p.args);
         d.u64(p.instrs);
         d.vec(p.blockCounts);
-        d.vec(p.blockLens);
-        d.vec(p.blockReadBytes);
-        d.vec(p.blockWriteBytes);
+        d.vec(k.blockLens);
+        d.vec(k.blockReadBytes);
+        d.vec(k.blockWriteBytes);
         d.u64(p.bytesRead);
         d.u64(p.bytesWritten);
     }

@@ -324,13 +324,41 @@ TEST_F(GtPinTest, KernelProfileToolRecordsPerDispatch)
     const DispatchProfile &p1 = tool.profiles()[1];
     EXPECT_EQ(p0.seq, 0u);
     EXPECT_EQ(p1.seq, 1u);
-    EXPECT_EQ(p0.kernelName, "kp");
+    EXPECT_EQ(tool.kernels().at(p0.kernelId).name, "kp");
     EXPECT_EQ(p0.globalWorkSize, 256u);
     EXPECT_EQ(p1.globalWorkSize, 512u);
     // Same kernel, twice the threads: twice the instructions.
     EXPECT_EQ(p1.instrs, p0.instrs * 2);
     EXPECT_EQ(p1.bytesRead, p0.bytesRead * 2);
     EXPECT_EQ(tool.totalInstrs(), p0.instrs + p1.instrs);
+
+    // The records carry no static data: the table row does, once,
+    // and it reproduces each record's totals from its block counts.
+    const KernelStatic &row = tool.kernels().at(p0.kernelId);
+    ASSERT_EQ(row.numBlocks(), p0.numBlocks());
+    uint64_t instrs = 0, read = 0;
+    for (size_t b = 0; b < row.numBlocks(); ++b) {
+        instrs += p0.blockCounts[b] * row.blockLens[b];
+        read += p0.blockCounts[b] * row.blockReadBytes[b];
+    }
+    EXPECT_EQ(instrs, p0.instrs);
+    EXPECT_EQ(read, p0.bytesRead);
+
+    // takeProfiles() shares the table; a kernel built afterwards
+    // lands in a fresh copy, so the handed-out table never changes.
+    ProfileSet first = tool.takeProfiles();
+    EXPECT_EQ(first.dispatches.size(), 2u);
+    EXPECT_EQ(first.kernels.get(), &tool.kernels());
+    isa::KernelSource later;
+    later.name = "kp2";
+    later.templateName = "stream";
+    later.params = {8, 0xff, 16};
+    rt.buildProgram(rt.createProgramWithSource(ctx, {later}));
+    EXPECT_NE(first.kernels.get(), &tool.kernels());
+    EXPECT_EQ(first.kernels->idLimit(), 1u);
+    EXPECT_EQ(tool.kernels().idLimit(), 2u);
+    EXPECT_EQ(*first.kernels->find(0), *tool.kernels().find(0));
+    EXPECT_TRUE(tool.profiles().empty());
     pin.detach();
 }
 
@@ -518,15 +546,11 @@ expectProfilesEqual(const DispatchProfile &a, const DispatchProfile &b)
 {
     EXPECT_EQ(a.seq, b.seq);
     EXPECT_EQ(a.kernelId, b.kernelId);
-    EXPECT_EQ(a.kernelName, b.kernelName);
     EXPECT_EQ(a.globalWorkSize, b.globalWorkSize);
     EXPECT_EQ(a.argsHash, b.argsHash);
     EXPECT_EQ(a.args, b.args);
     EXPECT_EQ(a.instrs, b.instrs);
     EXPECT_EQ(a.blockCounts, b.blockCounts);
-    EXPECT_EQ(a.blockLens, b.blockLens);
-    EXPECT_EQ(a.blockReadBytes, b.blockReadBytes);
-    EXPECT_EQ(a.blockWriteBytes, b.blockWriteBytes);
     EXPECT_EQ(a.bytesRead, b.bytesRead);
     EXPECT_EQ(a.bytesWritten, b.bytesWritten);
 }
@@ -572,6 +596,7 @@ TEST_F(GtPinTest, SparseDeliveryMatchesDenseDiff)
                   prof.oracle.profiles().size());
         expectProfilesEqual(prof.live.profiles().back(),
                             prof.oracle.profiles().back());
+        EXPECT_EQ(prof.live.kernels(), prof.oracle.kernels());
         EXPECT_EQ(bb.live.lastBlockCounts(), bb.oracle.lastBlockCounts());
         EXPECT_EQ(bb.live.lastDynInstrs(), bb.oracle.lastDynInstrs());
         EXPECT_EQ(bb.live.totalBlockExecs(), bb.oracle.totalBlockExecs());

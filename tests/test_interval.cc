@@ -22,7 +22,11 @@ TraceDatabase
 syntheticDb(uint64_t dispatches = 100, uint64_t per_epoch = 10,
             uint64_t instrs = 1000)
 {
-    std::vector<gtpin::DispatchProfile> profiles;
+    gtpin::ProfileSet profiles;
+    auto kernels = std::make_shared<gtpin::KernelTable>();
+    for (uint32_t k = 0; k < 3; ++k)
+        kernels->set(k, {"k" + std::to_string(k), {10}, {40}, {4}});
+    profiles.kernels = kernels;
     std::vector<cfl::KernelTiming> timings;
     std::vector<ocl::ApiCallRecord> stream;
     uint64_t idx = 0;
@@ -30,14 +34,10 @@ syntheticDb(uint64_t dispatches = 100, uint64_t per_epoch = 10,
         gtpin::DispatchProfile p;
         p.seq = i;
         p.kernelId = (uint32_t)(i % 3);
-        p.kernelName = "k" + std::to_string(i % 3);
         p.globalWorkSize = 256;
         p.instrs = instrs * (1 + i % 4);
         p.blockCounts = {p.instrs / 10};
-        p.blockLens = {10};
-        p.blockReadBytes = {40};
-        p.blockWriteBytes = {4};
-        profiles.push_back(p);
+        profiles.dispatches.push_back(p);
 
         cfl::KernelTiming t;
         t.seq = i;

@@ -59,12 +59,13 @@ TEST(Pipeline, ReplaySameTrialIsIdentical)
     EXPECT_EQ(db2.totalInstrs(), app.db.totalInstrs());
     EXPECT_EQ(db2.totalSeconds(), app.db.totalSeconds());
     EXPECT_EQ(db2.numSyncEpochs(), app.db.numSyncEpochs());
+    EXPECT_EQ(db2.kernels(), app.db.kernels());
     for (uint64_t i = 0; i < db2.numDispatches(); ++i) {
         EXPECT_EQ(db2.seconds(i), app.db.seconds(i)) << "dispatch " << i;
         EXPECT_EQ(db2.profileAt(i).instrs,
                   app.db.profileAt(i).instrs);
-        EXPECT_EQ(db2.profileAt(i).kernelName,
-                  app.db.profileAt(i).kernelName);
+        EXPECT_EQ(db2.profileAt(i).kernelId,
+                  app.db.profileAt(i).kernelId);
         EXPECT_EQ(db2.syncEpoch(i), app.db.syncEpoch(i));
     }
 }

@@ -44,47 +44,54 @@ using core::TraceDatabase;
 struct Inputs
 {
     std::vector<gtpin::DispatchProfile> profiles;
+    std::shared_ptr<const gtpin::KernelTable> kernels;
     std::vector<cfl::KernelTiming> timings;
     std::vector<ocl::ApiCallRecord> calls;
     core::EpochAssignments epochs; //!< assignEpochs(calls)
 };
 
 /** Deterministic synthetic suite shaped like the profiled apps: a
- * dozen distinct kernels re-dispatched many times, small block
- * vectors, syncs every handful of kernels. */
+ * dozen distinct kernels, each with its own static block arrays,
+ * re-dispatched many times, small block vectors, syncs every
+ * handful of kernels. */
 Inputs
 makeInputs(uint64_t n, uint64_t seed = 0x5eedf00d)
 {
     Rng rng(seed);
     Inputs in;
+    auto kernels = std::make_shared<gtpin::KernelTable>();
+    for (uint32_t kernel = 0; kernel < 12; ++kernel) {
+        gtpin::KernelStatic k;
+        k.name = "suite_kernel_" + std::to_string(kernel);
+        for (size_t b = 0; b < 2 + kernel % 4; ++b) {
+            k.blockLens.push_back(4 + (uint32_t)(rng.next() % 12));
+            k.blockReadBytes.push_back((uint32_t)(rng.next() % 512));
+            k.blockWriteBytes.push_back((uint32_t)(rng.next() % 512));
+        }
+        kernels->set(kernel, std::move(k));
+    }
+    in.kernels = kernels;
     uint64_t idx = 0;
     for (uint64_t i = 0; i < n; ++i) {
         uint32_t kernel = (uint32_t)(rng.next() % 12);
+        const gtpin::KernelStatic &k = kernels->at(kernel);
         gtpin::DispatchProfile p;
         p.seq = i;
         p.kernelId = kernel;
-        p.kernelName = "suite_kernel_" + std::to_string(kernel);
         p.globalWorkSize = 64 << (kernel % 4);
         p.argsHash = rng.next();
-        size_t blocks = 2 + kernel % 4;
-        p.blockCounts.resize(blocks);
-        p.blockLens.resize(blocks);
-        p.blockReadBytes.resize(blocks);
-        p.blockWriteBytes.resize(blocks);
-        for (size_t b = 0; b < blocks; ++b) {
+        p.blockCounts.resize(k.numBlocks());
+        for (size_t b = 0; b < k.numBlocks(); ++b) {
             p.blockCounts[b] = rng.next() % 5000;
-            p.blockLens[b] = 4 + (uint32_t)(rng.next() % 12);
-            p.instrs += p.blockCounts[b] * p.blockLens[b];
-            p.blockReadBytes[b] = (uint32_t)(rng.next() % 512);
-            p.blockWriteBytes[b] = (uint32_t)(rng.next() % 512);
-            p.bytesRead += p.blockCounts[b] * p.blockReadBytes[b];
-            p.bytesWritten += p.blockCounts[b] * p.blockWriteBytes[b];
+            p.instrs += p.blockCounts[b] * k.blockLens[b];
+            p.bytesRead += p.blockCounts[b] * k.blockReadBytes[b];
+            p.bytesWritten += p.blockCounts[b] * k.blockWriteBytes[b];
         }
         in.profiles.push_back(std::move(p));
 
         cfl::KernelTiming t;
         t.seq = i;
-        t.kernelName = in.profiles.back().kernelName;
+        t.kernelName = k.name;
         t.seconds = (double)(rng.next() >> 11) * 0x1.0p-53 * 1e-3;
         in.timings.push_back(t);
 
@@ -110,7 +117,8 @@ feedRows(WorkloadSession &session, const Inputs &in, size_t first,
          size_t last)
 {
     size_t n = last - first;
-    session.addDispatches(std::span(in.profiles).subspan(first, n),
+    session.addDispatches(in.kernels,
+                          std::span(in.profiles).subspan(first, n),
                           std::span(in.timings).subspan(first, n),
                           std::span(in.epochs).subspan(first, n));
 }
@@ -178,6 +186,7 @@ TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
     Inputs in = makeInputs(n);
     for (uint64_t chunk : {uint64_t(1), uint64_t(3), uint64_t(256)}) {
         TraceDatabase::Builder builder;
+        builder.useKernels(in.kernels);
         uint64_t calls_seen = 0;
         streamInputs(
             in, [&](const ocl::ApiCallRecord &) { ++calls_seen; },
@@ -191,8 +200,9 @@ TEST(ServeBuilder, SealMatchesBatchBuildAtEveryChunk)
                 // only the calls issued so far: the full stream's
                 // assignments must agree on every prefix.
                 TraceDatabase want = TraceDatabase::build(
-                    {in.profiles.begin(),
-                     in.profiles.begin() + (long)(d + 1)},
+                    {{in.profiles.begin(),
+                      in.profiles.begin() + (long)(d + 1)},
+                     in.kernels},
                     {in.timings.begin(),
                      in.timings.begin() + (long)(d + 1)},
                     {in.calls.begin(),
@@ -233,6 +243,7 @@ TEST_P(IncrementalIntervalTest, AppendMatchesBatchAtEveryChunk)
 
     for (uint64_t chunk : {uint64_t(1), uint64_t(3), uint64_t(256)}) {
         TraceDatabase::Builder builder;
+        builder.useKernels(in.kernels);
         core::IncrementalIntervals inc(param.scheme, param.target);
         std::vector<Interval> prev;
         size_t prev_completed = 0;
@@ -288,13 +299,13 @@ TEST(ServeFeatures, StreamingCacheMatchesBatch)
 {
     const uint64_t n = 200;
     Inputs in = makeInputs(n);
-    TraceDatabase db = TraceDatabase::build(in.profiles, in.timings,
-                                            in.calls);
+    TraceDatabase db = TraceDatabase::build({in.profiles, in.kernels},
+                                            in.timings, in.calls);
 
     core::DispatchFeatureCache batch(db);
     core::DispatchFeatureCache inc;
     for (uint64_t d = 0; d < n; ++d) {
-        inc.appendDispatch(db.profileAt(d));
+        inc.appendDispatch(db.profileAt(d), db.kernels());
         if (d % 17 == 0)
             inc.refreshColumns(); // must not disturb later appends
     }
@@ -641,12 +652,15 @@ TEST(ServeCaches, PlanCacheSharesAcrossDrivers)
     EXPECT_GT(warm.hits, cold.hits);
 
     // Adopted plans change nothing observable about execution.
-    ASSERT_EQ(first.size(), second.size());
-    for (size_t d = 0; d < first.size(); ++d) {
-        EXPECT_EQ(first[d].instrs, second[d].instrs);
-        EXPECT_EQ(first[d].blockCounts, second[d].blockCounts);
-        EXPECT_EQ(first[d].bytesRead, second[d].bytesRead);
-        EXPECT_EQ(first[d].bytesWritten, second[d].bytesWritten);
+    EXPECT_EQ(*first.kernels, *second.kernels);
+    ASSERT_EQ(first.dispatches.size(), second.dispatches.size());
+    for (size_t d = 0; d < first.dispatches.size(); ++d) {
+        const gtpin::DispatchProfile &a = first.dispatches[d];
+        const gtpin::DispatchProfile &b = second.dispatches[d];
+        EXPECT_EQ(a.instrs, b.instrs);
+        EXPECT_EQ(a.blockCounts, b.blockCounts);
+        EXPECT_EQ(a.bytesRead, b.bytesRead);
+        EXPECT_EQ(a.bytesWritten, b.bytesWritten);
     }
 }
 

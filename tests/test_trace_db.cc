@@ -15,19 +15,24 @@ namespace
 {
 
 gtpin::DispatchProfile
-makeProfile(uint64_t seq, uint64_t instrs, uint32_t kernel_id = 0)
+makeProfile(uint64_t seq, uint64_t instrs)
 {
     gtpin::DispatchProfile p;
     p.seq = seq;
-    p.kernelId = kernel_id;
-    p.kernelName = "k" + std::to_string(kernel_id);
     p.globalWorkSize = 256;
     p.instrs = instrs;
     p.blockCounts = {instrs / 10, instrs / 20};
-    p.blockLens = {8, 12};
-    p.blockReadBytes = {64, 0};
-    p.blockWriteBytes = {0, 64};
     return p;
+}
+
+/** @p profiles with the table of kernel 0, the one makeProfile()
+ * dispatches. */
+gtpin::ProfileSet
+withKernel(std::vector<gtpin::DispatchProfile> profiles)
+{
+    auto kernels = std::make_shared<gtpin::KernelTable>();
+    kernels->set(0, {"k0", {8, 12}, {64, 0}, {0, 64}});
+    return {std::move(profiles), std::move(kernels)};
 }
 
 cfl::KernelTiming
@@ -74,7 +79,7 @@ TEST(TraceDb, JoinsProfilesAndTimings)
     std::vector<cfl::KernelTiming> timings{makeTiming(0, 0.1),
                                            makeTiming(1, 0.3)};
     TraceDatabase db = TraceDatabase::build(
-        std::move(profiles), timings, makeStream("OESES"));
+        withKernel(std::move(profiles)), timings, makeStream("OESES"));
 
     EXPECT_EQ(db.numDispatches(), 2u);
     EXPECT_EQ(db.totalInstrs(), 3000u);
@@ -92,7 +97,7 @@ TEST(TraceDb, SyncEpochsFollowTheCallStream)
         timings.push_back(makeTiming(i, 0.01));
     }
     TraceDatabase db = TraceDatabase::build(
-        std::move(profiles), timings, makeStream("EESESEEE"));
+        withKernel(std::move(profiles)), timings, makeStream("EESESEEE"));
 
     EXPECT_EQ(db.numSyncEpochs(), 3u);
     EXPECT_EQ(db.syncEpoch(0), 0u);
@@ -109,7 +114,7 @@ TEST(TraceDb, ConsecutiveSyncsDoNotCreateEmptyEpochs)
     std::vector<cfl::KernelTiming> timings{makeTiming(0, 0.01),
                                            makeTiming(1, 0.01)};
     TraceDatabase db = TraceDatabase::build(
-        std::move(profiles), timings, makeStream("ESSSSE"));
+        withKernel(std::move(profiles)), timings, makeStream("ESSSSE"));
     EXPECT_EQ(db.numSyncEpochs(), 2u);
 }
 
@@ -119,8 +124,8 @@ TEST(TraceDb, CountMismatchPanics)
     std::vector<gtpin::DispatchProfile> profiles{
         makeProfile(0, 100)};
     std::vector<cfl::KernelTiming> timings;
-    EXPECT_THROW(TraceDatabase::build(std::move(profiles), timings,
-                                      makeStream("E")),
+    EXPECT_THROW(TraceDatabase::build(withKernel(std::move(profiles)),
+                                      timings, makeStream("E")),
                  PanicError);
     setLogQuiet(false);
 }
@@ -132,8 +137,8 @@ TEST(TraceDb, SequenceMismatchPanics)
         makeProfile(0, 100), makeProfile(1, 100)};
     std::vector<cfl::KernelTiming> timings{makeTiming(0, 0.01),
                                            makeTiming(99, 0.01)};
-    EXPECT_THROW(TraceDatabase::build(std::move(profiles), timings,
-                                      makeStream("EES")),
+    EXPECT_THROW(TraceDatabase::build(withKernel(std::move(profiles)),
+                                      timings, makeStream("EES")),
                  PanicError);
     setLogQuiet(false);
 }
@@ -146,8 +151,8 @@ TEST(TraceDb, DispatchMissingFromStreamPanics)
     std::vector<cfl::KernelTiming> timings{makeTiming(0, 0.01),
                                            makeTiming(1, 0.01)};
     // Stream only mentions one enqueue.
-    EXPECT_THROW(TraceDatabase::build(std::move(profiles), timings,
-                                      makeStream("ES")),
+    EXPECT_THROW(TraceDatabase::build(withKernel(std::move(profiles)),
+                                      timings, makeStream("ES")),
                  PanicError);
     setLogQuiet(false);
 }

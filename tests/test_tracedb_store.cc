@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,8 @@
 #include "core/trace_db.hh"
 #include "core/trace_store.hh"
 #include "ocl/runtime.hh"
+#include "serve/archive.hh"
+#include "serve/service.hh"
 #include "temp_path.hh"
 #include "workloads/templates.hh"
 #include "workloads/workload.hh"
@@ -115,44 +118,57 @@ TEST(Varint, TruncationAndOverflowAreFatal)
 
 // --- synthetic traces --------------------------------------------
 
+constexpr uint32_t numSyntheticKernels = 5;
+
+/** Kernel @p kernel_id's static row: the name and per-block arrays
+ * every dispatch of it shares. */
+gtpin::KernelStatic
+makeKernel(uint32_t kernel_id, Rng &rng)
+{
+    gtpin::KernelStatic k;
+    k.name = "kern_" + std::to_string(kernel_id);
+    size_t blocks = rng.next() % 7; // including block-free kernels
+    for (size_t b = 0; b < blocks; ++b) {
+        k.blockLens.push_back((uint32_t)(rng.next() % 64));
+        k.blockReadBytes.push_back((uint32_t)(rng.next() % 4096));
+        k.blockWriteBytes.push_back((uint32_t)(rng.next() % 4096));
+    }
+    return k;
+}
+
 gtpin::DispatchProfile
 makeProfile(uint64_t seq, uint64_t instrs, uint32_t kernel_id,
-            Rng &rng)
+            size_t blocks, Rng &rng)
 {
     gtpin::DispatchProfile p;
     p.seq = seq;
     p.kernelId = kernel_id;
-    p.kernelName = "kern_" + std::to_string(kernel_id);
     p.globalWorkSize = 16 + (rng.next() % 4096);
     p.argsHash = rng.next();
     p.args.resize(rng.next() % 5);
     for (uint32_t &a : p.args)
         a = (uint32_t)rng.next();
     p.instrs = instrs;
-    size_t blocks = rng.next() % 7; // including block-free kernels
     p.blockCounts.resize(blocks);
-    p.blockLens.resize(blocks);
-    p.blockReadBytes.resize(blocks);
-    p.blockWriteBytes.resize(blocks);
-    for (size_t b = 0; b < blocks; ++b) {
-        p.blockCounts[b] = rng.next() % 100000;
-        p.blockLens[b] = (uint32_t)(rng.next() % 64);
-        p.blockReadBytes[b] = (uint32_t)(rng.next() % 4096);
-        p.blockWriteBytes[b] = (uint32_t)(rng.next() % 4096);
-    }
+    for (uint64_t &count : p.blockCounts)
+        count = rng.next() % 100000;
     p.bytesRead = rng.next() % (1ull << 40);
     p.bytesWritten = rng.next() % (1ull << 33);
     return p;
 }
 
-/** A deterministic joined input: @p n dispatches, a sync roughly
- * every @p sync_every kernels, instruction counts sweeping the
- * varint continuation boundaries. */
+/** A deterministic joined input: @p n dispatches of five kernels, a
+ * sync roughly every @p sync_every kernels, instruction counts
+ * sweeping the varint continuation boundaries. */
 struct SyntheticTrace
 {
     std::vector<gtpin::DispatchProfile> profiles;
+    std::shared_ptr<const gtpin::KernelTable> kernels;
     std::vector<cfl::KernelTiming> timings;
     std::vector<ocl::ApiCallRecord> calls;
+
+    /** A copy of the profiles with their table, as build() takes. */
+    gtpin::ProfileSet set() const { return {profiles, kernels}; }
 };
 
 SyntheticTrace
@@ -163,17 +179,22 @@ makeTrace(uint64_t n, uint64_t sync_every, uint64_t seed = 1234)
                                  128, (1u << 14), (1ull << 32)};
     Rng rng(seed);
     SyntheticTrace t;
+    auto kernels = std::make_shared<gtpin::KernelTable>();
+    for (uint32_t k = 0; k < numSyntheticKernels; ++k)
+        kernels->set(k, makeKernel(k, rng));
+    t.kernels = kernels;
     uint64_t idx = 0;
     for (uint64_t i = 0; i < n; ++i) {
         uint64_t instrs = (i % 7 == 3)
                               ? boundary[i % 6]
                               : rng.next() % (1ull << 20);
-        t.profiles.push_back(
-            makeProfile(i, instrs, (uint32_t)(i % 5), rng));
+        auto kernel = (uint32_t)(i % numSyntheticKernels);
+        t.profiles.push_back(makeProfile(
+            i, instrs, kernel, kernels->at(kernel).numBlocks(), rng));
 
         cfl::KernelTiming timing;
         timing.seq = i;
-        timing.kernelName = t.profiles.back().kernelName;
+        timing.kernelName = kernels->at(kernel).name;
         // Full-entropy mantissas so any re-summation drift or byte
         // swap in the seconds column shows up as bitwise inequality.
         timing.seconds =
@@ -201,15 +222,11 @@ expectProfilesEqual(const gtpin::DispatchProfile &a,
 {
     EXPECT_EQ(a.seq, b.seq);
     EXPECT_EQ(a.kernelId, b.kernelId);
-    EXPECT_EQ(a.kernelName, b.kernelName);
     EXPECT_EQ(a.globalWorkSize, b.globalWorkSize);
     EXPECT_EQ(a.argsHash, b.argsHash);
     EXPECT_EQ(a.args, b.args);
     EXPECT_EQ(a.instrs, b.instrs);
     EXPECT_EQ(a.blockCounts, b.blockCounts);
-    EXPECT_EQ(a.blockLens, b.blockLens);
-    EXPECT_EQ(a.blockReadBytes, b.blockReadBytes);
-    EXPECT_EQ(a.blockWriteBytes, b.blockWriteBytes);
     EXPECT_EQ(a.bytesRead, b.bytesRead);
     EXPECT_EQ(a.bytesWritten, b.bytesWritten);
 }
@@ -222,6 +239,8 @@ expectMatchesBuilder(const TraceDatabase::Builder &ref,
 {
     const uint64_t n = ref.numAppended();
     ASSERT_EQ(n, db.numDispatches());
+    if (n > 0)
+        EXPECT_EQ(ref.kernels(), db.kernels());
     EXPECT_EQ(ref.totalInstrs(), db.totalInstrs());
     EXPECT_EQ(ref.totalSeconds(), db.totalSeconds()); // bitwise
     EXPECT_EQ(n > 0 ? ref.syncEpoch(n - 1) + 1 : 0, db.numSyncEpochs());
@@ -257,15 +276,16 @@ expectMatchesBuilder(const TraceDatabase::Builder &ref,
 /** The builder fed @p profiles joined with @p timings and the epochs
  * of @p calls, one appendJoined() per dispatch. */
 TraceDatabase::Builder
-joinedBuilder(std::vector<gtpin::DispatchProfile> profiles,
+joinedBuilder(gtpin::ProfileSet profiles,
               const std::vector<cfl::KernelTiming> &timings,
               const std::vector<ocl::ApiCallRecord> &calls)
 {
     EpochAssignments epochs = assignEpochs(calls);
     TraceDatabase::Builder builder;
-    for (size_t i = 0; i < profiles.size(); ++i) {
-        builder.appendJoined(std::move(profiles[i]), timings[i].seconds,
-                             epochs[i].second);
+    builder.useKernels(profiles.kernels);
+    for (size_t i = 0; i < profiles.dispatches.size(); ++i) {
+        builder.appendJoined(std::move(profiles.dispatches[i]),
+                             timings[i].seconds, epochs[i].second);
     }
     return builder;
 }
@@ -273,16 +293,15 @@ joinedBuilder(std::vector<gtpin::DispatchProfile> profiles,
 TraceDatabase::Builder
 referenceOf(const SyntheticTrace &t)
 {
-    return joinedBuilder(t.profiles, t.timings, t.calls);
+    return joinedBuilder(t.set(), t.timings, t.calls);
 }
 
 TraceDatabase
 buildFrom(const SyntheticTrace &t,
           uint32_t block_size = trace_store::defaultBlockSize)
 {
-    auto profiles = t.profiles; // build() consumes them
-    return TraceDatabase::build(std::move(profiles), t.timings,
-                                t.calls, block_size);
+    return TraceDatabase::build(t.set(), t.timings, t.calls,
+                                block_size);
 }
 
 TEST(TraceStore, EmptyWorkload)
@@ -365,7 +384,7 @@ TEST(TraceStore, MissingSpillDirIsFatalAndNamesThePath)
     trace_store::ColumnarOptions options;
     options.spillDir = test::uniqueTempPath(".absent") + "/no/such/dir";
     try {
-        trace_store::ColumnarStore::spill(records, options);
+        trace_store::ColumnarStore::spill(records, *t.kernels, options);
         ADD_FAILURE() << "spill into a missing directory succeeded";
     } catch (const FatalError &e) {
         std::string msg = e.what();
@@ -443,11 +462,13 @@ class StoreFileTest : public ::testing::Test
 
     ~StoreFileTest() override { std::remove(path.c_str()); }
 
-    /** Write the synthetic trace's joined records to `path`. */
+    /** Write the synthetic trace's joined records to `path`, with
+     * @p kernels as the table (the trace's own by default). */
     std::vector<DispatchRecord>
-    writeRecords(uint64_t n)
+    writeRecords(uint64_t n, const gtpin::KernelTable *kernels = nullptr)
     {
         SyntheticTrace t = makeTrace(n, 7);
+        table = t.kernels;
         std::vector<DispatchRecord> records;
         uint64_t epoch = 0;
         for (uint64_t i = 0; i < n; ++i) {
@@ -461,8 +482,8 @@ class StoreFileTest : public ::testing::Test
         }
         trace_store::ColumnarOptions options;
         options.blockSize = 16;
-        trace_store::ColumnarStore::writeFile(records, path,
-                                              options);
+        trace_store::ColumnarStore::writeFile(
+            records, kernels ? *kernels : *t.kernels, path, options);
         return records;
     }
 
@@ -489,8 +510,33 @@ class StoreFileTest : public ::testing::Test
         std::fclose(f);
     }
 
+    /** Patch the header's 64-bit field at byte @p offset. */
+    void
+    patchHeader(size_t offset, uint64_t value)
+    {
+        std::vector<uint8_t> bytes = readAll();
+        std::memcpy(bytes.data() + offset, &value, sizeof(value));
+        writeAll(bytes);
+    }
+
     std::string path;
+    std::shared_ptr<const gtpin::KernelTable> table; //!< trace's own
 };
+
+/** The FatalError message of opening `path` and decoding every
+ * profile, or "" if all of it succeeds. */
+std::string
+openAndDecodeError(const std::string &path)
+{
+    try {
+        auto store = trace_store::ColumnarStore::openFile(path);
+        for (uint64_t i = 0; i < store->numDispatches(); ++i)
+            (void)store->profileAt(i);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
 
 TEST_F(StoreFileTest, WriteOpenRoundTripsEveryField)
 {
@@ -507,6 +553,7 @@ TEST_F(StoreFileTest, WriteOpenRoundTripsEveryField)
                             records[i].profile);
         prefix += records[i].profile.instrs;
     }
+    EXPECT_EQ(store->kernels(), *table);
     EXPECT_EQ(store->instrPrefixAt(records.size()), prefix);
     EXPECT_EQ(store->totalInstrs(), prefix);
     setLogQuiet(false);
@@ -556,6 +603,142 @@ TEST_F(StoreFileTest, BadMagicVersionAndPaddingAreFatal)
     writeAll(mutated);
     EXPECT_THROW(trace_store::ColumnarStore::openFile(path),
                  FatalError);
+    setLogQuiet(false);
+}
+
+// Header field offsets (FileHeader in trace_store.cc): the version
+// follows the 8-byte magic; sectionLen[] starts at byte 80, and the
+// kernel table is section 3.
+constexpr size_t versionOffset = 8;
+constexpr size_t kernelTableLenOffset = 80 + 3 * 8;
+
+TEST_F(StoreFileTest, PreviousVersionIsFatalAndNamesBothVersions)
+{
+    setLogQuiet(true);
+    writeRecords(10);
+    std::vector<uint8_t> bytes = readAll();
+    uint32_t previous = 1;
+    std::memcpy(bytes.data() + versionOffset, &previous,
+                sizeof(previous));
+    writeAll(bytes);
+    std::string msg = openAndDecodeError(path);
+    EXPECT_NE(msg.find("format version 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("reads version 2"), std::string::npos) << msg;
+    setLogQuiet(false);
+}
+
+TEST_F(StoreFileTest, RowOfAKernelMissingFromTheTableIsFatal)
+{
+    setLogQuiet(true);
+    // Kernel 3 has no row: ids 0-2 only.
+    gtpin::KernelTable partial;
+    for (uint32_t k = 0; k < 3; ++k)
+        partial.set(k, makeTrace(0, 1).kernels->at(k));
+    writeRecords(20, &partial);
+    std::string msg = openAndDecodeError(path);
+    EXPECT_NE(msg.find("kernelId 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("missing from the kernel table"),
+              std::string::npos)
+        << msg;
+    setLogQuiet(false);
+}
+
+TEST_F(StoreFileTest, RowBlockCountOtherThanItsKernelsIsFatal)
+{
+    setLogQuiet(true);
+    // Kernel 2's row gains a block its dispatches do not count.
+    gtpin::KernelTable wider = *makeTrace(0, 1).kernels;
+    gtpin::KernelStatic row = wider.at(2);
+    row.blockLens.push_back(1);
+    row.blockReadBytes.push_back(0);
+    row.blockWriteBytes.push_back(0);
+    wider.set(2, row);
+    writeRecords(20, &wider);
+    std::string msg = openAndDecodeError(path);
+    EXPECT_NE(msg.find("blockCounts of dispatch 2 "), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("kernel 2 has " +
+                       std::to_string(row.numBlocks()) + " blocks"),
+              std::string::npos)
+        << msg;
+    setLogQuiet(false);
+}
+
+TEST_F(StoreFileTest, TruncatedKernelTableIsFatal)
+{
+    setLogQuiet(true);
+    writeRecords(20);
+    std::vector<uint8_t> bytes = readAll();
+    uint64_t len = 0;
+    std::memcpy(&len, bytes.data() + kernelTableLenOffset, sizeof(len));
+    ASSERT_GT(len, 1u);
+    // Each cut leaves a table that ends inside a field: a varint, a
+    // name, or a count larger than the bytes left to hold it.
+    for (uint64_t keep : {len - 1, len / 2, uint64_t{1}}) {
+        patchHeader(kernelTableLenOffset, keep);
+        std::string msg = openAndDecodeError(path);
+        EXPECT_NE(msg.find("trace store kernel table: "),
+                  std::string::npos)
+            << "kept " << keep << ": " << msg;
+    }
+    setLogQuiet(false);
+}
+
+TEST(ArchiveFormat, PreviousVersionArchiveIsFatalOnReopen)
+{
+    setLogQuiet(true);
+    std::string dir = test::uniqueTempPath(".archive");
+    SyntheticTrace t = makeTrace(40, 5);
+    EpochAssignments epochs = assignEpochs(t.calls);
+    std::span<const gtpin::DispatchProfile> profiles(t.profiles);
+    std::span<const cfl::KernelTiming> timings(t.timings);
+    std::span<const std::pair<uint64_t, uint64_t>> rows(epochs);
+
+    sched::ThreadPool pool(1);
+    serve::ServiceConfig cfg;
+    serve::WorkloadSession session("synthetic", cfg, pool);
+    session.addDispatches(t.kernels, profiles.first(30),
+                          timings.first(30), rows.first(30));
+    std::string path;
+    {
+        serve::SessionArchive archive(dir);
+        path = archive.pathFor(0, 0, "synthetic");
+        session.evict(path);
+        archive.record("synthetic", path, 30);
+    }
+
+    // An archive left by a build of the previous format version.
+    FILE *f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    uint32_t previous = 1;
+    std::fseek(f, 8, SEEK_SET); // the version follows the magic
+    std::fwrite(&previous, sizeof(previous), 1, f);
+    std::fclose(f);
+
+    serve::SessionArchive reopened(dir);
+    std::vector<serve::SessionArchive::Entry> entries =
+        reopened.entries();
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(entries[0].dispatches, 30u);
+    try {
+        TraceDatabase::openColumnarFile(reopened.directory() + "/" +
+                                        entries[0].file);
+        ADD_FAILURE() << "an archive of the previous version opened";
+    } catch (const FatalError &e) {
+        std::string msg = e.what();
+        EXPECT_NE(msg.find("format version 1"), std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("reads version 2"), std::string::npos)
+            << msg;
+    }
+    // Late rows rehydrate the evicted session from the same archive.
+    EXPECT_THROW(session.addDispatches(t.kernels, profiles.subspan(30),
+                                       timings.subspan(30),
+                                       rows.subspan(30)),
+                 FatalError);
+    std::remove(path.c_str());
+    std::remove((dir + "/catalog.tsv").c_str());
+    std::remove(dir.c_str());
     setLogQuiet(false);
 }
 
