@@ -19,9 +19,11 @@
  * summed session bytes exceed budget + slack at any scale — 256
  * tenants must not cost more resident session memory than 64.
  *
- * After draining, refreshAll() is timed twice: once doing the real
- * incremental re-cluster, once answered entirely from the memoized
- * selections. The benchmark re-derives the first (evicted at large
+ * After draining, refreshAll() is timed twice: once bringing every
+ * session up to date (each (recording, configuration) clusters once,
+ * in whichever session gets there first; every other session copies
+ * the recording's published selection), once answered entirely from
+ * the sessions' memoized selections. The benchmark re-derives the first (evicted at large
  * scales) and last tenants' selections with a one-shot
  * selectSubset() over a sealed database and asserts bitwise identity
  * — and a pool-width sweep at widths {1, 4} repeats the oracle check
@@ -221,8 +223,10 @@ runScale(unsigned tenant_count,
     r.evictedResidueBytes = fp.evictedResidueBytes;
     r.footprintBytes = fp.totalBytes;
 
-    // First refresh does the incremental re-cluster (evicted
-    // sessions answer from the memo sealed at eviction); the second
+    // First refresh brings every session up to date: a session
+    // copies its recording's published selections, clustering only
+    // the ones no earlier session (or eviction) published; evicted
+    // sessions answer from the memo sealed at eviction. The second
     // is answered entirely from the memoized selections.
     t0 = std::chrono::steady_clock::now();
     service.refreshAll();
@@ -483,6 +487,7 @@ main(int argc, char **argv)
     report.scalar("sessions_reclustered", top.sessions.reclustered);
     report.scalar("sessions_memoized",
                   top.sessions.reusedSelections);
+    report.scalar("sessions_shared", top.sessions.sharedSelections);
     report.scalar("sessions_evicted", top.sessions.evictions);
     report.scalar("throughput_scaling", scaling);
     report.scalar("warm_speedup", warm_speedup.value());

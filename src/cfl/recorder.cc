@@ -1,5 +1,8 @@
 #include "cfl/recorder.hh"
 
+#include <bit>
+#include <cstring>
+
 #include "common/logging.hh"
 
 namespace gt::cfl
@@ -195,28 +198,60 @@ issueCall(const ApiCallRecord &rec, ocl::ClRuntime &runtime)
     }
 }
 
-/** Field-wise FNV-1a, matching the isa::contentHash idiom. */
-struct Fnv
+/**
+ * Word-at-a-time field hash: every 64-bit field is one xxHash64-style
+ * round (multiply, rotate, multiply) folded into the running state,
+ * byte runs go 8 bytes per round behind their length, and value()
+ * ends with xxHash64's avalanche.
+ */
+struct WordHash
 {
-    uint64_t h = 0xcbf29ce484222325ULL;
+    static constexpr uint64_t P1 = 0x9e3779b185ebca87ULL;
+    static constexpr uint64_t P2 = 0xc2b2ae3d27d4eb4fULL;
+    static constexpr uint64_t P3 = 0x165667b19e3779f9ULL;
+    static constexpr uint64_t P4 = 0x85ebca77c2b2ae63ULL;
+
+    uint64_t h = 0x27d4eb2f165667c5ULL;
 
     void
     mix(uint64_t v)
     {
-        for (int b = 0; b < 8; ++b) {
-            h ^= (v >> (b * 8)) & 0xff;
-            h *= 0x100000001b3ULL;
+        h ^= std::rotl(v * P2, 31) * P1;
+        h = std::rotl(h, 27) * P1 + P4;
+    }
+
+    /** The length, then the bytes in little-endian words; the last
+     * partial word is zero-padded (the length disambiguates it). */
+    void
+    mix(const void *data, size_t n)
+    {
+        mix((uint64_t)n);
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (; n >= 8; p += 8, n -= 8) {
+            uint64_t w;
+            std::memcpy(&w, p, 8);
+            mix(w);
+        }
+        if (n > 0) {
+            uint64_t w = 0;
+            for (size_t i = 0; i < n; ++i)
+                w |= (uint64_t)p[i] << (8 * i);
+            mix(w);
         }
     }
 
-    void
-    mix(const std::string &s)
+    void mix(const std::string &s) { mix(s.data(), s.size()); }
+
+    uint64_t
+    value() const
     {
-        mix((uint64_t)s.size());
-        for (char c : s) {
-            h ^= (uint8_t)c;
-            h *= 0x100000001b3ULL;
-        }
+        uint64_t v = h;
+        v ^= v >> 33;
+        v *= P2;
+        v ^= v >> 29;
+        v *= P3;
+        v ^= v >> 32;
+        return v;
     }
 };
 
@@ -225,7 +260,7 @@ struct Fnv
 uint64_t
 recordingContentHash(const Recording &recording)
 {
-    Fnv f;
+    WordHash f;
     f.mix((uint64_t)recording.calls.size());
     for (const ApiCallRecord &rec : recording.calls) {
         f.mix((uint64_t)rec.id);
@@ -237,11 +272,7 @@ recordingContentHash(const Recording &recording)
         f.mix((uint64_t)rec.uargs.size());
         for (uint64_t u : rec.uargs)
             f.mix(u);
-        f.mix((uint64_t)rec.payload.size());
-        for (uint8_t b : rec.payload) {
-            f.h ^= b;
-            f.h *= 0x100000001b3ULL;
-        }
+        f.mix(rec.payload.data(), rec.payload.size());
         f.mix((uint64_t)rec.sources.size());
         for (const isa::KernelSource &src : rec.sources) {
             f.mix(src.name);
@@ -251,7 +282,7 @@ recordingContentHash(const Recording &recording)
                 f.mix((uint64_t)p);
         }
     }
-    return f.h;
+    return f.value();
 }
 
 void

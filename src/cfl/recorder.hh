@@ -53,13 +53,20 @@ class Recorder : public ocl::ApiObserver
 };
 
 /**
- * Content identity of a recording: an FNV-1a fold over every field
- * of every call — ids, indices, kernel names, argument vectors,
- * buffer payloads, and kernel sources. Two recordings hash equal
- * exactly when a replay of either issues the identical call stream,
- * which is what lets the profiling service share replay artifacts
- * (profiles, timings, sync epochs) across tenants that submit the
- * same workload.
+ * Content identity of a recording: a fold over every field of every
+ * call — ids, indices, kernel names, argument vectors, buffer
+ * payloads, and kernel sources. Two recordings hash equal exactly
+ * when a replay of either issues the identical call stream, which is
+ * what lets the profiling service share replay artifacts (profiles,
+ * timings, sync epochs) across tenants that submit the same
+ * workload.
+ *
+ * Each 64-bit field is one xxHash64-style multiply-rotate-multiply
+ * round; names and payloads are folded 8 bytes per round behind
+ * their length, and the result is avalanched. The value is an
+ * in-process key only (the service's artifact cache, perfbench's
+ * explore digest): nothing persists it, so the mix may change
+ * between versions.
  */
 uint64_t recordingContentHash(const Recording &recording);
 

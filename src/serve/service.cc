@@ -38,6 +38,15 @@ resolveConfig(ServiceConfig cfg)
     return cfg;
 }
 
+/** Approximate heap bytes of one selection. */
+uint64_t
+selectionBytes(const core::SubsetSelection &sel)
+{
+    return sel.intervals.size() * sizeof(core::Interval) +
+           sel.selected.size() * sizeof(uint64_t) +
+           sel.ratios.size() * sizeof(double);
+}
+
 } // namespace
 
 WorkloadSession::WorkloadSession(std::string workload_name,
@@ -61,7 +70,8 @@ WorkloadSession::addDispatches(
     const std::shared_ptr<const gtpin::KernelTable> &kernels,
     std::span<const gtpin::DispatchProfile> profiles,
     std::span<const cfl::KernelTiming> timings,
-    std::span<const std::pair<uint64_t, uint64_t>> epochs)
+    std::span<const std::pair<uint64_t, uint64_t>> epochs,
+    std::shared_ptr<SelectionMemo> memo)
 {
     GT_ASSERT(profiles.size() == timings.size() &&
                   profiles.size() == epochs.size(),
@@ -70,6 +80,9 @@ WorkloadSession::addDispatches(
               epochs.size(), " epoch assignments");
     std::lock_guard<std::mutex> lock(mutex);
     rehydrateLocked();
+    // A memo speaks for exactly one artifact's rows: adopt it when
+    // this batch fills the session from empty, drop it otherwise.
+    artifactMemo = fed == 0 ? std::move(memo) : nullptr;
     builder.useKernels(kernels);
     for (size_t i = 0; i < profiles.size(); ++i) {
         GT_ASSERT(profiles[i].seq == timings[i].seq,
@@ -115,17 +128,17 @@ WorkloadSession::refresh()
         if (stale)
             rehydrateLocked();
     }
-    for (ConfigState &cs : configs)
-        refreshConfig(cs);
+    for (size_t c = 0; c < configs.size(); ++c)
+        refreshConfig(c);
 }
 
 void
-WorkloadSession::refreshConfig(ConfigState &cs)
+WorkloadSession::refreshConfig(size_t c)
 {
-    uint64_t now = fed;
-    if (now == 0)
+    ConfigState &cs = configs[c];
+    if (fed == 0)
         return; // nothing to select from yet
-    if (cs.hasSelection && cs.selectionAt == now) {
+    if (cs.hasSelection && cs.selectionAt == fed) {
         // The population gained no dispatches: the memoized
         // selection is still exact. This is also the evicted steady
         // state — answering from the memo is what keeps refresh()
@@ -133,6 +146,30 @@ WorkloadSession::refreshConfig(ConfigState &cs)
         ++counters.reusedSelections;
         return;
     }
+    if (!artifactMemo) {
+        recluster(cs);
+        return;
+    }
+    // The rows are exactly the memo's artifact: the first session to
+    // get here clusters under the memo lock and publishes; every
+    // other copies the bits it would have computed.
+    std::lock_guard<std::mutex> lock(artifactMemo->mu);
+    std::optional<core::SubsetSelection> &slot = artifactMemo->slots[c];
+    if (slot) {
+        cs.selection = *slot;
+        cs.selectionAt = fed;
+        cs.hasSelection = true;
+        ++counters.sharedSelections;
+        return;
+    }
+    recluster(cs);
+    slot = cs.selection;
+    artifactMemo->bytes += selectionBytes(cs.selection);
+}
+
+void
+WorkloadSession::recluster(ConfigState &cs)
+{
     GT_ASSERT(!evicted, "recluster on an evicted session (refresh() "
                         "should have rehydrated)");
 
@@ -181,7 +218,7 @@ WorkloadSession::refreshConfig(ConfigState &cs)
     cs.selection = core::selectFromProjected(
         cs.config.scheme, cs.config.feature, std::move(intervals),
         cs.points, builder.totalInstrs(), options);
-    cs.selectionAt = now;
+    cs.selectionAt = fed;
     cs.hasSelection = true;
     ++counters.reclustered;
 }
@@ -225,8 +262,8 @@ WorkloadSession::evict(const std::string &archive_path)
     // evicted session keeps answering refresh()/selection() from the
     // memo, so draining a fleet and refreshing it stays cheap and
     // never re-reads the archives.
-    for (ConfigState &cs : configs)
-        refreshConfig(cs);
+    for (size_t c = 0; c < configs.size(); ++c)
+        refreshConfig(c);
     if (builder.numAppended() > 0) {
         builder.writeArchive(archive_path);
         archivePath = archive_path;
@@ -305,12 +342,8 @@ WorkloadSession::memoBytes() const
 {
     std::lock_guard<std::mutex> lock(mutex);
     uint64_t bytes = 0;
-    for (const ConfigState &cs : configs) {
-        bytes += cs.selection.intervals.size() *
-                     sizeof(core::Interval) +
-                 cs.selection.selected.size() * sizeof(uint64_t) +
-                 cs.selection.ratios.size() * sizeof(double);
-    }
+    for (const ConfigState &cs : configs)
+        bytes += selectionBytes(cs.selection);
     return bytes;
 }
 
@@ -381,6 +414,7 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
     // identical submits attach to the pending entry until the replay
     // publishes, and later ones find the complete artifact.
     std::shared_ptr<const core::ReplayArtifact> artifact;
+    std::shared_ptr<SelectionMemo> memo;
     std::future<void> done;
     bool replay = false;
     {
@@ -395,6 +429,7 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
             ++artifacts.hits;
             if (entry.artifact) {
                 artifact = entry.artifact;
+                memo = entry.memo;
             } else {
                 entry.waiters.push_back({wl, {}});
                 done = entry.waiters.back().fed.get_future();
@@ -405,8 +440,9 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
     if (artifact) {
         // The warm admission fast path: no replay and no pool hop —
         // the cached rows bulk-append on the calling thread, so warm
-        // submission cost is O(rows) and independent of replay cost.
-        feed(*wl, *artifact);
+        // submission cost is O(rows) and independent of replay cost,
+        // and the memo spares its refresh the clustering.
+        feed(*wl, *artifact, memo);
         return id;
     }
     if (replay) {
@@ -456,6 +492,7 @@ ProfilingService::refreshAll()
         w->lastUse.store(useTicket.fetch_add(1),
                          std::memory_order_relaxed);
     }
+    enforceBudget();
 }
 
 WorkloadSession &
@@ -484,6 +521,7 @@ ProfilingService::stats() const
                 st.sessions.refreshes += s.refreshes;
                 st.sessions.reclustered += s.reclustered;
                 st.sessions.reusedSelections += s.reusedSelections;
+                st.sessions.sharedSelections += s.sharedSelections;
                 st.sessions.reusedPoints += s.reusedPoints;
                 st.sessions.projectedPoints += s.projectedPoints;
                 st.sessions.evictions += s.evictions;
@@ -530,27 +568,31 @@ ProfilingService::runReplay(Workload &workload, uint64_t key)
             w.fed.set_exception(std::current_exception());
         throw;
     }
+    auto memo = std::make_shared<SelectionMemo>(cfg.selections.size());
     {
         cfl::Recording replayed; // freed outside the cache lock
         std::lock_guard<std::mutex> lock(artifacts.mu);
         entry->artifact = artifact;
+        entry->memo = memo;
         replayed = std::move(entry->recording);
         waiters = std::move(entry->waiters);
     }
-    feed(workload, *artifact);
+    feed(workload, *artifact, memo);
     for (Waiter &w : waiters) {
-        feed(*w.workload, *artifact);
+        feed(*w.workload, *artifact, memo);
         w.fed.set_value();
     }
 }
 
 void
 ProfilingService::feed(Workload &workload,
-                       const core::ReplayArtifact &artifact)
+                       const core::ReplayArtifact &artifact,
+                       const std::shared_ptr<SelectionMemo> &memo)
 {
     workload.session->addDispatches(artifact.profiles.kernels,
                                     artifact.profiles.dispatches,
-                                    artifact.timings, artifact.epochs);
+                                    artifact.timings, artifact.epochs,
+                                    memo);
     workload.lastUse.store(useTicket.fetch_add(1),
                            std::memory_order_relaxed);
     workload.drained.store(true, std::memory_order_release);
@@ -652,6 +694,9 @@ ProfilingService::memoryFootprint() const
             (void)key;
             if (entry.artifact)
                 fp.artifactBytes += entry.artifact->memoryBytes();
+            if (entry.memo) {
+                fp.selectionMemoBytes += entry.memo->bytes;
+            }
             for (const ocl::ApiCallRecord &call : entry.recording.calls)
                 fp.artifactBytes += call.footprintBytes();
         }
@@ -659,7 +704,8 @@ ProfilingService::memoryFootprint() const
     fp.traceCacheBytes = core::trace_store::threadCacheResidentBytes();
     fp.totalBytes = fp.sessionBytes + fp.evictedResidueBytes +
                     fp.memoBytes + fp.planCacheBytes +
-                    fp.artifactBytes + fp.traceCacheBytes;
+                    fp.artifactBytes + fp.selectionMemoBytes +
+                    fp.traceCacheBytes;
     return fp;
 }
 

@@ -77,7 +77,29 @@
  *    precomputed epoch assignments — one lock, no pool hop. Warm
  *    submission is an O(rows) append on the calling thread, which is
  *    what the warm-vs-cold latency gate in bench/service_throughput
- *    measures.
+ *    measures. The content hash itself is a word-at-a-time fold
+ *    (cfl::recordingContentHash), so keying a submit costs a small
+ *    share of that append.
+ *  - **One clustering per (artifact, configuration).** A selection
+ *    is a pure function of the rows and the fixed configuration, so
+ *    each artifact entry owns a write-once SelectionMemo: one
+ *    selection per ServiceConfig::selections entry over exactly that
+ *    artifact's rows. A session adopts the memo only when feed()
+ *    fills it from empty with that one artifact (the first
+ *    submitter, attached waiters, warm hits). While its rows are
+ *    exactly the artifact's, refresh() — and the refresh inside
+ *    evict() — copies each published selection instead of running
+ *    k-means (SessionStats::sharedSelections counts these), and the
+ *    one session that finds a slot empty clusters it under the memo
+ *    lock and publishes it. Rows added later drop the memo, and the
+ *    session re-clusters through the normal incremental path, whose
+ *    cached points and unique index start from empty. Lock order is
+ *    session, then memo. The memos live in one service (no
+ *    process-wide cache) and ServiceFootprint::selectionMemoBytes
+ *    counts each once.
+ *  - **Budget after refresh.** refresh() grows a session (points,
+ *    unique index, projection table), so refreshAll() enforces the
+ *    byte budget again once every session is refreshed.
  */
 
 #ifndef GT_SERVE_SERVICE_HH
@@ -86,6 +108,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -162,10 +185,32 @@ struct SessionStats
     uint64_t refreshes = 0;        //!< refresh() calls
     uint64_t reclustered = 0;      //!< config refreshes that ran k-means
     uint64_t reusedSelections = 0; //!< answered from the memo
+    /** Config refreshes answered from the artifact's SelectionMemo
+     * (no k-means, no points). */
+    uint64_t sharedSelections = 0;
     uint64_t reusedPoints = 0;     //!< cached prefix points kept
     uint64_t projectedPoints = 0;  //!< points (re)computed
     uint64_t evictions = 0;        //!< sessions sealed to the archive
     uint64_t rehydrations = 0;     //!< archives re-fed into builders
+};
+
+/**
+ * Write-once selections of one replay artifact (see "One clustering
+ * per (artifact, configuration)" in the file comment): slot c is
+ * the selection of ServiceConfig::selections[c] over exactly the
+ * artifact's rows, empty until the first session that clusters it
+ * publishes it. Sessions lock their own mutex before this one,
+ * never the reverse.
+ */
+struct SelectionMemo
+{
+    explicit SelectionMemo(size_t configs) : slots(configs) {}
+
+    /** Held while a slot is read, or clustered and filled. */
+    std::mutex mu;
+    std::vector<std::optional<core::SubsetSelection>> slots;
+    /** Approximate bytes of the filled slots (read without mu). */
+    std::atomic<uint64_t> bytes{0};
 };
 
 /**
@@ -196,12 +241,18 @@ class WorkloadSession
      * service passes a whole replay artifact, and any split of the
      * same rows into consecutive calls yields bitwise identical
      * session state.
+     *
+     * @p memo, the SelectionMemo of the artifact these rows are, is
+     * adopted only when this call fills an empty session; any other
+     * feed drops the session's memo, since its rows then differ
+     * from the artifact's.
      */
     void addDispatches(
         const std::shared_ptr<const gtpin::KernelTable> &kernels,
         std::span<const gtpin::DispatchProfile> profiles,
         std::span<const cfl::KernelTiming> timings,
-        std::span<const std::pair<uint64_t, uint64_t>> epochs);
+        std::span<const std::pair<uint64_t, uint64_t>> epochs,
+        std::shared_ptr<SelectionMemo> memo = nullptr);
 
     /**
      * Seal this session's joined rows to the named columnar archive
@@ -238,8 +289,9 @@ class WorkloadSession
     /**
      * Incremental selection refresh over everything fed so far.
      * Configurations whose population gained no dispatches since
-     * their last refresh are answered from the memoized selection;
-     * the rest re-cluster, reusing the completed-prefix points, the
+     * their last refresh are answered from the memoized selection,
+     * and those the adopted SelectionMemo has published are copied
+     * from it; the rest re-cluster, reusing the completed-prefix points, the
      * extended unique-value index, and the grown projection table.
      * The result is bitwise identical — selections, chosen k,
      * ratios — to a one-shot selectSubset() over a database sealed
@@ -280,7 +332,13 @@ class WorkloadSession
         bool hasSelection = false;
     };
 
-    void refreshConfig(ConfigState &state);
+    /** Bring configuration @p c up to date: the session's memo,
+     * the artifact's SelectionMemo, or a recluster. */
+    void refreshConfig(size_t c);
+
+    /** Recluster @p state over everything fed so far, reusing the
+     * cached prefix points and unique index. */
+    void recluster(ConfigState &state);
 
     /** Join one row into the builder, feature columns and every
      * interval scheme. Caller holds the mutex. */
@@ -302,6 +360,9 @@ class WorkloadSession
     core::simpoint::ProjectionTable table;
     std::vector<ConfigState> configs;
     SessionStats counters;
+    /** The fed artifact's shared selections; set only while the
+     * session's rows are exactly that artifact's. */
+    std::shared_ptr<SelectionMemo> artifactMemo;
 
     /** Rows ever fed (survives eviction; builder.numAppended() drops
      * to 0 while evicted, so the memo check keys on this). */
@@ -345,6 +406,9 @@ struct ServiceFootprint
     /** Replay-artifact cache: complete outcomes, plus the
      * recordings pending entries hold until their replay ends. */
     uint64_t artifactBytes = 0;
+    /** The artifacts' SelectionMemos, each counted once however
+     * many sessions copied its selections. */
+    uint64_t selectionMemoBytes = 0;
     /** Decoded-block bytes the calling thread's trace-store cache
      * holds for live stores. */
     uint64_t traceCacheBytes = 0;
@@ -394,7 +458,8 @@ class ProfilingService
      * later submit of the same recording replays again. */
     void drain();
 
-    /** refresh() every session (see WorkloadSession::refresh). */
+    /** refresh() every session (see WorkloadSession::refresh), then
+     * enforce the byte budget, which refreshing may have exceeded. */
     void refreshAll();
 
     /** The incremental state of one submitted workload. */
@@ -442,9 +507,10 @@ class ProfilingService
      * the artifact, and feed @p workload plus every attached one. */
     void runReplay(Workload &workload, uint64_t key);
 
-    /** Bulk-append @p artifact into @p workload's session and mark
-     * it drained. */
-    void feed(Workload &workload, const core::ReplayArtifact &artifact);
+    /** Bulk-append @p artifact into @p workload's session, handing
+     * it the artifact's @p memo, and mark it drained. */
+    void feed(Workload &workload, const core::ReplayArtifact &artifact,
+              const std::shared_ptr<SelectionMemo> &memo);
 
     /** The archive catalog, created (with its directory) on first
      * use. */
@@ -452,7 +518,7 @@ class ProfilingService
 
     /** Evict drained sessions (LRU-first) until the resident-byte
      * budget holds; no-op when unbounded. Called after every
-     * workload drains. */
+     * workload drains and at the end of refreshAll(). */
     void enforceBudget();
 
     ServiceConfig cfg;
@@ -469,10 +535,12 @@ class ProfilingService
 
     /** One replay-artifact cache entry: pending (artifact null; the
      * replay reads the recording, identical submits queue as
-     * waiters) until its replay publishes the artifact. */
+     * waiters) until its replay publishes the artifact together
+     * with its (empty) selection memo. */
     struct ArtifactEntry
     {
         std::shared_ptr<const core::ReplayArtifact> artifact;
+        std::shared_ptr<SelectionMemo> memo;
         cfl::Recording recording;
         std::vector<Waiter> waiters;
     };

@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <functional>
 #include <span>
 #include <string>
 #include <thread>
@@ -477,6 +479,228 @@ TEST(ServeSession, MemoizedRefreshSkipsUnchangedConfigs)
         expectSameSelection(session.selection(c), before[c]);
 }
 
+const core::ProfiledApp &gaussianApp();
+
+/** Selections of every config of @p session against a one-shot
+ * selectSubset() over the database it seals. */
+void
+expectMatchesOneShot(const WorkloadSession &session,
+                     const ServiceConfig &cfg)
+{
+    TraceDatabase db = session.sealDatabase();
+    for (size_t c = 0; c < cfg.selections.size(); ++c) {
+        const SelectionConfig &sc = cfg.selections[c];
+        expectSameSelection(session.selection(c),
+                            core::selectSubset(db, sc.scheme, sc.feature,
+                                               cfg.cluster,
+                                               cfg.targetInstrs));
+    }
+}
+
+TEST(ServeMemo, AdoptedMemoAnswersWithoutClustering)
+{
+    Inputs in = makeInputs(150);
+    sched::ThreadPool pool(1);
+    ServiceConfig cfg;
+    const size_t configs = cfg.selections.size();
+    auto memo = std::make_shared<SelectionMemo>(configs);
+
+    // The first session fills every slot...
+    WorkloadSession first("synthetic", cfg, pool);
+    first.addDispatches(in.kernels, in.profiles, in.timings, in.epochs,
+                        memo);
+    first.refresh();
+    EXPECT_EQ(first.stats().reclustered, configs);
+    EXPECT_EQ(first.stats().sharedSelections, 0u);
+    for (size_t c = 0; c < configs; ++c)
+        EXPECT_TRUE(memo->slots[c].has_value());
+    EXPECT_GT(memo->bytes.load(), 0u);
+
+    // ...and a session fed the same rows copies them, bitwise equal
+    // to the one-shot oracle, without running k-means.
+    WorkloadSession warm("synthetic", cfg, pool);
+    warm.addDispatches(in.kernels, in.profiles, in.timings, in.epochs,
+                       memo);
+    warm.refresh();
+    SessionStats stats = warm.stats();
+    EXPECT_EQ(stats.reclustered, 0u);
+    EXPECT_EQ(stats.sharedSelections, configs);
+    EXPECT_EQ(stats.projectedPoints, 0u);
+    expectMatchesOneShot(warm, cfg);
+
+    // A memo handed to a session that already holds rows is ignored.
+    WorkloadSession split("synthetic", cfg, pool);
+    feedRows(split, in, 0, 70);
+    split.addDispatches(in.kernels,
+                        std::span(in.profiles).subspan(70),
+                        std::span(in.timings).subspan(70),
+                        std::span(in.epochs).subspan(70), memo);
+    split.refresh();
+    EXPECT_EQ(split.stats().sharedSelections, 0u);
+    EXPECT_EQ(split.stats().reclustered, configs);
+    expectMatchesOneShot(split, cfg);
+}
+
+TEST(ServeMemo, LaterRowsReclusterFromEmpty)
+{
+    const size_t n = 150, extra = 41;
+    Inputs in = makeInputs(n + extra);
+    sched::ThreadPool pool(1);
+    ServiceConfig cfg;
+    const size_t configs = cfg.selections.size();
+    auto memo = std::make_shared<SelectionMemo>(configs);
+    for (int s = 0; s < 2; ++s) {
+        WorkloadSession session("synthetic", cfg, pool);
+        session.addDispatches(in.kernels,
+                              std::span(in.profiles).first(n),
+                              std::span(in.timings).first(n),
+                              std::span(in.epochs).first(n), memo);
+        session.refresh();
+    }
+    std::vector<core::SubsetSelection> published;
+    for (size_t c = 0; c < configs; ++c)
+        published.push_back(*memo->slots[c]);
+
+    WorkloadSession warm("synthetic", cfg, pool);
+    warm.addDispatches(in.kernels, std::span(in.profiles).first(n),
+                       std::span(in.timings).first(n),
+                       std::span(in.epochs).first(n), memo);
+    warm.refresh();
+    EXPECT_EQ(warm.stats().reclustered, 0u);
+
+    // One more batch drops the memo: the session re-clusters through
+    // the incremental path, from an empty point cache, and still
+    // matches the oracle; the memo keeps the artifact's bits.
+    feedRows(warm, in, n, n + extra);
+    warm.refresh();
+    SessionStats stats = warm.stats();
+    EXPECT_EQ(stats.reclustered, configs);
+    EXPECT_EQ(stats.sharedSelections, configs);
+    EXPECT_EQ(stats.reusedPoints, 0u);
+    expectMatchesOneShot(warm, cfg);
+    for (size_t c = 0; c < configs; ++c)
+        expectSameSelection(*memo->slots[c], published[c]);
+
+    // Refreshing again is the session's own memo, not the artifact's.
+    warm.refresh();
+    EXPECT_EQ(warm.stats().reclustered, configs);
+    EXPECT_EQ(warm.stats().reusedSelections, configs);
+}
+
+// ---------------------------------------------------------------
+// Recording content hash.
+
+/** A small recording touching every hashed field. */
+cfl::Recording
+hashRecording()
+{
+    cfl::Recording rec;
+    ocl::ApiCallRecord program;
+    program.id = ocl::ApiCallId::CreateProgramWithSource;
+    program.callIndex = 0;
+    program.uargs = {1};
+    program.sources.push_back({"scale", "elementwise", {4, -2, 9}});
+    rec.calls.push_back(program);
+
+    ocl::ApiCallRecord write;
+    write.id = ocl::ApiCallId::EnqueueWriteBuffer;
+    write.callIndex = 1;
+    write.uargs = {1, 2, 0};
+    for (int i = 0; i < 21; ++i)
+        write.payload.push_back((uint8_t)(i * 37 + 5));
+    rec.calls.push_back(write);
+
+    ocl::ApiCallRecord dispatch;
+    dispatch.id = ocl::ApiCallId::EnqueueNDRangeKernel;
+    dispatch.callIndex = 2;
+    dispatch.dispatchSeq = 7;
+    dispatch.kernelName = "scale";
+    dispatch.globalWorkSize = 4096;
+    dispatch.argsHash = 0xfeedfacecafebeefULL;
+    dispatch.uargs = {1, 3, 4096, 1};
+    rec.calls.push_back(dispatch);
+    return rec;
+}
+
+TEST(ServeHash, EqualContentHashesEqual)
+{
+    cfl::Recording a = hashRecording();
+    cfl::Recording b = hashRecording();
+    EXPECT_EQ(cfl::recordingContentHash(a),
+              cfl::recordingContentHash(b));
+    const cfl::Recording &app = gaussianApp().recording;
+    cfl::Recording copy = app;
+    EXPECT_EQ(cfl::recordingContentHash(copy),
+              cfl::recordingContentHash(app));
+    EXPECT_NE(cfl::recordingContentHash(a),
+              cfl::recordingContentHash(app));
+}
+
+TEST(ServeHash, EveryFieldChangesTheHash)
+{
+    const uint64_t base = cfl::recordingContentHash(hashRecording());
+    using Edit = std::function<void(cfl::Recording &)>;
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        {"id",
+         [](cfl::Recording &r) {
+             r.calls[2].id = ocl::ApiCallId::Finish;
+         }},
+        {"callIndex", [](cfl::Recording &r) { r.calls[2].callIndex++; }},
+        {"dispatchSeq",
+         [](cfl::Recording &r) { r.calls[2].dispatchSeq++; }},
+        {"kernelName",
+         [](cfl::Recording &r) { r.calls[2].kernelName = "scalf"; }},
+        {"globalWorkSize",
+         [](cfl::Recording &r) { r.calls[2].globalWorkSize *= 2; }},
+        {"argsHash", [](cfl::Recording &r) { r.calls[2].argsHash ^= 1; }},
+        {"uarg", [](cfl::Recording &r) { r.calls[2].uargs[2]++; }},
+        {"payload",
+         [](cfl::Recording &r) { r.calls[1].payload[10] ^= 0x80; }},
+        {"source name",
+         [](cfl::Recording &r) { r.calls[0].sources[0].name += "x"; }},
+        {"source template",
+         [](cfl::Recording &r) {
+             r.calls[0].sources[0].templateName = "reduce";
+         }},
+        {"source param",
+         [](cfl::Recording &r) { r.calls[0].sources[0].params[1]--; }},
+    };
+    for (const auto &[what, edit] : edits) {
+        cfl::Recording r = hashRecording();
+        edit(r);
+        EXPECT_NE(cfl::recordingContentHash(r), base) << what;
+    }
+}
+
+TEST(ServeHash, PayloadTailBytesChangeTheHash)
+{
+    // 0-17 bytes covers an empty run, a lone partial word, exactly
+    // one and two words, and a partial word after whole ones.
+    std::vector<uint64_t> seen;
+    for (size_t n = 0; n <= 17; ++n) {
+        cfl::Recording r = hashRecording();
+        std::vector<uint8_t> &payload = r.calls[1].payload;
+        payload.resize(n);
+        for (size_t i = 0; i < n; ++i)
+            payload[i] = (uint8_t)(i * 29 + 3);
+        uint64_t h = cfl::recordingContentHash(r);
+        seen.push_back(h);
+        if (n == 0)
+            continue;
+        for (uint8_t flip : {uint8_t(0x01), uint8_t(0x80)}) {
+            payload.back() ^= flip;
+            EXPECT_NE(cfl::recordingContentHash(r), h)
+                << n << " bytes, flip " << (int)flip;
+            payload.back() ^= flip;
+        }
+        // A zero last byte is not the same as a shorter payload.
+        payload.back() = 0;
+        EXPECT_NE(cfl::recordingContentHash(r), seen[n - 1]) << n;
+    }
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
+}
+
 // ---------------------------------------------------------------
 // The full service on a real recorded application.
 
@@ -615,6 +839,82 @@ TEST(ServeService, FailedReplayLeavesNoEntry)
     EXPECT_EQ(service.memoryFootprint().artifactBytes, 0u);
     for (ProfilingService::WorkloadId w = 0; w < 3; ++w)
         EXPECT_EQ(service.session(tenant, w).numDispatches(), 0u);
+}
+
+TEST(ServeService, WarmSubmitAnswersFromArtifactMemo)
+{
+    const core::ProfiledApp &app = gaussianApp();
+    ProfilingService service;
+    const size_t configs = service.config().selections.size();
+    auto cold_tenant = service.openTenant("cold");
+    auto cold = service.submit(cold_tenant, app.name, app.recording);
+    service.drain();
+    service.refreshAll();
+    EXPECT_EQ(service.session(cold_tenant, cold).stats().reclustered,
+              configs);
+
+    auto warm_tenant = service.openTenant("warm");
+    auto warm = service.submit(warm_tenant, app.name, app.recording);
+    WorkloadSession &session = service.session(warm_tenant, warm);
+    session.refresh();
+    SessionStats stats = session.stats();
+    EXPECT_EQ(stats.reclustered, 0u);
+    EXPECT_EQ(stats.sharedSelections, configs);
+    expectMatchesOneShot(session, service.config());
+
+    ServiceStats total = service.stats();
+    EXPECT_EQ(total.sessions.reclustered, configs);
+    EXPECT_EQ(total.sessions.sharedSelections, configs);
+
+    // The memo is counted once, beside the sessions' own copies.
+    ServiceFootprint fp = service.memoryFootprint();
+    EXPECT_GT(fp.selectionMemoBytes, 0u);
+    EXPECT_EQ(fp.selectionMemoBytes * 2, fp.memoBytes);
+}
+
+TEST(ServeService, ConcurrentWarmRefreshesClusterOnce)
+{
+    const core::ProfiledApp &app = gaussianApp();
+    sched::ThreadPool pool(4);
+    ServiceConfig cfg;
+    cfg.pool = &pool;
+    ProfilingService service(cfg);
+    const unsigned threads = 8;
+    std::vector<ProfilingService::TenantId> ids;
+    for (unsigned t = 0; t < threads; ++t)
+        ids.push_back(service.openTenant("t" + std::to_string(t)));
+
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < threads; ++t) {
+        workers.emplace_back([&service, &app, &ids, t]() {
+            service.submit(ids[t], app.name, app.recording);
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+    workers.clear();
+    service.drain();
+    for (unsigned t = 0; t < threads; ++t) {
+        workers.emplace_back(
+            [&service, &ids, t]() { service.session(ids[t], 0).refresh(); });
+    }
+    for (std::thread &w : workers)
+        w.join();
+
+    // One session clustered each configuration under the memo
+    // lock; the other seven copied it.
+    ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.replays, 1u);
+    EXPECT_EQ(stats.sessions.reclustered, cfg.selections.size());
+    EXPECT_EQ(stats.sessions.sharedSelections,
+              (threads - 1) * cfg.selections.size());
+    WorkloadSession &first = service.session(ids[0], 0);
+    expectMatchesOneShot(first, cfg);
+    for (unsigned t = 1; t < threads; ++t) {
+        WorkloadSession &other = service.session(ids[t], 0);
+        for (size_t c = 0; c < cfg.selections.size(); ++c)
+            expectSameSelection(other.selection(c), first.selection(c));
+    }
 }
 
 // ---------------------------------------------------------------
@@ -811,6 +1111,83 @@ TEST(ServeEviction, EvictedSessionAnswersFromMemo)
     EXPECT_EQ(session.numDispatches(), in.profiles.size());
 }
 
+TEST(ServeEviction, MemoSessionEvictRehydrateMatchesOneShot)
+{
+    const size_t n = 150, extra = 37;
+    Inputs in = makeInputs(n + extra);
+    sched::ThreadPool pool(1);
+    ServiceConfig cfg;
+    const size_t configs = cfg.selections.size();
+    auto memo = std::make_shared<SelectionMemo>(configs);
+    auto firstRows = [&](WorkloadSession &s) {
+        s.addDispatches(in.kernels, std::span(in.profiles).first(n),
+                        std::span(in.timings).first(n),
+                        std::span(in.epochs).first(n), memo);
+    };
+    WorkloadSession first("synthetic", cfg, pool);
+    firstRows(first);
+    first.refresh();
+
+    SessionArchive archive(evictDir("memo-rehydrate"));
+    std::string path = archive.pathFor(0, 0, "synthetic");
+    WorkloadSession session("synthetic", cfg, pool);
+    firstRows(session);
+    // Eviction's own refresh copies from the memo: no k-means.
+    session.evict(path);
+    ASSERT_TRUE(session.isEvicted());
+    EXPECT_EQ(session.stats().reclustered, 0u);
+    EXPECT_EQ(session.stats().sharedSelections, configs);
+    for (size_t c = 0; c < configs; ++c)
+        expectSameSelection(session.selection(c), *memo->slots[c]);
+
+    // Late rows rehydrate, drop the memo, and re-cluster from empty.
+    feedRows(session, in, n, n + extra);
+    EXPECT_FALSE(session.isEvicted());
+    session.refresh();
+    SessionStats stats = session.stats();
+    EXPECT_EQ(stats.rehydrations, 1u);
+    EXPECT_EQ(stats.reclustered, configs);
+    expectMatchesOneShot(session, cfg);
+}
+
+TEST(ServeEviction, RefreshAllEnforcesTheBudget)
+{
+    const core::ProfiledApp &app = gaussianApp();
+    // A refreshed session holds points, unique indexes and a
+    // projection table a drained one does not: budget between the
+    // two, so the feed fits and only the refresh breaks the budget.
+    uint64_t drained_bytes = 0, refreshed_bytes = 0;
+    {
+        ProfilingService probe;
+        auto tenant = probe.openTenant("probe");
+        probe.submit(tenant, app.name, app.recording);
+        probe.drain();
+        drained_bytes = probe.session(tenant, 0).memoryBytes();
+        probe.refreshAll();
+        refreshed_bytes = probe.session(tenant, 0).memoryBytes();
+    }
+    ASSERT_GT(refreshed_bytes, drained_bytes);
+
+    ServiceConfig cfg;
+    cfg.maxResidentBytes = (drained_bytes + refreshed_bytes) / 2;
+    cfg.archiveDir = evictDir("refresh-budget");
+    ProfilingService service(cfg);
+    auto tenant = service.openTenant("t0");
+    service.submit(tenant, app.name, app.recording);
+    service.drain();
+    EXPECT_EQ(service.stats().sessions.evictions, 0u);
+    EXPECT_LE(service.memoryFootprint().sessionBytes,
+              cfg.maxResidentBytes);
+
+    service.refreshAll();
+    EXPECT_EQ(service.stats().sessions.evictions, 1u);
+    EXPECT_LE(service.memoryFootprint().sessionBytes,
+              cfg.maxResidentBytes);
+    WorkloadSession &session = service.session(tenant, 0);
+    EXPECT_TRUE(session.isEvicted());
+    expectMatchesOneShot(session, cfg);
+}
+
 TEST(ServeEviction, ServiceThresholdSweepIsBitwise)
 {
     const core::ProfiledApp &app = gaussianApp();
@@ -941,7 +1318,7 @@ TEST(ServeEviction, FootprintStaysBoundedUnderByteBudget)
     EXPECT_EQ(fp.totalBytes,
               fp.sessionBytes + fp.evictedResidueBytes + fp.memoBytes +
                   fp.planCacheBytes + fp.artifactBytes +
-                  fp.traceCacheBytes);
+                  fp.selectionMemoBytes + fp.traceCacheBytes);
     EXPECT_GT(fp.planCacheBytes, 0u);
     EXPECT_GT(fp.artifactBytes, 0u);
 
