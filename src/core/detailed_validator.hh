@@ -95,6 +95,14 @@ class DetailedValidator
     Report validate(const SubsetSelection &sel,
                     const DesignPoint &dp = {});
 
+    /**
+     * Build every distinct dispatch's checkpoint now (the
+     * design-point independent fast-forward) instead of inside the
+     * first validate(), so callers can time set-up and validation
+     * apart. Idempotent.
+     */
+    void prepare();
+
     /** Functional pre-passes executed (distinct dispatches). */
     uint64_t checkpointBuilds() const;
 
@@ -127,6 +135,10 @@ class DetailedValidator
     workloads::TemplateJit jit;
     std::unique_ptr<ocl::GpuDriver> driver;
     std::unique_ptr<ocl::ClRuntime> runtime;
+    /** Distinct checkpoints, and each dispatch's index into them
+     * (filled by prepare()). */
+    std::vector<const gpu::DetailedCheckpoint *> cellCheckpoints;
+    std::vector<size_t> cellOf;
     std::map<PointKey, PointCells> pointCache;
     uint64_t cellCount = 0;
     uint64_t walkCount = 0;
