@@ -23,13 +23,13 @@
  * session up to date (each (recording, configuration) clusters once,
  * in whichever session gets there first; every other session copies
  * the recording's published selection), once answered entirely from
- * the sessions' memoized selections. The benchmark re-derives the first (evicted at large
- * scales) and last tenants' selections with a one-shot
- * selectSubset() over a sealed database and asserts bitwise identity
- * — and a pool-width sweep at widths {1, 4} repeats the oracle check
- * for zero-byte-budget services plus a direct evict-mid-stream /
- * rehydrate session, pinning the service's central contract in the
- * same binary that reports its speed.
+ * the sessions' memoized selections. The benchmark re-derives the
+ * first (evicted at large scales) and last tenants' selections with
+ * a one-shot selectSubset() over a sealed database and asserts
+ * bitwise identity — and a pool-width sweep at widths {1, 4}
+ * repeats the oracle check for zero-byte-budget services plus a
+ * direct evict-mid-stream / rehydrate session, pinning the service's
+ * central contract in the same binary that reports its speed.
  *
  *     cd /path/to/repo && build/bench/service_throughput
  *

@@ -77,9 +77,8 @@
  *    precomputed epoch assignments — one lock, no pool hop. Warm
  *    submission is an O(rows) append on the calling thread, which is
  *    what the warm-vs-cold latency gate in bench/service_throughput
- *    measures. The content hash itself is a word-at-a-time fold
- *    (cfl::recordingContentHash), so keying a submit costs a small
- *    share of that append.
+ *    measures. The content hash is a word-at-a-time fold
+ *    (cfl::recordingContentHash).
  *  - **One clustering per (artifact, configuration).** A selection
  *    is a pure function of the rows and the fixed configuration, so
  *    each artifact entry owns a write-once SelectionMemo: one
@@ -105,6 +104,7 @@
 #ifndef GT_SERVE_SERVICE_HH
 #define GT_SERVE_SERVICE_HH
 
+#include <atomic>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -291,8 +291,9 @@ class WorkloadSession
      * Configurations whose population gained no dispatches since
      * their last refresh are answered from the memoized selection,
      * and those the adopted SelectionMemo has published are copied
-     * from it; the rest re-cluster, reusing the completed-prefix points, the
-     * extended unique-value index, and the grown projection table.
+     * from it; the rest re-cluster, reusing the completed-prefix
+     * points, the extended unique-value index, and the grown
+     * projection table.
      * The result is bitwise identical — selections, chosen k,
      * ratios — to a one-shot selectSubset() over a database sealed
      * at this prefix (the service differential tests pin this at
