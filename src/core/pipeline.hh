@@ -76,6 +76,14 @@ struct ProfiledApp
  * Instrumentation load shifts kernels' relative SPI, so only replays
  * carrying exactly the profiling run's tools validate its selections
  * without bias; a same-trial replay is bitwise equal to the profile.
+ *
+ * **Timing contract:** the attached tool set is part of every
+ * modeled time. Each tool's probes add instrumentation instructions,
+ * and gpu::TimingModel::kernelTime charges them as trace-buffer
+ * traffic, so a stack with fewer tools models different kernel
+ * seconds and a different measured SPI. Dropping tools from a
+ * replay is a labelled method change, never a speed-up.
+ *
  * The shared plan cache may be null and must outlive the stack.
  * Members are in construction order, so GtPin detaches before the
  * driver dies.
