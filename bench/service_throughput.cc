@@ -13,23 +13,25 @@
  * speedup gate (>= 5x) measures.
  *
  * Every service runs under a fixed resident-byte budget: drained
- * sessions are evicted LRU-first, so the per-session state the
- * service keeps hot is bounded by the budget, not by tenant count.
- * The resident gate fails the binary if the summed session bytes
- * exceed budget + slack at any scale — 256 tenants must not cost
+ * sessions holding derived state are evicted LRU-first, so the
+ * per-session state the service keeps hot is bounded by the budget,
+ * not by tenant count. The resident gate fails the binary if the
+ * summed derived session bytes exceed budget + slack at any scale,
+ * read once every session is refreshed — 256 tenants must not cost
  * more resident session memory than 64.
  *
  * After draining, refreshAll() is timed twice: once bringing every
  * session up to date (each (recording, configuration) clusters once,
- * in whichever session gets there first; every other session copies
+ * in whichever session gets there first; every other session shares
  * the recording's published selection), once answered entirely from
- * the sessions' memoized selections. The benchmark re-derives the
- * first (evicted at large scales) and last tenants' selections with
- * a one-shot selectSubset() over a sealed database and asserts
- * bitwise identity — and a pool-width sweep at widths {1, 4}
- * repeats the oracle check for zero-byte-budget services plus a
- * direct evict-mid-stream / rehydrate session, pinning the service's
- * central contract in the same binary that reports its speed.
+ * the sessions' held selections. The benchmark re-derives the
+ * first (evicted) and last tenants' selections with a one-shot
+ * selectSubset() over a sealed database and asserts bitwise
+ * identity — and a pool-width sweep at widths {1, 4} repeats the
+ * oracle check for zero-byte-budget services plus a direct session
+ * fed, refreshed, evicted and rehydrated by a seal, pinning the
+ * service's central contract in the same binary that reports its
+ * speed.
  *
  *     cd /path/to/repo && build/bench/service_throughput
  *
@@ -40,12 +42,9 @@
  */
 
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "bench/harness.hh"
 #include "common/logging.hh"
@@ -67,25 +66,13 @@ const std::vector<std::string> benchApps = {
 };
 
 /** Resident-byte budget every scale point runs under. Warm sessions
- * hold no rows: only the sessions that cluster derive state (over
- * 0.7 MB for the three apps), and the others' few-KB residue grows
- * with tenant count (about 0.8 MB at 64). The budget sits below
- * both, so the 64- and 256-tenant points must evict to stay inside
- * it. */
+ * derive nothing: only the sessions that cluster derive state (over
+ * 0.7 MB for the three apps). The budget sits below that, so every
+ * scale point must evict to stay inside it. */
 constexpr uint64_t residentBudgetBytes = 512ull << 10;
 
-/** Eviction residue + in-flight-feed slack the resident gate allows
- * on top of the configured budget. */
+/** Slack the resident gate allows on top of the configured budget. */
 constexpr uint64_t residentSlackBytes = 2ull << 20;
-
-std::string
-benchArchiveDir(const std::string &tag)
-{
-    const char *tmp = std::getenv("TMPDIR");
-    std::string base = tmp && *tmp ? tmp : "/tmp";
-    return base + "/gt-serve-bench-" +
-           std::to_string((long)::getpid()) + "-" + tag;
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point start)
@@ -123,11 +110,10 @@ assertSameSelection(const core::SubsetSelection &got,
               where, ": instruction totals diverge");
 }
 
-/** One-shot oracle: seal the session's database (read back from its
- * archive, or derived from its replay artifact, when the session is
- * evicted or holds no state) and re-derive every
- * configured selection with batch selectSubset(); all artifacts must
- * match the incrementally refreshed state bit for bit. */
+/** One-shot oracle: seal the session's database (derived from its
+ * replay artifact when the session is evicted or holds no state) and
+ * re-derive every configured selection with batch selectSubset();
+ * all must match the session's refreshed selections bit for bit. */
 void
 verifySession(serve::WorkloadSession &session,
               const serve::ServiceConfig &cfg,
@@ -156,7 +142,7 @@ struct ScaleResult
     double submitS = 0.0, coldS = 0.0, warmS = 0.0;
     double refreshS = 0.0, refreshMemoS = 0.0;
     uint64_t residentSessionBytes = 0, memoBytes = 0;
-    uint64_t evictedResidueBytes = 0;
+    uint64_t sessionResidueBytes = 0;
     uint64_t footprintBytes = 0;
     serve::ServiceStats stats;
 
@@ -182,8 +168,6 @@ runScale(unsigned tenant_count,
 {
     serve::ServiceConfig cfg;
     cfg.maxResidentBytes = residentBudgetBytes;
-    cfg.archiveDir =
-        benchArchiveDir("t" + std::to_string(tenant_count));
     serve::ProfilingService service(cfg);
 
     // Cold set: tenant 0's recordings replay for real.
@@ -219,32 +203,32 @@ runScale(unsigned tenant_count,
         }
     }
 
-    // Resident memory after the drain: everything over budget has
+    // First refresh brings every session up to date: a session
+    // shares its recording's published selections, clustering only
+    // the ones no earlier session published. The second is answered
+    // entirely from the held selections.
+    t0 = std::chrono::steady_clock::now();
+    service.refreshAll();
+    r.refreshS = secondsSince(t0);
+
+    // Resident memory once clustering has derived state and the
+    // refresh has enforced the budget: everything over budget has
     // been evicted, so session bytes are bounded by the budget, not
     // the tenant count.
     serve::ServiceFootprint fp = service.memoryFootprint();
     r.residentSessionBytes = fp.sessionBytes;
     r.memoBytes = fp.memoBytes;
-    r.evictedResidueBytes = fp.evictedResidueBytes;
+    r.sessionResidueBytes = fp.sessionResidueBytes;
     r.footprintBytes = fp.totalBytes;
 
-    // First refresh brings every session up to date: a session
-    // copies its recording's published selections, clustering only
-    // the ones no earlier session (or eviction) published; evicted
-    // sessions answer from the memo sealed at eviction. The second
-    // is answered entirely from the memoized selections.
-    t0 = std::chrono::steady_clock::now();
-    service.refreshAll();
-    r.refreshS = secondsSince(t0);
     t0 = std::chrono::steady_clock::now();
     service.refreshAll();
     r.refreshMemoS = secondsSince(t0);
 
-    // Oracle differential on the first tenant (evicted at the
-    // larger scales — LRU evicts the oldest first)
-    // and the last (still resident); every tenant was fed the
-    // identical stream, and the service tests cover the exhaustive
-    // per-session sweep.
+    // Oracle differential on the first tenant (its sessions clustered,
+    // so only they hold state the budget evicts) and the last (which
+    // shares, so is never evicted); every tenant was fed the identical stream, and the
+    // service tests cover the exhaustive per-session sweep.
     for (unsigned t : {0u, tenant_count - 1}) {
         for (size_t w = 0; w < recordings.size(); ++w) {
             verifySession(service.session(ids[t], w), cfg,
@@ -266,14 +250,16 @@ runScale(unsigned tenant_count,
  * Selection determinism across pool widths, covering the evicted
  * and rehydrated lifecycles the scale runs only sample:
  *
- *  - a zero-byte-budget service, which evicts every session as it
- *    drains (every session answers from a memo sealed at eviction,
- *    databases are derived again from the replay artifacts);
- *  - a direct session evicted mid-stream whose tail rows force a
- *    rehydrate before the final refresh.
+ *  - a zero-byte-budget service, which evicts every session that
+ *    clusters (every session answers from selections refreshed at
+ *    eviction, databases are derived again from the replay
+ *    artifacts);
+ *  - a direct session fed one artifact, refreshed, evicted, and
+ *    rehydrated by sealing its database.
  *
  * Every selection must equal the one-shot oracle and be bitwise
- * identical across widths.
+ * identical across widths, and the direct session's must equal the
+ * service's session of the same recording.
  */
 void
 poolWidthSweep(const std::vector<cfl::Recording> &recordings)
@@ -282,13 +268,29 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
     std::vector<std::vector<core::SubsetSelection>> service_sels;
     std::vector<std::vector<core::SubsetSelection>> rehydrate_sels;
 
+    // The direct session's artifact: the first app's rows, as its
+    // replay produced them.
+    const core::ProfiledApp &app = bench::profiledApp(benchApps[0]);
+    auto artifact = std::make_shared<core::ReplayArtifact>();
+    artifact->profiles.kernels =
+        std::make_shared<const gtpin::KernelTable>(app.db.kernels());
+    for (uint64_t d = 0; d < app.db.numDispatches(); ++d) {
+        const gtpin::DispatchProfile &profile = app.db.profileAt(d);
+        cfl::KernelTiming timing;
+        timing.seq = d;
+        timing.kernelName =
+            artifact->profiles.kernels->at(profile.kernelId).name;
+        timing.seconds = app.db.seconds(d);
+        artifact->profiles.dispatches.push_back(profile);
+        artifact->timings.push_back(std::move(timing));
+        artifact->epochs.push_back({d, app.db.syncEpoch(d)});
+    }
+
     for (unsigned width : widths) {
         sched::ThreadPool pool(width);
         serve::ServiceConfig cfg;
         cfg.pool = &pool;
         cfg.maxResidentBytes = 0;
-        cfg.archiveDir =
-            benchArchiveDir("w" + std::to_string(width));
 
         {
             serve::ProfilingService service(cfg);
@@ -314,53 +316,25 @@ poolWidthSweep(const std::vector<cfl::Recording> &recordings)
             service_sels.push_back(std::move(sels));
         }
 
-        // Evict mid-stream, then rehydrate through the tail rows.
-        const core::ProfiledApp &app =
-            bench::profiledApp(benchApps[0]);
-        const uint64_t n = app.db.numDispatches();
-        auto kernels =
-            std::make_shared<const gtpin::KernelTable>(app.db.kernels());
-        std::vector<gtpin::DispatchProfile> profiles;
-        std::vector<cfl::KernelTiming> timings;
-        std::vector<std::pair<uint64_t, uint64_t>> epochs;
-        for (uint64_t d = 0; d < n; ++d) {
-            profiles.push_back(app.db.profileAt(d));
-            cfl::KernelTiming timing;
-            timing.seq = d;
-            timing.kernelName =
-                kernels->at(profiles.back().kernelId).name;
-            timing.seconds = app.db.seconds(d);
-            timings.push_back(std::move(timing));
-            epochs.push_back({d, app.db.syncEpoch(d)});
-        }
-        const size_t half = (size_t)(n / 2);
-        auto slice = [](const auto &v, size_t from, size_t to) {
-            return std::decay_t<decltype(v)>(v.begin() + (long)from,
-                                             v.begin() + (long)to);
-        };
-
+        // Feed, refresh, evict, then rehydrate through a seal.
         serve::WorkloadSession session(benchApps[0], cfg, pool);
-        session.addDispatches(kernels, slice(profiles, 0, half),
-                              slice(timings, 0, half),
-                              slice(epochs, 0, half));
-        session.evict(benchArchiveDir("rehydrate-w" +
-                                      std::to_string(width)) +
-                      ".gtar");
-        GT_ASSERT(session.isEvicted(),
-                  "mid-stream eviction did not stick");
-        session.addDispatches(kernels, slice(profiles, half, (size_t)n),
-                              slice(timings, half, (size_t)n),
-                              slice(epochs, half, (size_t)n));
-        GT_ASSERT(!session.isEvicted(),
-                  "tail rows did not rehydrate the session");
-        GT_ASSERT(session.stats().rehydrations == 1,
-                  "expected exactly one rehydration");
+        session.addArtifact(artifact, nullptr);
         session.refresh();
+        session.evict();
+        GT_ASSERT(session.isEvicted(), "eviction did not stick");
         verifySession(session, cfg,
                       "rehydrate@width" + std::to_string(width));
+        GT_ASSERT(!session.isEvicted(),
+                  "sealing did not rehydrate the session");
+        GT_ASSERT(session.stats().rehydrations == 1,
+                  "expected exactly one rehydration");
         std::vector<core::SubsetSelection> sels;
-        for (size_t c = 0; c < cfg.selections.size(); ++c)
+        for (size_t c = 0; c < cfg.selections.size(); ++c) {
             sels.push_back(session.selection(c));
+            assertSameSelection(sels.back(), service_sels.back()[c],
+                                "direct session vs service@width" +
+                                    std::to_string(width));
+        }
         rehydrate_sels.push_back(std::move(sels));
     }
 
@@ -480,7 +454,7 @@ main(int argc, char **argv)
             .field("warm_workload_s", r.warmPerWorkloadS())
             .field("resident_session_bytes", r.residentSessionBytes)
             .field("memo_bytes", r.memoBytes)
-            .field("evicted_residue_bytes", r.evictedResidueBytes)
+            .field("session_residue_bytes", r.sessionResidueBytes)
             .field("footprint_bytes", r.footprintBytes)
             .field("refresh_s", r.refreshS)
             .field("refresh_memo_s", r.refreshMemoS);

@@ -700,67 +700,6 @@ buildUniqueIndex(const double *pts, size_t n)
     return ui;
 }
 
-UniqueIndex
-extendUniqueIndex(const UniqueIndex &base, const double *pts,
-                  size_t n_base, size_t n)
-{
-    constexpr int dims = projectedDims;
-    GT_ASSERT(base.uid.size() == n_base,
-              "unique index covers ", base.uid.size(),
-              " points, expected ", n_base);
-    GT_ASSERT(n_base <= n, "extension shrinks the population");
-    auto row = [&](uint32_t i) { return pts + (size_t)i * dims; };
-    auto less = [&](const double *a, const double *b) {
-        return std::lexicographical_compare(a, a + dims, b, b + dims);
-    };
-
-    // Sort only the new suffix; the base groups are already in
-    // ascending value order (group ids are value ranks), so one
-    // merge walk renumbers everything.
-    std::vector<uint32_t> order(n - n_base);
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = (uint32_t)(n_base + i);
-    std::sort(order.begin(), order.end(),
-              [&](uint32_t a, uint32_t b) {
-                  return less(row(a), row(b));
-              });
-
-    UniqueIndex out;
-    out.uid.resize(n);
-    std::vector<uint32_t> remap(base.rep.size());
-    size_t g = 0; // next base group
-    size_t j = 0; // next new point (in value order)
-    while (g < base.rep.size() || j < order.size()) {
-        auto gid = (uint32_t)out.rep.size();
-        uint32_t members = 0;
-        // Open the group on whichever side holds the smaller value;
-        // on a tie the base group keeps its representative.
-        if (g < base.rep.size() &&
-            (j == order.size() ||
-             !less(row(order[j]), row(base.rep[g])))) {
-            out.rep.push_back(base.rep[g]);
-            members = base.count[g];
-            remap[g] = gid;
-            ++g;
-        } else {
-            out.rep.push_back(order[j]);
-        }
-        // Absorb every new point equal to the group's value (the
-        // representative itself included when the group is new).
-        const double *grow = row(out.rep.back());
-        while (j < order.size() &&
-               std::equal(grow, grow + dims, row(order[j]))) {
-            out.uid[order[j]] = gid;
-            ++members;
-            ++j;
-        }
-        out.count.push_back(members);
-    }
-    for (size_t i = 0; i < n_base; ++i)
-        out.uid[i] = remap[base.uid[i]];
-    return out;
-}
-
 void
 KMeansStats::merge(const KMeansStats &other)
 {
@@ -815,37 +754,8 @@ ProjectionTable::build(const std::vector<uint64_t> &keys)
     GT_ASSERT(std::is_sorted(keys.begin(), keys.end()),
               "projection table keys must be ascending");
     ProjectionTable table;
-    table.keyIndex = keys;
     table.rows.resize(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
-        for (int d = 0; d < projectedDims; ++d)
-            table.rows[i][d] = projectionCoeff(keys[i], d);
-    }
-    return table;
-}
-
-ProjectionTable
-ProjectionTable::build(const std::vector<uint64_t> &keys,
-                       const ProjectionTable &previous)
-{
-    GT_ASSERT(std::is_sorted(keys.begin(), keys.end()),
-              "projection table keys must be ascending");
-    ProjectionTable table;
-    table.keyIndex = keys;
-    table.rows.resize(keys.size());
-    // Both key lists are ascending: one merge walk copies every row
-    // the previous table already computed (rows are pure per-key, so
-    // copied bits equal recomputed bits) and derives only the rest.
-    size_t j = 0;
-    for (size_t i = 0; i < keys.size(); ++i) {
-        while (j < previous.keyIndex.size() &&
-               previous.keyIndex[j] < keys[i])
-            ++j;
-        if (j < previous.keyIndex.size() &&
-            previous.keyIndex[j] == keys[i]) {
-            table.rows[i] = previous.rows[j];
-            continue;
-        }
         for (int d = 0; d < projectedDims; ++d)
             table.rows[i][d] = projectionCoeff(keys[i], d);
     }

@@ -46,29 +46,16 @@ class ProjectionTable
     static ProjectionTable build(const std::vector<uint64_t> &keys);
 
     /**
-     * Build rows for @p keys, copying every row @p previous already
-     * holds and computing only the genuinely new keys. A row is a
-     * pure function of its key, so the result is bitwise identical
-     * to build(keys) — this is how the incremental selection path
-     * extends a workload's memoized table as dispatches keep
-     * arriving, paying only for the keys the new dispatches
-     * introduced.
-     */
-    static ProjectionTable build(const std::vector<uint64_t> &keys,
-                                 const ProjectionTable &previous);
-
-    /**
      * Row by rank in the ascending key order the table was built
      * from: the feature engine's column ids are exactly these ranks,
      * so no key search is needed.
      */
     const Point &rowAt(size_t idx) const { return rows[idx]; }
 
-    size_t size() const { return keyIndex.size(); }
+    size_t size() const { return rows.size(); }
 
   private:
-    std::vector<uint64_t> keyIndex; //!< ascending, rows[i] pairs up
-    std::vector<Point> rows;
+    std::vector<Point> rows; //!< rows[i] is the i-th ascending key's
 };
 
 /**
@@ -91,9 +78,8 @@ Point project(const FeatureVector &vec);
  * The contract k-means relies on is only that members of one group
  * are bitwise equal. Two groups may hold the same value (a coarser
  * grouping costs repeated work, never different results), and group
- * ids need not follow any order. buildUniqueIndex() and
- * extendUniqueIndex() produce the finest grouping with value-rank
- * ids; the feature engine's projectAll() hands over the grouping it
+ * ids need not follow any order. buildUniqueIndex() produces the
+ * finest grouping with value-rank ids; the feature engine's projectAll() hands over the grouping it
  * found while projecting, which may split a value class. Built once
  * per population and shared by every candidate-k run of the BIC
  * sweep.
@@ -111,20 +97,6 @@ struct UniqueIndex
  * ranks, so uid and count are pure functions of the point multiset.
  */
 UniqueIndex buildUniqueIndex(const double *pts, size_t n);
-
-/**
- * Extend @p base — built over the first @p n_base rows of @p pts —
- * to cover all @p n rows, sorting only the new suffix and merging it
- * into the base's value-ordered groups. uid and count come out
- * bitwise equal to buildUniqueIndex(pts, n); a rep entry may name a
- * different member index, but always one with the identical row
- * value, and the clusterer consumes only rep *coordinates* — so
- * clusterings built over an extended index are bitwise identical to
- * ones built over a fresh index (the differential tests pin this).
- */
-UniqueIndex extendUniqueIndex(const UniqueIndex &base,
-                              const double *pts, size_t n_base,
-                              size_t n);
 
 /**
  * K-means assignment backend: Pruned by default, Lloyd passed
@@ -255,11 +227,9 @@ struct ClusterOptions
     /**
      * Grouping of exactly the input points into bitwise-equal groups
      * (null = sort the population by value once per call). The
-     * feature engine hands over the grouping projectAll() found; a
-     * caller that grows a population incrementally extends a cached
-     * index (extendUniqueIndex) instead of re-sorting on every
-     * refresh. Consulted only by the pruned backend; clusterPoints()
-     * asserts the size matches.
+     * feature engine hands over the grouping projectAll() found.
+     * Consulted only by the pruned backend; clusterPoints() asserts
+     * the size matches.
      */
     const UniqueIndex *uniqueIndex = nullptr;
     /**

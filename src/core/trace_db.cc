@@ -106,26 +106,6 @@ TraceDatabase::build(ReplayArtifact artifact, uint32_t block_size)
                     artifact.epochs, block_size);
 }
 
-TraceDatabase
-TraceDatabase::openColumnarFile(const std::string &path)
-{
-    TraceDatabase db;
-    db.store = trace_store::ColumnarStore::openFile(path);
-    db.count = db.store->numDispatches();
-    db.instrTotal = db.store->totalInstrs();
-    // Left-to-right over the raw double column — the identical FP
-    // order the builder accumulated secondsTotal in, so the reopened
-    // totals (and the cached SPI quotient) carry the same bits.
-    const double *col = db.store->secondsData();
-    for (uint64_t i = 0; i < db.count; ++i)
-        db.secondsTotal += col[i];
-    if (db.count > 0)
-        db.syncEpochs = db.store->syncEpoch(db.count - 1) + 1;
-    if (db.instrTotal > 0)
-        db.spiCached = db.secondsTotal / (double)db.instrTotal;
-    return db;
-}
-
 void
 TraceDatabase::Builder::useKernels(
     std::shared_ptr<const gtpin::KernelTable> kernels)
@@ -197,16 +177,6 @@ TraceDatabase::Builder::memoryBytes() const
     bytes += instrPrefix.size() * sizeof(uint64_t);
     bytes += secondsCol.size() * sizeof(double);
     return bytes;
-}
-
-void
-TraceDatabase::Builder::writeArchive(const std::string &path,
-                                     uint32_t block_size) const
-{
-    trace_store::ColumnarOptions options;
-    options.blockSize = block_size;
-    trace_store::ColumnarStore::writeFile(records, kernels(), path,
-                                          options);
 }
 
 TraceDatabase

@@ -160,15 +160,6 @@ class TraceDatabase
     build(ReplayArtifact artifact,
           uint32_t block_size = trace_store::defaultBlockSize);
 
-    /**
-     * Open a persistent columnar archive written by
-     * Builder::writeArchive(). The totals are recomputed from the
-     * mapped columns in the same left-to-right order build()
-     * accumulated them, so the result is bitwise identical to the
-     * database that was archived.
-     */
-    static TraceDatabase openColumnarFile(const std::string &path);
-
     uint64_t numDispatches() const { return count; }
 
     /** Dispatch @p i's device profile (see the class comment for
@@ -272,9 +263,8 @@ class TraceDatabase::Builder
      * Join one epoch-assigned dispatch. Dispatches must arrive in
      * ascending seq order with monotone epochs, and each must match
      * its kernel's row of the table useKernels() set. A builder
-     * re-fed from an archived database (rehydration) or from a
-     * replay artifact is bitwise identical to one fed the original
-     * rows.
+     * fed from a replay artifact (a service session's derive) is
+     * bitwise identical to one fed the original rows.
      */
     void appendJoined(gtpin::DispatchProfile profile, double seconds,
                       uint64_t sync_epoch);
@@ -327,17 +317,6 @@ class TraceDatabase::Builder
      * profiles' heap), the kernel table and the prefix/seconds
      * columns. What session eviction reclaims. */
     uint64_t memoryBytes() const;
-
-    /**
-     * Write everything appended so far to a persistent named
-     * columnar archive at @p path (same format as the spill files,
-     * but kept). TraceDatabase::openColumnarFile() reopens it;
-     * re-feeding a builder from the reopened archive reproduces this
-     * builder's joined state bit for bit.
-     */
-    void writeArchive(const std::string &path,
-                      uint32_t block_size =
-                          trace_store::defaultBlockSize) const;
 
     /**
      * Spill everything appended so far into a database; the builder

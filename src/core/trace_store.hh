@@ -111,8 +111,8 @@ class ColumnarStore
           const gtpin::KernelTable &kernels,
           const ColumnarOptions &options = {});
 
-    /** Encode @p records and @p kernels to @p path and keep the file
-     * — the persistent-artifact entry point (archives, tests). */
+    /** Encode @p records and @p kernels to @p path and keep the
+     * file; only the store tests call it. */
     static void
     writeFile(const std::vector<DispatchRecord> &records,
               const gtpin::KernelTable &kernels,

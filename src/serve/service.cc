@@ -1,9 +1,6 @@
 #include "serve/service.hh"
 
 #include <algorithm>
-#include <cstdlib>
-
-#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -13,30 +10,8 @@
 namespace gt::serve
 {
 
-using core::simpoint::Point;
-using core::simpoint::UniqueIndex;
-
 namespace
 {
-
-/** Resolve the archive directory fallback chain: the configured
- * directory, else GT_SERVE_ARCHIVE_DIR, else TMPDIR (or /tmp) +
- * "/gt-serve-<pid>". */
-ServiceConfig
-resolveConfig(ServiceConfig cfg)
-{
-    if (!cfg.archiveDir.empty())
-        return cfg;
-    if (const char *dir = std::getenv("GT_SERVE_ARCHIVE_DIR");
-        dir && *dir != '\0') {
-        cfg.archiveDir = dir;
-        return cfg;
-    }
-    const char *tmp = std::getenv("TMPDIR");
-    std::string base = tmp && *tmp != '\0' ? tmp : "/tmp";
-    cfg.archiveDir = base + "/gt-serve-" + std::to_string(::getpid());
-    return cfg;
-}
 
 /** Approximate heap bytes of one selection. */
 uint64_t
@@ -61,19 +36,8 @@ WorkloadSession::WorkloadSession(std::string workload_name,
     for (const SelectionConfig &sc : config.selections) {
         configs.push_back(ConfigState{
             sc, core::IncrementalIntervals(sc.scheme, targetInstrs),
-            {}, 0, {}, {}, 0, false});
+            nullptr});
     }
-}
-
-void
-WorkloadSession::addDispatches(
-    const std::shared_ptr<const gtpin::KernelTable> &kernels,
-    std::span<const gtpin::DispatchProfile> profiles,
-    std::span<const cfl::KernelTiming> timings,
-    std::span<const std::pair<uint64_t, uint64_t>> epochs)
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    appendLocked(kernels, profiles, timings, epochs);
 }
 
 void
@@ -87,35 +51,13 @@ WorkloadSession::addArtifact(
               rows->timings.size(), " timings, ", rows->epochs.size(),
               " epoch assignments");
     std::lock_guard<std::mutex> lock(mutex);
-    if (fed > 0) {
-        appendLocked(rows->profiles.kernels, rows->profiles.dispatches,
-                     rows->timings, rows->epochs);
-        return;
-    }
-    // An empty session takes the artifact as its rows: nothing is
-    // joined until a recluster, later rows or a seal needs the state.
-    rehydrateLocked(); // an evicted empty session becomes resident
+    GT_ASSERT(!artifact, "session '", workloadName,
+              "' was already fed: a session takes one artifact");
+    // Nothing is joined until a clustering or a seal needs the state.
     artifact = std::move(rows);
     artifactMemo = std::move(memo);
     fed = n;
     counters.dispatches += n;
-}
-
-void
-WorkloadSession::appendLocked(
-    const std::shared_ptr<const gtpin::KernelTable> &kernels,
-    std::span<const gtpin::DispatchProfile> profiles,
-    std::span<const cfl::KernelTiming> timings,
-    std::span<const std::pair<uint64_t, uint64_t>> epochs)
-{
-    rehydrateLocked();
-    // A memo speaks for exactly one artifact's rows, and the builder
-    // now holds them: both go.
-    artifactMemo = nullptr;
-    artifact = nullptr;
-    feedRowsLocked(kernels, profiles, timings, epochs);
-    fed += profiles.size();
-    counters.dispatches += profiles.size();
 }
 
 void
@@ -125,17 +67,12 @@ WorkloadSession::feedRowsLocked(
     std::span<const cfl::KernelTiming> timings,
     std::span<const std::pair<uint64_t, uint64_t>> epochs)
 {
-    GT_ASSERT(profiles.size() == timings.size() &&
-                  profiles.size() == epochs.size(),
-              "bulk append stream mismatch: ", profiles.size(),
-              " profiles, ", timings.size(), " timings, ",
-              epochs.size(), " epoch assignments");
     builder.useKernels(kernels);
     for (size_t i = 0; i < profiles.size(); ++i) {
         GT_ASSERT(profiles[i].seq == timings[i].seq,
-                  "profile/timing sequence mismatch at bulk row ", i);
+                  "profile/timing sequence mismatch at row ", i);
         GT_ASSERT(epochs[i].first == profiles[i].seq,
-                  "epoch assignment misaligned at bulk row ", i);
+                  "epoch assignment misaligned at row ", i);
         feedLocked(profiles[i], timings[i].seconds, epochs[i].second);
     }
 }
@@ -159,8 +96,8 @@ WorkloadSession::refresh()
 {
     std::lock_guard<std::mutex> lock(mutex);
     ++counters.refreshes;
-    // Evictions memoize every selection first, so the common evicted
-    // refresh is a pure memo sweep; only a recluster derives state.
+    // Evictions refresh every selection first, so the common evicted
+    // refresh is a pure sweep; only a clustering derives state.
     for (size_t c = 0; c < configs.size(); ++c)
         refreshConfig(c);
 }
@@ -171,89 +108,51 @@ WorkloadSession::refreshConfig(size_t c)
     ConfigState &cs = configs[c];
     if (fed == 0)
         return; // nothing to select from yet
-    if (cs.hasSelection && cs.selectionAt == fed) {
-        // The population gained no dispatches: the memoized
-        // selection is still exact. This is also the evicted steady
-        // state — answering from the memo is what keeps refresh()
-        // from rehydrating every archived session.
+    if (cs.selection) {
+        // The rows never change after the one feed: a held selection
+        // is still exact. This is also the evicted steady state.
         ++counters.reusedSelections;
         return;
     }
     if (!artifactMemo) {
-        recluster(cs);
+        cs.selection = recluster(cs);
         return;
     }
-    // The rows are exactly the memo's artifact: the first session to
-    // get here clusters under the memo lock and publishes; every
-    // other copies the bits it would have computed.
+    // The first session to get here clusters under the memo lock and
+    // publishes; every other shares the selection it would have
+    // computed.
     std::lock_guard<std::mutex> lock(artifactMemo->mu);
-    std::optional<core::SubsetSelection> &slot = artifactMemo->slots[c];
+    std::shared_ptr<const core::SubsetSelection> &slot =
+        artifactMemo->slots[c];
     if (slot) {
-        cs.selection = *slot;
-        cs.selectionAt = fed;
-        cs.hasSelection = true;
         ++counters.sharedSelections;
-        return;
+    } else {
+        slot = recluster(cs);
+        artifactMemo->bytes += selectionBytes(*slot);
     }
-    recluster(cs);
-    slot = cs.selection;
-    artifactMemo->bytes += selectionBytes(cs.selection);
+    cs.selection = slot;
 }
 
-void
-WorkloadSession::recluster(ConfigState &cs)
+std::shared_ptr<const core::SubsetSelection>
+WorkloadSession::recluster(const ConfigState &cs)
 {
-    // An artifact-backed or evicted session derives its state first.
+    // A session without its state derives it first.
     rehydrateLocked();
 
-    // Grow the shared query-side state to the current key universe.
-    // Projection rows are pure per-key, so the extended table agrees
-    // bitwise with a fresh build — and with every cached point.
     features.refreshColumns();
     if (table.size() != features.numKeys()) {
         table = core::simpoint::ProjectionTable::build(
-            features.uniqueKeys(), table);
+            features.uniqueKeys());
     }
-
     std::vector<core::Interval> intervals = cs.intervals.snapshot();
-    size_t total = intervals.size();
-    size_t completed =
-        std::min(cs.intervals.numCompleted(), total);
-    GT_ASSERT(cs.stable <= completed,
-              "stable point prefix shrank: ", cs.stable, " > ",
-              completed);
-
-    // Completed intervals are final: their cached points are the
-    // bits a fresh projectAll would produce. Only the boundary-fresh
-    // intervals and the open tail project anew.
-    std::vector<Point> fresh = features.projectAll(
-        std::span<const core::Interval>(intervals).subspan(cs.stable),
-        cs.config.feature, table);
-    cs.points.resize(cs.stable);
-    cs.points.insert(cs.points.end(), fresh.begin(), fresh.end());
-    counters.reusedPoints += cs.stable;
-    counters.projectedPoints += total - cs.stable;
-
-    // Extend the unique-value index over the newly completed prefix
-    // (cached for the next refresh), then over the volatile tail
-    // (per-refresh only: the open interval's point changes as more
-    // dispatches accumulate into it).
-    const double *flat =
-        cs.points.empty() ? nullptr : cs.points.front().data();
-    cs.uniq = core::simpoint::extendUniqueIndex(cs.uniq, flat,
-                                                cs.stable, completed);
-    cs.stable = completed;
-    UniqueIndex full = core::simpoint::extendUniqueIndex(
-        cs.uniq, flat, completed, total);
-
-    core::simpoint::ClusterOptions options = clusterOptions;
-    options.uniqueIndex = &full;
-    cs.selection = core::selectFromProjected(
-        cs.config.scheme, cs.config.feature, std::move(intervals),
-        cs.points, builder.totalInstrs(), options);
-    cs.selectionAt = fed;
-    cs.hasSelection = true;
+    std::vector<core::simpoint::Point> points =
+        features.projectAll(intervals, cs.config.feature, table);
     ++counters.reclustered;
+    return std::make_shared<const core::SubsetSelection>(
+        core::selectFromProjected(cs.config.scheme, cs.config.feature,
+                                  std::move(intervals), points,
+                                  builder.totalInstrs(),
+                                  clusterOptions));
 }
 
 core::SubsetSelection
@@ -262,9 +161,9 @@ WorkloadSession::selection(size_t config) const
     std::lock_guard<std::mutex> lock(mutex);
     GT_ASSERT(config < configs.size(), "selection config ", config,
               " out of range (", configs.size(), " configured)");
-    GT_ASSERT(configs[config].hasSelection,
-              "no refresh() has run since dispatches arrived");
-    return configs[config].selection;
+    GT_ASSERT(configs[config].selection,
+              "no refresh() has run since the feed");
+    return *configs[config].selection;
 }
 
 uint64_t
@@ -278,49 +177,32 @@ core::TraceDatabase
 WorkloadSession::sealDatabase()
 {
     std::lock_guard<std::mutex> lock(mutex);
-    // The archive *is* a columnar database of exactly the fed rows;
-    // reopening it reproduces the sealed totals bit for bit.
-    if (evicted && !archivePath.empty())
-        return core::TraceDatabase::openColumnarFile(archivePath);
     rehydrateLocked();
     return builder.seal();
 }
 
-bool
-WorkloadSession::evict(const std::string &archive_path)
+void
+WorkloadSession::evict()
 {
     std::lock_guard<std::mutex> lock(mutex);
     if (evicted)
-        return false;
-    // Memoize every selection at the current prefix first: an
-    // evicted session keeps answering refresh()/selection() from the
-    // memo, so draining a fleet and refreshing it stays cheap and
-    // never re-derives state.
+        return;
+    // Refresh every selection first: an evicted session keeps
+    // answering refresh()/selection() from them, so draining a fleet
+    // and refreshing it stays cheap and never re-derives state.
     for (size_t c = 0; c < configs.size(); ++c)
         refreshConfig(c);
-    // An artifact-backed session's rows stay in the artifact.
-    bool archived = false;
-    if (!artifact && builder.numAppended() > 0) {
-        builder.writeArchive(archive_path);
-        archivePath = archive_path;
-        archived = true;
-    }
     // Everything else is reclaimed and reproducible from the
-    // artifact or the archive.
+    // artifact.
     builder = core::TraceDatabase::Builder();
     features = core::DispatchFeatureCache();
     table = core::simpoint::ProjectionTable();
     for (ConfigState &cs : configs) {
         cs.intervals = core::IncrementalIntervals(cs.config.scheme,
                                                   targetInstrs);
-        cs.points.clear();
-        cs.points.shrink_to_fit();
-        cs.stable = 0;
-        cs.uniq = UniqueIndex();
     }
     evicted = true;
     ++counters.evictions;
-    return archived;
 }
 
 bool
@@ -340,54 +222,43 @@ WorkloadSession::rehydrateLocked()
     if (builder.numAppended() == fed)
         return; // the state holds every row (or none was fed)
     builder.reserve(fed);
-    if (artifact) {
-        feedRowsLocked(artifact->profiles.kernels,
-                       artifact->profiles.dispatches, artifact->timings,
-                       artifact->epochs);
-    } else {
-        core::TraceDatabase db =
-            core::TraceDatabase::openColumnarFile(archivePath);
-        builder.useKernels(
-            std::make_shared<const gtpin::KernelTable>(db.kernels()));
-        for (uint64_t i = 0; i < db.numDispatches(); ++i)
-            feedLocked(db.profileAt(i), db.seconds(i), db.syncEpoch(i));
-    }
-    GT_ASSERT(builder.numAppended() == fed,
-              "derived ", builder.numAppended(),
-              " rows but the session had fed ", fed);
-    // Points, the unique index, and the projection table rebuild
-    // from scratch on the next refresh; per-key purity makes the
-    // recomputed selections bitwise equal to a never-evicted
-    // session's (pinned by the eviction differential tests).
+    feedRowsLocked(artifact->profiles.kernels,
+                   artifact->profiles.dispatches, artifact->timings,
+                   artifact->epochs);
 }
 
 uint64_t
 WorkloadSession::memoryBytes() const
 {
     std::lock_guard<std::mutex> lock(mutex);
-    uint64_t bytes = sizeof(*this) + workloadName.size() +
-                     archivePath.size();
-    bytes += builder.memoryBytes();
-    bytes += features.memoryBytes();
-    bytes += table.size() * (sizeof(uint64_t) + sizeof(Point));
-    for (const ConfigState &cs : configs) {
-        bytes += sizeof(ConfigState);
+    if (builder.numAppended() == 0)
+        return 0; // nothing derived
+    uint64_t bytes = builder.memoryBytes() + features.memoryBytes();
+    bytes += table.size() * sizeof(core::simpoint::Point);
+    for (const ConfigState &cs : configs)
         bytes += cs.intervals.memoryBytes();
-        bytes += cs.points.size() * sizeof(Point);
-        bytes += (cs.uniq.uid.size() + cs.uniq.rep.size() +
-                  cs.uniq.count.size()) *
-                 sizeof(uint32_t);
-    }
     return bytes;
+}
+
+uint64_t
+WorkloadSession::residueBytes() const
+{
+    // The name and the config list are fixed at construction.
+    return sizeof(*this) + workloadName.size() +
+           configs.size() * sizeof(ConfigState);
 }
 
 uint64_t
 WorkloadSession::memoBytes() const
 {
     std::lock_guard<std::mutex> lock(mutex);
+    if (artifactMemo)
+        return 0; // every held selection is the memo's
     uint64_t bytes = 0;
-    for (const ConfigState &cs : configs)
-        bytes += selectionBytes(cs.selection);
+    for (const ConfigState &cs : configs) {
+        if (cs.selection)
+            bytes += selectionBytes(*cs.selection);
+    }
     return bytes;
 }
 
@@ -399,10 +270,9 @@ WorkloadSession::stats() const
 }
 
 ProfilingService::ProfilingService(ServiceConfig config)
-    : cfg(resolveConfig(std::move(config))),
+    : cfg(std::move(config)),
       pool(cfg.pool ? *cfg.pool : sched::ThreadPool::global()),
-      plans(cfg.device),
-      archiveRoot(cfg.archiveDir)
+      plans(cfg.device)
 {
 }
 
@@ -445,7 +315,6 @@ ProfilingService::submit(TenantId tenant, std::string workload_name,
                   tenant);
         Tenant &t = *tenants[tenant];
         auto workload = std::make_unique<Workload>();
-        workload->tenant = tenant;
         workload->session = std::make_unique<WorkloadSession>(
             std::move(workload_name), cfg, pool);
         workload->id = t.workloads.size();
@@ -566,8 +435,6 @@ ProfilingService::stats() const
                 st.sessions.reclustered += s.reclustered;
                 st.sessions.reusedSelections += s.reusedSelections;
                 st.sessions.sharedSelections += s.sharedSelections;
-                st.sessions.reusedPoints += s.reusedPoints;
-                st.sessions.projectedPoints += s.projectedPoints;
                 st.sessions.evictions += s.evictions;
                 st.sessions.rehydrations += s.rehydrations;
             }
@@ -637,17 +504,7 @@ ProfilingService::feed(
     workload.session->addArtifact(artifact, memo);
     workload.lastUse.store(useTicket.fetch_add(1),
                            std::memory_order_relaxed);
-    workload.drained.store(true, std::memory_order_release);
     enforceBudget();
-}
-
-SessionArchive &
-ProfilingService::archiveCatalog()
-{
-    std::lock_guard<std::mutex> lock(archiveMutex);
-    if (!archiveStore)
-        archiveStore = std::make_unique<SessionArchive>(archiveRoot);
-    return *archiveStore;
 }
 
 void
@@ -667,25 +524,24 @@ ProfilingService::enforceBudget()
     };
     std::vector<Candidate> evictable;
     uint64_t residentBytes = 0;
-    size_t residentCount = 0; // for the log line only
     {
         std::lock_guard<std::mutex> lock(mutex);
         for (const auto &t : tenants) {
             for (const auto &w : t->workloads) {
-                if (!w->session || w->session->isEvicted())
-                    continue;
+                // 0 for an evicted session, or one that derived
+                // nothing (a session derives only after its feed):
+                // evicting it would free nothing.
                 uint64_t bytes = w->session->memoryBytes();
+                if (bytes == 0)
+                    continue;
                 residentBytes += bytes;
-                ++residentCount;
-                if (w->drained.load(std::memory_order_acquire)) {
-                    evictable.push_back(
-                        {w.get(),
-                         w->lastUse.load(std::memory_order_relaxed),
-                         bytes});
-                }
+                evictable.push_back(
+                    {w.get(), w->lastUse.load(std::memory_order_relaxed),
+                     bytes});
             }
         }
     }
+    size_t residentCount = evictable.size(); // for the log line only
     std::sort(evictable.begin(), evictable.end(),
               [](const Candidate &a, const Candidate &b) {
                   return a.lastUse < b.lastUse;
@@ -694,22 +550,13 @@ ProfilingService::enforceBudget()
     for (const Candidate &cand : evictable) {
         if (residentBytes <= cfg.maxResidentBytes)
             break;
-        Workload &wl = *cand.workload;
-        SessionArchive &catalog = archiveCatalog();
-        std::string path = catalog.pathFor(wl.tenant, wl.id,
-                                           wl.session->name());
-        bool archived = wl.session->evict(path);
-        if (archived) {
-            catalog.record(wl.session->name(), path,
-                           wl.session->numDispatches());
-        }
+        WorkloadSession &session = *cand.workload->session;
+        session.evict();
         residentBytes -= std::min(cand.bytes, residentBytes);
         --residentCount;
-        inform("serve: evicted '", wl.session->name(), "' (",
-               humanBytes(cand.bytes), ")",
-               archived ? " to " + path : std::string(), "; ",
-               residentCount, " sessions / ",
-               humanBytes(residentBytes), " resident");
+        inform("serve: evicted '", session.name(), "' (",
+               humanBytes(cand.bytes), "); ", residentCount,
+               " sessions / ", humanBytes(residentBytes), " resident");
     }
 }
 
@@ -721,13 +568,8 @@ ProfilingService::memoryFootprint() const
         std::lock_guard<std::mutex> lock(mutex);
         for (const auto &t : tenants) {
             for (const auto &w : t->workloads) {
-                if (!w->session)
-                    continue;
-                uint64_t bytes = w->session->memoryBytes();
-                if (w->session->isEvicted())
-                    fp.evictedResidueBytes += bytes;
-                else
-                    fp.sessionBytes += bytes;
+                fp.sessionBytes += w->session->memoryBytes();
+                fp.sessionResidueBytes += w->session->residueBytes();
                 fp.memoBytes += w->session->memoBytes();
             }
         }
@@ -747,7 +589,7 @@ ProfilingService::memoryFootprint() const
         }
     }
     fp.traceCacheBytes = core::trace_store::threadCacheResidentBytes();
-    fp.totalBytes = fp.sessionBytes + fp.evictedResidueBytes +
+    fp.totalBytes = fp.sessionBytes + fp.sessionResidueBytes +
                     fp.memoBytes + fp.planCacheBytes +
                     fp.artifactBytes + fp.selectionMemoBytes +
                     fp.traceCacheBytes;

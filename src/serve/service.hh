@@ -9,10 +9,11 @@
  * tenants (users, CI jobs, sweep drivers) each submit recorded API
  * streams (cfl::Recording), the service replays each distinct
  * recording once on a driver stack over one shared thread pool, and
- * each workload's intervals, feature columns, and subset selections
- * are maintained *incrementally* as replay outcomes are fed in — a
- * refresh() at any moment answers with selections bitwise identical
- * to a one-shot selectSubset() over everything fed so far.
+ * every submission becomes one WorkloadSession: a view of exactly
+ * one replay outcome, whose selections a refresh() answers bitwise
+ * identical to a one-shot selectSubset() over a database of those
+ * rows. As in the paper, a session selects from one profiling run
+ * and never takes more rows.
  *
  * Cross-tenant sharing is content-addressed and immutable:
  *
@@ -34,23 +35,6 @@
  * mutated afterwards, and lookups hand out shared_ptr<const> (or
  * stable const references) safe to read from any thread.
  *
- * Incremental selection refresh reuses three invariants, each pinned
- * by differential tests:
- *
- *  1. closed intervals are final (core::IncrementalIntervals), so
- *     per-interval projected points for the completed prefix never
- *     change;
- *  2. projection rows are pure per-key
- *     (simpoint::ProjectionTable::build-with-reuse), so cached
- *     prefix points stay bitwise valid as the key universe grows;
- *  3. the unique-value index is a pure function of the point
- *     multiset (simpoint::extendUniqueIndex), so the pruned k-means
- *     index extends instead of re-sorting.
- *
- * A population is re-clustered only when its workload gained
- * dispatches since the last refresh; untouched configurations are
- * answered from the memoized selection.
- *
  * Both caches are sized to the service's traffic — one submitting
  * thread plus the pool's workers — so each is one mutex over one
  * map, with exact counters; replays need no admission cap of their
@@ -59,28 +43,35 @@
  *
  * These mechanisms keep a long-running service small and fast:
  *
- *  - **Artifact-backed sessions.** A session fed one whole replay
- *    artifact — the first submitter, attached waiters, warm hits —
- *    keeps a shared_ptr to the cached artifact and its SelectionMemo
- *    instead of joining the rows (WorkloadSession::addArtifact). It
- *    derives its builder, feature and interval state from the
- *    artifact only when it must recluster (its memo slot is empty),
- *    take later rows, or seal a database; later rows then drop the
- *    artifact and the memo. The artifact cache already holds and
- *    counts those rows, so a warm submit joins nothing and the
- *    session costs its residue until it must cluster.
- *  - **Session eviction.** A drained workload's session is
- *    *evicted* (LRU order) while resident session bytes exceed the
- *    one budget, ServiceConfig::maxResidentBytes: selections are
- *    memoized and the builder, feature cache, and interval state are
- *    dropped. A session backed by an artifact writes nothing: its
- *    rows stay in the artifact cache. Any other session first writes
- *    its joined rows to a named columnar archive file under a small
- *    catalog (serve/archive.hh). While evicted, refresh() and
- *    selection() answer from the memo at near-zero cost; late rows
- *    (or a non-memo refresh) *rehydrate* the session by deriving its
- *    state again from the artifact or by re-feeding the archived
- *    rows, after which every selection is bitwise identical to a
+ *  - **One feed, derived on demand.** A session is fed once, with
+ *    one whole replay artifact (WorkloadSession::addArtifact), and
+ *    keeps a shared_ptr to it and to its SelectionMemo instead of
+ *    joining the rows. It derives its builder, feature and interval
+ *    state from the artifact only when it must cluster (its memo
+ *    slot is empty) or seal a database. The artifact cache already
+ *    holds and counts those rows, so a warm submit joins nothing and
+ *    the session holds no derived state until it must cluster.
+ *  - **One clustering per (artifact, configuration).** A selection
+ *    is a pure function of the rows and the fixed configuration, so
+ *    each artifact entry owns a write-once SelectionMemo: one shared
+ *    selection per ServiceConfig::selections entry over exactly that
+ *    artifact's rows. refresh() — and the refresh inside evict() —
+ *    takes each published selection instead of running k-means
+ *    (SessionStats::sharedSelections counts these), and the one
+ *    session that finds a slot empty derives its state, clusters
+ *    under the memo lock and publishes the slot. Lock order is
+ *    session, then memo. The memos live in one service (no
+ *    process-wide cache) and ServiceFootprint::selectionMemoBytes
+ *    counts each once.
+ *  - **Session eviction.** A session holding derived state is
+ *    *evicted* (LRU order) while resident session bytes exceed
+ *    the one budget, ServiceConfig::maxResidentBytes: its selections
+ *    are refreshed first, then the builder, feature cache, and
+ *    interval state are dropped. A session that derived nothing
+ *    frees nothing and is never evicted. While evicted, refresh()
+ *    and selection() answer from the held selections at near-zero
+ *    cost; sealDatabase() *rehydrates* the session by deriving its
+ *    state again from the artifact, bitwise identical to a
  *    never-evicted session's (the eviction differential tests pin
  *    this across budgets).
  *  - **Warm admission.** A submit() whose recording content hash
@@ -91,26 +82,9 @@
  *    a word-at-a-time fold (cfl::recordingContentHash), and the
  *    byte-budget check; the warm-vs-cold latency gate in
  *    bench/service_throughput measures it.
- *  - **One clustering per (artifact, configuration).** A selection
- *    is a pure function of the rows and the fixed configuration, so
- *    each artifact entry owns a write-once SelectionMemo: one
- *    selection per ServiceConfig::selections entry over exactly that
- *    artifact's rows. A session adopts the memo only when it is
- *    filled from empty with that one artifact. While its rows are
- *    exactly the artifact's, refresh() — and the refresh inside
- *    evict() — copies each published selection instead of running
- *    k-means (SessionStats::sharedSelections counts these), and the
- *    one session that finds a slot empty derives its state,
- *    clusters under the memo lock and publishes the slot. Rows added
- *    later drop the memo, and the session re-clusters through the
- *    normal incremental path, whose cached points and unique index
- *    start from empty. Lock order is
- *    session, then memo. The memos live in one service (no
- *    process-wide cache) and ServiceFootprint::selectionMemoBytes
- *    counts each once.
- *  - **Budget after refresh.** refresh() grows a session (points,
- *    unique index, projection table), so refreshAll() enforces the
- *    byte budget again once every session is refreshed.
+ *  - **Budget after refresh.** Clustering derives a session's
+ *    state, so refreshAll() enforces the byte budget again once
+ *    every session is refreshed.
  */
 
 #ifndef GT_SERVE_SERVICE_HH
@@ -120,7 +94,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -133,7 +106,6 @@
 #include "gpu/plan_cache.hh"
 #include "ocl/driver.hh"
 #include "sched/thread_pool.hh"
-#include "serve/archive.hh"
 
 namespace gt::serve
 {
@@ -175,19 +147,18 @@ struct ServiceConfig
     sched::ThreadPool *pool = nullptr;
 
     /**
-     * Resident-byte budget over the summed per-session state
-     * (builders, feature caches, interval/point state — see
-     * WorkloadSession::memoryBytes). Exceeding it evicts drained
-     * sessions LRU-first until back under. UINT64_MAX = unbounded;
-     * 0 = evict every session the moment it drains (a resident
-     * session's memoryBytes() is never 0).
+     * Resident-byte budget over the summed derived session state
+     * (builders, feature caches, interval state — see
+     * WorkloadSession::memoryBytes). Exceeding it evicts sessions
+     * that hold derived state, LRU-first, until back under.
+     * UINT64_MAX = unbounded; 0 = evict every session that holds
+     * derived state.
      */
     uint64_t maxResidentBytes = UINT64_MAX;
 
-    /** Directory for session archives and their catalog. Empty =
-     * GT_SERVE_ARCHIVE_DIR, else TMPDIR (or /tmp) +
-     * "/gt-serve-<pid>". Created on first eviction; only sessions
-     * not backed by a replay artifact write files into it. */
+    /** Unused: the service writes no files. Kept only because the
+     * end-to-end benchmark (perfbench/flows.cc) sets it; retire it
+     * with that line. */
     std::string archiveDir;
 };
 
@@ -197,13 +168,11 @@ struct SessionStats
     uint64_t dispatches = 0;       //!< rows fed into the session
     uint64_t refreshes = 0;        //!< refresh() calls
     uint64_t reclustered = 0;      //!< config refreshes that ran k-means
-    uint64_t reusedSelections = 0; //!< answered from the memo
+    uint64_t reusedSelections = 0; //!< answered from the held selection
     /** Config refreshes answered from the artifact's SelectionMemo
      * (no k-means, no points). */
     uint64_t sharedSelections = 0;
-    uint64_t reusedPoints = 0;     //!< cached prefix points kept
-    uint64_t projectedPoints = 0;  //!< points (re)computed
-    uint64_t evictions = 0;        //!< sessions evicted, archived or not
+    uint64_t evictions = 0;        //!< derived state dropped
     uint64_t rehydrations = 0;     //!< evicted sessions made resident
 };
 
@@ -211,9 +180,10 @@ struct SessionStats
  * Write-once selections of one replay artifact (see "One clustering
  * per (artifact, configuration)" in the file comment): slot c is
  * the selection of ServiceConfig::selections[c] over exactly the
- * artifact's rows, empty until the first session that clusters it
- * publishes it. Sessions lock their own mutex before this one,
- * never the reverse.
+ * artifact's rows, null until the first session that clusters it
+ * publishes it. Every session fed the artifact shares the slot's
+ * selection. Sessions lock their own mutex before this one, never
+ * the reverse.
  */
 struct SelectionMemo
 {
@@ -221,21 +191,20 @@ struct SelectionMemo
 
     /** Held while a slot is read, or clustered and filled. */
     std::mutex mu;
-    std::vector<std::optional<core::SubsetSelection>> slots;
+    std::vector<std::shared_ptr<const core::SubsetSelection>> slots;
     /** Approximate bytes of the filled slots (read without mu). */
     std::atomic<uint64_t> bytes{0};
 };
 
 /**
- * Per-(tenant, workload) incremental selection state: a
- * TraceDatabase::Builder, the flat feature columns, one
- * IncrementalIntervals per configured scheme, and the memoized
- * refresh artifacts (points, unique index, projection table,
- * selection). A session fed one whole replay artifact
- * (addArtifact) holds the artifact instead and derives that state
- * from it only when needed. Thread-safe: every method locks the
- * session, so the service's replay task may feed while another
- * thread refreshes or reads selections.
+ * Per-(tenant, workload) selection state over one replay artifact:
+ * the artifact and its SelectionMemo, the selections refreshed so
+ * far, and — derived from the artifact only when clustering or a
+ * seal needs it — a TraceDatabase::Builder, the flat feature
+ * columns and one IncrementalIntervals per configured scheme.
+ * Thread-safe: every method locks the session, so the service's
+ * replay task may feed while another thread refreshes or reads
+ * selections.
  */
 class WorkloadSession
 {
@@ -245,103 +214,77 @@ class WorkloadSession
                     sched::ThreadPool &pool);
 
     /**
-     * Feed epoch-assigned rows — profile i, timing i, and epochs[i]
-     * (the (seq, epoch) pair of profile i, see core::assignEpochs) —
-     * in dispatch order: joins the builder, lowers the feature
-     * columns, and advances every interval scheme, under one session
-     * lock for the whole batch. @p kernels is the table the profiles'
-     * kernelIds index; the session shares it rather than copying
-     * each kernel's static arrays, and every feed of one session
-     * passes the same (or an equal) table. Any split of the same
-     * rows into consecutive calls yields bitwise identical session
-     * state. A session backed by an artifact (addArtifact) first
-     * derives its state from it, then drops the artifact and its
-     * SelectionMemo, since its rows now differ from the artifact's.
-     */
-    void addDispatches(
-        const std::shared_ptr<const gtpin::KernelTable> &kernels,
-        std::span<const gtpin::DispatchProfile> profiles,
-        std::span<const cfl::KernelTiming> timings,
-        std::span<const std::pair<uint64_t, uint64_t>> epochs);
-
-    /**
-     * Feed every row of one replay artifact, the service's feed. An
-     * empty session keeps @p artifact and adopts @p memo (the
-     * artifact's SelectionMemo) without joining a row: its builder,
+     * Feed the session its rows: every row of one replay artifact.
+     * The session keeps @p artifact and shares the selections of
+     * @p memo (the artifact's SelectionMemo; null = the session
+     * clusters for itself) without joining a row. Its builder,
      * feature and interval state is derived from the artifact, by
-     * the same per-row join addDispatches() runs, only when a
-     * refresh must recluster, later rows arrive, or sealDatabase()
-     * is called. A session that already holds rows appends the
-     * artifact's like addDispatches(), ignoring @p memo. Either way
-     * the session state, once derived, is bitwise identical to one
-     * fed the same rows through addDispatches().
+     * the per-row join feedLocked() runs, only when a refresh must
+     * cluster or sealDatabase() is called. A session is fed once: a
+     * second call fails.
      */
     void addArtifact(std::shared_ptr<const core::ReplayArtifact> artifact,
                      std::shared_ptr<SelectionMemo> memo);
 
     /**
-     * Drop the builder records, feature columns, and interval/point
-     * state — everything except the memoized selections (refreshed
-     * here first, so an evicted session answers refresh()/selection()
-     * from the memo). A session backed by an artifact writes nothing:
-     * the artifact keeps its rows. Any other session first seals its
-     * joined rows to the named columnar archive at @p archive_path.
-     * Later rows rehydrate transparently (rehydrateLocked); selections
-     * afterwards are bitwise identical to a never-evicted session's.
-     * Idempotent. Returns whether it wrote the archive.
+     * Drop the builder records, feature columns, and interval state
+     * — everything except the selections (refreshed here first, so
+     * an evicted session answers refresh()/selection() from them).
+     * The artifact keeps the rows: sealDatabase() derives the state
+     * again (rehydrateLocked), bitwise identical to a never-evicted
+     * session's. Idempotent.
      */
-    bool evict(const std::string &archive_path);
+    void evict();
 
     /** Whether the session is currently evicted (derived state
-     * dropped; rows in its artifact or archive). */
+     * dropped; rows in its artifact). */
     bool isEvicted() const;
 
     /**
-     * Approximate resident bytes of this session's *reclaimable*
-     * state: the builder (joined records + profile heap + kernel
-     * table), the lowered feature columns, the projection table, and
-     * per-config interval/point/unique-index state. What evict()
-     * reclaims; the service's byte-budget eviction and
-     * memoryFootprint() sum this. An artifact-backed session counts
-     * no row until it derives its state: the artifact is the service
-     * cache's, counted there. The memoized selections are excluded —
-     * they survive eviction by contract (selection() stays
-     * answerable) and are reported by memoBytes().
+     * Approximate resident bytes of this session's derived state:
+     * the builder (joined records + profile heap + kernel table),
+     * the lowered feature columns, the projection table, and the
+     * per-config interval state. Exactly what evict() reclaims, so
+     * 0 for a session that has derived nothing (the artifact is the
+     * service cache's, counted there); the service's byte-budget
+     * eviction and memoryFootprint() sum this. The selections are
+     * excluded — they survive eviction by contract (selection()
+     * stays answerable) and are reported by memoBytes().
      */
     uint64_t memoryBytes() const;
 
-    /** Approximate bytes of the memoized selections (the one
-     * per-workload cost that outlives eviction). */
+    /** Bytes of the session object itself and its per-config shells,
+     * whatever its state: what outlives eviction besides the
+     * selections. */
+    uint64_t residueBytes() const;
+
+    /** Approximate bytes of the selections only this session holds:
+     * 0 for a session fed a SelectionMemo, whose every selection is
+     * the memo's (counted in ServiceFootprint::selectionMemoBytes). */
     uint64_t memoBytes() const;
 
     /**
-     * Incremental selection refresh over everything fed so far.
-     * Configurations whose population gained no dispatches since
-     * their last refresh are answered from the memoized selection,
-     * and those the adopted SelectionMemo has published are copied
-     * from it; the rest re-cluster, reusing the completed-prefix
-     * points, the extended unique-value index, and the grown
-     * projection table (a session without its state derives it
-     * first).
-     * The result is bitwise identical — selections, chosen k,
-     * ratios — to a one-shot selectSubset() over a database sealed
-     * at this prefix (the service differential tests pin this at
-     * multiple arrival orders and granularities).
+     * Bring every configuration's selection up to date: a held
+     * selection answers again, a published memo slot is shared, and
+     * the rest cluster (a session without its state derives it
+     * first). The result is bitwise identical — selections, chosen
+     * k, ratios — to a one-shot selectSubset() over the database
+     * sealDatabase() returns (the service differential tests pin
+     * this).
      */
     void refresh();
 
     /** Latest refreshed selection of configuration @p config (index
      * into ServiceConfig::selections). refresh() must have run since
-     * the first dispatch arrived. */
+     * the feed. */
     core::SubsetSelection selection(size_t config) const;
 
     uint64_t numDispatches() const;
 
-    /** Seal a TraceDatabase over everything fed so far — the
-     * database the differential tests and SPI projections run
-     * against. A session evicted to an archive reopens it and stays
-     * evicted; any other session without its state derives it first
-     * (rehydrateLocked), and keeps it. */
+    /** Seal a TraceDatabase over the fed rows — the database the
+     * differential tests and SPI projections run against. A session
+     * without its state derives it first (rehydrateLocked), and
+     * keeps it. */
     core::TraceDatabase sealDatabase();
 
     SessionStats stats() const;
@@ -353,36 +296,23 @@ class WorkloadSession
     {
         SelectionConfig config;
         core::IncrementalIntervals intervals;
-        /** Cached per-interval projected points; [0, stable) cover
-         * completed (final) intervals and are reused verbatim. */
-        std::vector<core::simpoint::Point> points;
-        size_t stable = 0;
-        /** Unique-value index over the stable prefix. */
-        core::simpoint::UniqueIndex uniq;
-        core::SubsetSelection selection;
-        uint64_t selectionAt = 0; //!< dispatch count at last cluster
-        bool hasSelection = false;
+        /** Null until refreshed; the memo slot's when the session
+         * has a SelectionMemo. */
+        std::shared_ptr<const core::SubsetSelection> selection;
     };
 
-    /** Bring configuration @p c up to date: the session's memo,
-     * the artifact's SelectionMemo, or a recluster. */
+    /** Bring configuration @p c up to date: its held selection, the
+     * artifact's SelectionMemo, or a clustering. */
     void refreshConfig(size_t c);
 
-    /** Recluster @p state over everything fed so far, reusing the
-     * cached prefix points and unique index. */
-    void recluster(ConfigState &state);
-
-    /** addDispatches() under the lock: derive the state, drop the
-     * artifact and its memo, and join the rows. */
-    void appendLocked(
-        const std::shared_ptr<const gtpin::KernelTable> &kernels,
-        std::span<const gtpin::DispatchProfile> profiles,
-        std::span<const cfl::KernelTiming> timings,
-        std::span<const std::pair<uint64_t, uint64_t>> epochs);
+    /** Cluster configuration @p cs over the fed rows, deriving the
+     * state first if the session lacks it. */
+    std::shared_ptr<const core::SubsetSelection>
+    recluster(const ConfigState &cs);
 
     /** Join epoch-assigned rows into the builder, feature columns and
-     * every interval scheme, one feedLocked() each. Leaves fed to the
-     * caller. Caller holds the mutex. */
+     * every interval scheme, one feedLocked() each. Caller holds the
+     * mutex. */
     void feedRowsLocked(
         const std::shared_ptr<const gtpin::KernelTable> &kernels,
         std::span<const gtpin::DispatchProfile> profiles,
@@ -395,10 +325,9 @@ class WorkloadSession
                     double seconds, uint64_t epoch);
 
     /** Make the session resident with its state derived: an evicted
-     * session stops being evicted (counted as a rehydration), and
-     * state the builder lacks is joined from the artifact, else
-     * re-fed from the archive. No-op when the state holds every fed
-     * row. Caller holds the mutex. */
+     * session stops being evicted (counted as a rehydration), and a
+     * builder without the rows joins them from the artifact. Caller
+     * holds the mutex. */
     void rehydrateLocked();
 
     std::string workloadName;
@@ -412,23 +341,16 @@ class WorkloadSession
     core::simpoint::ProjectionTable table;
     std::vector<ConfigState> configs;
     SessionStats counters;
-    /** The fed artifact's shared selections; set only while the
-     * session's rows are exactly that artifact's. */
+    /** The fed artifact's shared selections (null when fed none). */
     std::shared_ptr<SelectionMemo> artifactMemo;
-    /** The artifact addArtifact() filled the session with; set only
-     * while the session's rows are exactly its rows, which the
-     * builder then holds only once derived. */
+    /** The one artifact addArtifact() fed; the builder holds its rows
+     * only once derived. */
     std::shared_ptr<const core::ReplayArtifact> artifact;
 
-    /** Rows ever fed (survives eviction; builder.numAppended() is
-     * below it while the state is not derived, so the memo check
-     * keys on this). */
+    /** Rows fed (the artifact's; builder.numAppended() is below it
+     * while the state is not derived). */
     uint64_t fed = 0;
     bool evicted = false;
-    /** Archive file holding the joined rows while evicted (empty if
-     * the session was empty, or backed by an artifact, at
-     * eviction). */
-    std::string archivePath;
 };
 
 /** Service-wide counters and cache statistics. */
@@ -446,29 +368,28 @@ struct ServiceStats
  * deterministic sums — see memoryFootprint()). */
 struct ServiceFootprint
 {
-    /** Builder/feature/interval state of the *resident*
-     * (non-evicted) sessions. This is what the byte-budget eviction
-     * bounds: it stays under ServiceConfig::maxResidentBytes no
-     * matter how many workloads accumulate. An artifact-backed
-     * session adds only its residue until it derives its state; its
-     * rows are in artifactBytes. */
+    /** Derived builder/feature/interval state, summed over the
+     * sessions (WorkloadSession::memoryBytes; 0 for an evicted
+     * session or one that derived nothing). This is what the
+     * byte-budget eviction bounds: it stays under
+     * ServiceConfig::maxResidentBytes no matter how many workloads
+     * accumulate. The rows are in artifactBytes. */
     uint64_t sessionBytes = 0;
-    /** Residual object bytes of evicted sessions (the session
-     * object and empty column/interval shells — a few KB each;
-     * everything heavy is in an archive on disk or, for an
-     * artifact-backed session, in artifactBytes). */
-    uint64_t evictedResidueBytes = 0;
-    /** Memoized selections, summed over every session. Retained
-     * across eviction (selection()/refresh() answer from them), so
-     * this grows with workload count — but by O(selected intervals)
-     * per workload, not O(dispatches). */
+    /** The session objects and their empty column/interval shells,
+     * summed over every session (WorkloadSession::residueBytes; a
+     * few KB each). Eviction frees none of it, so it grows with
+     * workload count. */
+    uint64_t sessionResidueBytes = 0;
+    /** Selections sessions hold alone (WorkloadSession::memoBytes):
+     * 0 in a service, whose every session shares its artifact's
+     * SelectionMemo. */
     uint64_t memoBytes = 0;
     uint64_t planCacheBytes = 0; //!< shared execution plans
     /** Replay-artifact cache: complete outcomes, plus the
      * recordings pending entries hold until their replay ends. */
     uint64_t artifactBytes = 0;
     /** The artifacts' SelectionMemos, each counted once however
-     * many sessions copied its selections. */
+     * many sessions share its selections. */
     uint64_t selectionMemoBytes = 0;
     /** Decoded-block bytes the calling thread's trace-store cache
      * holds for live stores. */
@@ -480,8 +401,7 @@ struct ServiceFootprint
  * The multi-tenant profiling service (see the file comment).
  * Tenants are opened, recordings submitted (asynchronously replayed
  * on the shared pool), drain() joins the outstanding replays, and
- * refreshAll()/session() expose the incrementally maintained
- * selections.
+ * refreshAll()/session() expose each submission's selections.
  */
 class ProfilingService
 {
@@ -524,7 +444,7 @@ class ProfilingService
      * enforce the byte budget, which refreshing may have exceeded. */
     void refreshAll();
 
-    /** The incremental state of one submitted workload. */
+    /** The session of one submitted workload. */
     WorkloadSession &session(TenantId tenant, WorkloadId workload);
 
     gpu::SharedPlanCache &planCache() { return plans; }
@@ -535,25 +455,23 @@ class ProfilingService
 
     /**
      * Approximate resident bytes of the service: every session's
-     * state (WorkloadSession::memoryBytes) plus the two shared
+     * derived state, residue and selections plus the two shared
      * caches and the calling thread's trace-store decode cache.
      * Logged at eviction decisions; the eviction tests assert it
      * stays bounded as tenants accumulate.
      */
     ServiceFootprint memoryFootprint() const;
 
-    /** Directory evicted sessions archive to (catalog inside). */
-    const std::string &archiveDirectory() const { return archiveRoot; }
+    /** ServiceConfig::archiveDir, unused by the service. Kept only
+     * because the end-to-end benchmark (perfbench/flows.cc) calls
+     * it; retire it with that call. */
+    const std::string &archiveDirectory() const { return cfg.archiveDir; }
 
   private:
     struct Workload
     {
-        TenantId tenant = 0;
         WorkloadId id = 0;
         std::unique_ptr<WorkloadSession> session;
-        /** Replay finished and every row is fed — the precondition
-         * for eviction. */
-        std::atomic<bool> drained{false};
         /** LRU ticket (monotone service-wide counter, not wall
          * time), refreshed on feed completion and refreshAll(). */
         std::atomic<uint64_t> lastUse{0};
@@ -570,19 +488,15 @@ class ProfilingService
     void runReplay(Workload &workload, uint64_t key);
 
     /** Hand @p artifact and its @p memo to @p workload's session
-     * (WorkloadSession::addArtifact), mark it drained, and enforce
-     * the budget. */
+     * (WorkloadSession::addArtifact) and enforce the budget. */
     void feed(Workload &workload,
               const std::shared_ptr<const core::ReplayArtifact> &artifact,
               const std::shared_ptr<SelectionMemo> &memo);
 
-    /** The archive catalog, created (with its directory) on first
-     * use. */
-    SessionArchive &archiveCatalog();
-
-    /** Evict drained sessions (LRU-first) until the resident-byte
-     * budget holds; no-op when unbounded. Called after every
-     * workload drains and at the end of refreshAll(). */
+    /** Evict sessions holding derived state (LRU-first)
+     * until the resident-byte budget holds; no-op when unbounded.
+     * Called after every feed and at the end of
+     * refreshAll(). */
     void enforceBudget();
 
     ServiceConfig cfg;
@@ -620,9 +534,6 @@ class ProfilingService
         uint64_t hits = 0;
     } artifacts;
 
-    std::string archiveRoot;
-    std::mutex archiveMutex;
-    std::unique_ptr<SessionArchive> archiveStore;
     std::atomic<uint64_t> useTicket{1};
 
     mutable std::mutex mutex; //!< tenants + pending futures

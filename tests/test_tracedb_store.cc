@@ -25,8 +25,6 @@
 #include "core/trace_db.hh"
 #include "core/trace_store.hh"
 #include "ocl/runtime.hh"
-#include "serve/archive.hh"
-#include "serve/service.hh"
 #include "temp_path.hh"
 #include "workloads/templates.hh"
 #include "workloads/workload.hh"
@@ -681,64 +679,6 @@ TEST_F(StoreFileTest, TruncatedKernelTableIsFatal)
                   std::string::npos)
             << "kept " << keep << ": " << msg;
     }
-    setLogQuiet(false);
-}
-
-TEST(ArchiveFormat, PreviousVersionArchiveIsFatalOnReopen)
-{
-    setLogQuiet(true);
-    std::string dir = test::uniqueTempPath(".archive");
-    SyntheticTrace t = makeTrace(40, 5);
-    EpochAssignments epochs = assignEpochs(t.calls);
-    std::span<const gtpin::DispatchProfile> profiles(t.profiles);
-    std::span<const cfl::KernelTiming> timings(t.timings);
-    std::span<const std::pair<uint64_t, uint64_t>> rows(epochs);
-
-    sched::ThreadPool pool(1);
-    serve::ServiceConfig cfg;
-    serve::WorkloadSession session("synthetic", cfg, pool);
-    session.addDispatches(t.kernels, profiles.first(30),
-                          timings.first(30), rows.first(30));
-    std::string path;
-    {
-        serve::SessionArchive archive(dir);
-        path = archive.pathFor(0, 0, "synthetic");
-        session.evict(path);
-        archive.record("synthetic", path, 30);
-    }
-
-    // An archive left by a build of the previous format version.
-    FILE *f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    uint32_t previous = 1;
-    std::fseek(f, 8, SEEK_SET); // the version follows the magic
-    std::fwrite(&previous, sizeof(previous), 1, f);
-    std::fclose(f);
-
-    serve::SessionArchive reopened(dir);
-    std::vector<serve::SessionArchive::Entry> entries =
-        reopened.entries();
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].dispatches, 30u);
-    try {
-        TraceDatabase::openColumnarFile(reopened.directory() + "/" +
-                                        entries[0].file);
-        ADD_FAILURE() << "an archive of the previous version opened";
-    } catch (const FatalError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("format version 1"), std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("reads version 2"), std::string::npos)
-            << msg;
-    }
-    // Late rows rehydrate the evicted session from the same archive.
-    EXPECT_THROW(session.addDispatches(t.kernels, profiles.subspan(30),
-                                       timings.subspan(30),
-                                       rows.subspan(30)),
-                 FatalError);
-    std::remove(path.c_str());
-    std::remove((dir + "/catalog.tsv").c_str());
-    std::remove(dir.c_str());
     setLogQuiet(false);
 }
 
